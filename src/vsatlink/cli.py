@@ -5,7 +5,7 @@
     vsatlink sweep <config> --param KEY --values a:b:step --out CSV [--bits N]
 
 ``<config>`` is a scenario file path or a builtin scenario name
-(``paper``, ``awgn-validation``).  Exit codes: 0 success, 2 config error,
+(``kptcl-cband``, ``awgn-validation``).  Exit codes: 0 success, 2 config error,
 3 pipeline error.  All files are written atomically (write then rename).
 """
 

@@ -110,12 +110,16 @@ def simulate(
 ) -> SimulationResult:
     """Run the full pipeline once and collect BER plus figure artifacts."""
     cfg = scenario.modem
-    n_bits = int(total_bits if total_bits is not None else scenario.total_bits)
+    if snapshot_points <= 0:
+        raise ParameterError(f"snapshot_points must be > 0, got {snapshot_points}")
+    requested_bits = int(total_bits if total_bits is not None else scenario.total_bits)
     master = int(seed if seed is not None else scenario.seed)
-    n_bits -= n_bits % cfg.bits_per_symbol
+    n_bits = requested_bits - requested_bits % cfg.bits_per_symbol
     if n_bits < MIN_BER_RUN_BITS:
+        trimmed = f" ({n_bits} in whole symbols)" if n_bits != requested_bits else ""
         raise ParameterError(
-            f"BER-reporting runs need >= {MIN_BER_RUN_BITS} bits, got {n_bits}"
+            f"BER-reporting runs need >= {MIN_BER_RUN_BITS} bits, "
+            f"got {requested_bits}{trimmed}"
         )
 
     bits_seed = derive_seed(master, _STREAM_BITS)

@@ -33,14 +33,19 @@ __all__ = [
 # put a 3e-2 floor under the compensated BER.
 DC_FORGETTING_FACTOR = 0.999
 
+# The AGC filters long frames in blocks of this many samples, carrying the
+# filter state between blocks; the split changes no output.
+AGC_BLOCK_SAMPLES = 2**16
+
 
 @dataclass(frozen=True)
 class AgcConfig:
-    """Gain-control loop settings.
+    """Gain-control settings.
 
     ``reference_power`` defaults to 10, the mean symbol power of the M=16,
-    d=2 grid; drive it with the actual waveform power when the loop sits
-    before the matched filter.
+    d=2 grid; drive it with the actual waveform power when the AGC sits
+    before the matched filter.  ``step_size`` is the weight of each new
+    sample in the power average (0.01: a 100-sample time constant).
     """
 
     reference_power: float = 10.0
@@ -55,11 +60,11 @@ class AgcConfig:
 
 
 class DcOffsetCompensator:
-    """Subtracts a running exponentially weighted mean (weight 0.99/sample).
+    """Subtracts a running exponentially weighted mean with weight ``w``.
 
-    The estimator starts at 0 and carries across frames, so a constant
-    offset decays geometrically: the residual after n samples is
-    ``offset * 0.99**(n+1)``.
+    ``w`` defaults to :data:`DC_FORGETTING_FACTOR`.  The estimator starts at
+    0 and carries across frames, so a constant offset decays geometrically:
+    the residual on the n-th sample (counting from 1) is ``offset * w**n``.
     """
 
     def __init__(self, forgetting_factor: float = DC_FORGETTING_FACTOR):
@@ -89,39 +94,47 @@ def dc_offset_remove(x: ComplexFrame) -> ComplexFrame:
 
 
 class AutomaticGainControl:
-    """Multiplicative proportional loop driving output power to a reference.
+    """Feed-forward gain control driving output power to a reference.
 
-    Per sample: y = g*x, then g <- g * (1 + mu*(1 - |y|^2/P_ref)), with g
-    clamped to +-max_gain_db.  An all-zero input rides the gain up to the
-    clamp and emits zeros (no divide by zero).
+    The input power is tracked by a one-pole average that starts at
+    ``P_ref`` and carries across frames:
+    ``p[n] = (1-mu)*p[n-1] + mu*|x[n]|^2``.  Sample n is scaled by
+    ``sqrt(P_ref / p[n-1])``, so its gain depends on the input up to sample
+    n-1 only.  The average is clipped to ``P_ref / g_max**2 .. P_ref *
+    g_max**2``, which keeps the gain within +-max_gain_db: an all-zero input
+    rides the gain up to the clamp and emits zeros (no divide by zero).
+    ``gain`` is the gain the next sample would get.
     """
 
     def __init__(self, cfg: AgcConfig | None = None):
         self.cfg = cfg or AgcConfig()
-        self.gain = 1.0
+        # lfilter state of the delayed average: the estimate p[n-1] that
+        # scales the next sample
+        self._zi = np.array([self.cfg.reference_power])
+
+    @property
+    def gain(self) -> float:
+        return float(self._gains(self._zi)[0])
+
+    def _gains(self, p_prev: np.ndarray) -> np.ndarray:
+        cfg = self.cfg
+        g_max2 = 10.0 ** (cfg.max_gain_db / 10.0)
+        ref = cfg.reference_power
+        return np.sqrt(ref / np.clip(p_prev, ref / g_max2, ref * g_max2))
 
     def process(self, x: ComplexFrame) -> ComplexFrame:
-        cfg = self.cfg
-        g_max = 10.0 ** (cfg.max_gain_db / 20.0)
-        g_min = 1.0 / g_max
-        out, self.gain = _agc_loop(
-            x.samples, self.gain, cfg.step_size, cfg.reference_power, g_min, g_max
-        )
+        mu = self.cfg.step_size
+        # p_prev[n] = (1-mu)*p_prev[n-1] + mu*|x[n-1]|^2: the average delayed
+        # by one sample, so the filter output is the estimate sample n uses
+        b, a = [0.0, mu], [1.0, mu - 1.0]
+        out = x.samples.copy()
+        # bounded blocks keep the float temporaries small on long frames
+        for start in range(0, out.size, AGC_BLOCK_SAMPLES):
+            blk = out[start:start + AGC_BLOCK_SAMPLES]
+            power = blk.real * blk.real + blk.imag * blk.imag
+            p_prev, self._zi = _signal.lfilter(b, a, power, zi=self._zi)
+            blk *= self._gains(p_prev)
         return x.with_samples(out)
-
-
-def _agc_loop(samples, gain, mu, ref, g_min, g_max):
-    out = np.empty_like(samples)
-    for i in range(samples.size):
-        y = gain * samples[i]
-        out[i] = y
-        p = y.real * y.real + y.imag * y.imag
-        gain = gain * (1.0 + mu * (1.0 - p / ref))
-        if gain > g_max:
-            gain = g_max
-        elif gain < g_min:
-            gain = g_min
-    return out, gain
 
 
 def agc(x: ComplexFrame, cfg: AgcConfig | None = None) -> ComplexFrame:

@@ -22,7 +22,7 @@ from vsatlink import (
     qam_modulate,
 )
 from vsatlink.pipeline import simulate
-from vsatlink.receiver import DC_FORGETTING_FACTOR
+from vsatlink.receiver import AGC_BLOCK_SAMPLES, DC_FORGETTING_FACTOR
 
 FS = 50_000.0
 
@@ -124,6 +124,34 @@ class TestAgc:
         b = loop.process(frame(x.samples[1000:]))
         whole = agc(x)
         assert np.allclose(np.concatenate([a.samples, b.samples]), whole.samples, atol=1e-15)
+
+    def test_streaming_across_block_boundaries_is_exact(self):
+        # longer than AGC_BLOCK_SAMPLES and split off a block boundary
+        assert 200_000 > AGC_BLOCK_SAMPLES and 70_001 % AGC_BLOCK_SAMPLES != 0
+        x = rand_frame(200_000, 5, scale=0.3)
+        loop = AutomaticGainControl()
+        a = loop.process(frame(x.samples[:70_001]))
+        b = loop.process(frame(x.samples[70_001:]))
+        whole = AutomaticGainControl()
+        y = whole.process(x)
+        assert np.array_equal(np.concatenate([a.samples, b.samples]), y.samples)
+        assert loop.gain == whole.gain
+
+    @pytest.mark.parametrize("q", [0.1, 1e3, 1e-8])
+    def test_step_response_oracle(self, q):
+        # constant input power q: p[n-1] = q + (P_ref - q)*(1-mu)**n, and the
+        # gain on sample n is sqrt(P_ref / p[n-1]) within the clamp; 1e-8
+        # drives the gain into the 60 dB clamp
+        cfg = AgcConfig(reference_power=10.0, step_size=0.01, max_gain_db=60.0)
+        n = np.arange(3000)
+        loop = AutomaticGainControl(cfg)
+        y = loop.process(frame(np.full(n.size, np.sqrt(q) + 0j)))
+        p_prev = q + (cfg.reference_power - q) * (1 - cfg.step_size) ** np.append(n, n.size)
+        g_max = 10 ** (cfg.max_gain_db / 20)
+        expected = np.minimum(np.sqrt(cfg.reference_power / p_prev), g_max)
+        assert np.allclose(y.samples.real / np.sqrt(q), expected[:-1], rtol=1e-9, atol=0)
+        assert not y.samples.imag.any()
+        assert loop.gain == pytest.approx(expected[-1], rel=1e-9)
 
 
 class TestPhaseFreqCorrection:

@@ -228,6 +228,24 @@ class TestCli:
         ])
         assert code == EXIT_CONFIG
 
+    def test_zero_snapshot_points_fails_before_simulating(self, tmp_path, monkeypatch, capsys):
+        import vsatlink.pipeline as pipeline_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("bits generated before --points was checked")
+
+        monkeypatch.setattr(pipeline_mod, "generate_bits", boom)
+        code = main(["simulate", "awgn-validation", "--out", str(tmp_path / "o"),
+                     "--points", "0"])
+        assert code == EXIT_CONFIG
+        assert "snapshot_points must be > 0, got 0" in capsys.readouterr().err
+
+    def test_negative_bits_reports_requested_count(self, tmp_path, capsys):
+        code = main(["simulate", "awgn-validation", "--out", str(tmp_path / "o"),
+                     "--bits", "-5"])
+        assert code == EXIT_CONFIG
+        assert "got -5 (-8 in whole symbols)" in capsys.readouterr().err
+
     def test_pipeline_error_exit_code(self, tmp_path, monkeypatch, capsys):
         import vsatlink.cli as cli_mod
 
