@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy import signal as _signal
 from scipy.special import erfc
 
@@ -28,6 +30,9 @@ __all__ = [
 ]
 
 MAX_DELAY_SEARCH_BITS = 4096
+# Welch segments transformed per FFT call; bounds the scratch memory of
+# estimate_psd to this many segments whatever the frame length.
+PSD_BLOCK_SEGMENTS = 64
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,10 @@ def estimate_psd(
     """Welch-averaged, Hann-windowed two-sided PSD over [-fs/2, fs/2).
 
     Density normalization: the PSD integrated over frequency equals the
-    mean signal power.
+    mean signal power.  Segments start every
+    ``segment_len - int(segment_len * overlap_fraction)`` samples (a tail
+    shorter than a segment is dropped, as in ``scipy.signal.welch``) and are
+    transformed ``PSD_BLOCK_SEGMENTS`` at a time, one FFT call per block.
     """
     if segment_len > len(x):
         raise ParameterError(
@@ -121,20 +129,17 @@ def estimate_psd(
     if not 0.0 <= overlap_fraction < 1.0:
         raise ParameterError("overlap_fraction must be in [0, 1)")
     fs = x.sample_rate_hz
-    noverlap = int(segment_len * overlap_fraction)
-    freqs, psd = _signal.welch(
-        x.samples,
-        fs=fs,
-        window="hann",
-        nperseg=segment_len,
-        noverlap=noverlap,
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
+    step = segment_len - int(segment_len * overlap_fraction)
+    segments = sliding_window_view(x.samples, segment_len)[::step]
+    window = _signal.get_window("hann", segment_len)
+    power = np.zeros(segment_len)
+    for start in range(0, len(segments), PSD_BLOCK_SEGMENTS):
+        spectra = sp_fft.fft(segments[start : start + PSD_BLOCK_SEGMENTS] * window, axis=-1)
+        power += np.sum(spectra.real**2 + spectra.imag**2, axis=0)
+    psd = power / (len(segments) * fs * np.sum(window**2))
     return SpectrumEstimate(
-        frequencies_hz=np.fft.fftshift(freqs),
-        psd_w_per_hz=np.maximum(np.fft.fftshift(psd).real, 0.0),
+        frequencies_hz=np.fft.fftshift(sp_fft.fftfreq(segment_len, 1.0 / fs)),
+        psd_w_per_hz=np.fft.fftshift(psd),
         resolution_bw_hz=fs / segment_len,
     )
 

@@ -186,21 +186,27 @@ def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Comp
     return rot.process(x)
 
 
+def _ktb_variance(temperature_k: float, bandwidth_hz: float) -> float:
+    """Thermal noise power kTB in watts."""
+    return BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz
+
+
 def thermal_noise(x: ComplexFrame, temperature_k: float, seed: int) -> ComplexFrame:
     """Add circularly-symmetric Gaussian noise of total variance kTB.
 
     B is the frame sample rate; the variance splits equally between the real
     and imaginary parts.  Deterministic for a fixed seed.
     """
+    return thermal_noise_from_rng(x, temperature_k, np.random.default_rng(seed))
+
+
+def thermal_noise_from_rng(
+    x: ComplexFrame, temperature_k: float, rng: np.random.Generator
+) -> ComplexFrame:
+    """kTB noise drawn from an existing generator (streaming use)."""
     if temperature_k < 0:
         raise ParameterError("temperature must be >= 0 K")
-    sigma2 = BOLTZMANN_J_PER_K * temperature_k * x.sample_rate_hz
-    if sigma2 == 0.0:
-        return x.with_samples(x.samples)
-    rng = np.random.default_rng(seed)
-    std = np.sqrt(sigma2 / 2.0)
-    noise = std * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
-    return x.with_samples(x.samples + noise)
+    return _awgn(x, _ktb_variance(temperature_k, x.sample_rate_hz), rng)
 
 
 def _awgn(x: ComplexFrame, sigma2: float, rng: np.random.Generator) -> ComplexFrame:
@@ -306,7 +312,7 @@ class SatelliteChannel:
             y = self._rotator.process(y)
             y = apply_gain_db(y, self.gains.rx_dish_gain_db)
             y = thermal_noise_from_rng(y, imp.noise_temperature_k, self._rng)
-            log.noise_variance_w = BOLTZMANN_J_PER_K * imp.noise_temperature_k * y.sample_rate_hz
+            log.noise_variance_w = _ktb_variance(imp.noise_temperature_k, y.sample_rate_hz)
         else:
             y = self._rotator.process(y)
             p_sig = y.mean_power
@@ -326,16 +332,6 @@ class SatelliteChannel:
         y = iq_imbalance(y, imp)
         self.last_log = log
         return y
-
-
-def thermal_noise_from_rng(
-    x: ComplexFrame, temperature_k: float, rng: np.random.Generator
-) -> ComplexFrame:
-    """kTB noise drawn from an existing generator (streaming use)."""
-    if temperature_k < 0:
-        raise ParameterError("temperature must be >= 0 K")
-    sigma2 = BOLTZMANN_J_PER_K * temperature_k * x.sample_rate_hz
-    return _awgn(x, sigma2, rng)
 
 
 def run_channel(

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .channel import BOLTZMANN_J_PER_K
 from .errors import ParameterError
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT_M_S = 3.0e8
-BOLTZMANN_J_PER_K = 1.380649e-23
 
 
 @dataclass(frozen=True)

@@ -236,9 +236,13 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
         )
     sps = cfg.samples_per_symbol
     h = rrc_taps(cfg.rolloff, sps, cfg.filter_span_symbols)
-    up = np.zeros(len(symbols) * sps, dtype=np.complex128)
-    up[::sps] = symbols.samples
-    shaped = _signal.convolve(up, h, mode="full")
+    # Polyphase interpolation: output phase p (samples p, p+sps, ...) is the
+    # symbol stream convolved with the taps h[p::sps], so the zero-stuffed
+    # inputs are never multiplied.  Positions no phase reaches stay exactly 0.
+    shaped = np.zeros(len(symbols) * sps + h.size - 1, dtype=np.complex128)
+    for p in range(sps):
+        phase = _signal.convolve(symbols.samples, h[p::sps], method="direct")
+        shaped[p::sps][: phase.size] = phase
     return ComplexFrame(shaped, cfg.sample_rate_hz)
 
 
@@ -263,8 +267,16 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
             f"(total group delay), got {len(waveform)}"
         )
     h = rrc_taps(cfg.rolloff, sps, cfg.filter_span_symbols)
-    filtered = _signal.convolve(waveform.samples, h, mode="full")
-    return ComplexFrame(filtered[::sps], cfg.symbol_rate_hz)
+    x = waveform.samples
+    # Polyphase decimation: only the kept outputs y[k] = (x * h)[k * sps] are
+    # computed, as y[k] = sum_p sum_m h[p + sps*m] * x[sps*(k - m) - p].  Phase
+    # p = 0 reads x[0::sps]; phase p > 0 reads x[sps-p::sps], one symbol late.
+    out = np.zeros((len(x) + h.size - 2) // sps + 1, dtype=np.complex128)
+    for p in range(sps):
+        start, lag = (0, 0) if p == 0 else (sps - p, 1)
+        phase = _signal.convolve(x[start::sps], h[p::sps], method="direct")
+        out[lag : lag + phase.size] += phase
+    return ComplexFrame(out, cfg.symbol_rate_hz)
 
 
 def pipeline_delay_symbols(cfg: ModemConfig) -> int:

@@ -8,8 +8,9 @@ reproducible bit-for-bit and sweep points are independent yet replayable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Optional
+import math
+from dataclasses import dataclass, is_dataclass, replace
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -173,8 +174,14 @@ def simulate(
         else:
             corrected = rx_wave
 
+    # figure artifacts: skip the filter transients (2 x span symbols).  The
+    # pre-correction symbols feed only their snapshot, and output symbol k
+    # reads input samples up to k * sps, so only that window is filtered.
+    skip = 2 * pipeline_delay_symbols(cfg)
+    window = (skip + snapshot_points) * cfg.samples_per_symbol
     with _stage("modem.rx_match"):
-        pre_symbols = rx_match(rx_wave, cfg)
+        pre_window = rx_wave.with_samples(rx_wave.samples[:window])
+        pre_symbols = rx_match(pre_window, cfg)
         post_symbols = rx_match(corrected, cfg)
     with _stage("modem.qam_demodulate"):
         rx_bits = qam_demodulate(post_symbols, cfg)
@@ -183,8 +190,6 @@ def simulate(
     with _stage("analysis.measure_ber"):
         report = measure_ber(tx_bits, rx_bits, delay_bits=delay_bits)
 
-    # figure artifacts: skip the filter transients (2 x span symbols)
-    skip = 2 * pipeline_delay_symbols(cfg)
     with _stage("analysis.snapshots"):
         cons_tx = constellation_snapshot(symbols, snapshot_points)
         cons_pre = constellation_snapshot(
@@ -246,22 +251,42 @@ def run_linkbudget(scenario: ScenarioConfig) -> list[LinkBudgetReport]:
     return [compute_budget(leg) for leg in scenario.budget_legs]
 
 
+def _sweep_number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParameterError(f"sweep value {text.strip()!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParameterError(f"sweep values must be finite, got {text.strip()!r}")
+    return value
+
+
 def parse_sweep_values(spec: str) -> list[float]:
     """Parse ``a:b:step`` into an inclusive grid (also accepts ``v1,v2,...``)."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ParameterError(f"sweep values must be 'start:stop:step', got {spec!r}")
-        a, b, step = (float(p) for p in parts)
+        a, b, step = (_sweep_number(p) for p in parts)
         if step <= 0:
             raise ParameterError("sweep step must be > 0")
         count = int(np.floor((b - a) / step + 1e-9)) + 1
         values = [a + i * step for i in range(count)]
     else:
-        values = [float(p) for p in spec.split(",") if p.strip()]
+        values = [_sweep_number(p) for p in spec.split(",") if p.strip()]
     if not values:
         raise ParameterError("sweep produced no values")
     return values
+
+
+def _declares_int(dotted: str) -> bool:
+    """Whether the scenario field named by the dotted key is typed ``int``."""
+    hint: object = ScenarioConfig
+    for key in dotted.split("."):
+        if not is_dataclass(hint):
+            return False
+        hint = get_type_hints(hint).get(key)
+    return hint is int
 
 
 def _set_scalar(data: dict, dotted: str, value: float) -> None:
@@ -277,6 +302,12 @@ def _set_scalar(data: dict, dotted: str, value: float) -> None:
     current = node[leaf]
     if isinstance(current, bool) or not isinstance(current, (int, float, type(None))):
         raise ParameterError(f"sweep key {dotted!r}: not a scalar numeric key")
+    if not math.isfinite(value):
+        raise ParameterError(f"sweep key {dotted!r}: values must be finite, got {value!r}")
+    if _declares_int(dotted):
+        if not float(value).is_integer():
+            raise ParameterError(f"sweep key {dotted!r}: needs integer values, got {value!r}")
+        value = int(value)
     node[leaf] = value
 
 
@@ -312,7 +343,9 @@ def run_sweep(
     if not values:
         raise ParameterError("sweep produced no values")
     base = scenario_to_dict(scenario)
-    _set_scalar(json.loads(json.dumps(base)), param, values[0])  # validate the key up front
+    probe = json.loads(json.dumps(base))
+    for value in values:  # validate the key and every value before any run
+        _set_scalar(probe, param, value)
     seeds = [derive_seed(scenario.seed, _SWEEP_BASE + i) for i in range(len(values))]
     args = [(base, param, v, s, total_bits) for v, s in zip(values, seeds)]
     if jobs <= 1:

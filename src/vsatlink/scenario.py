@@ -120,6 +120,14 @@ _TOP_KEYS = {
 }
 
 
+def _integer(key: str, value: Any) -> int:
+    """``value`` as an int; a non-integral number is an error, not truncated."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_leg(index: int, data: dict) -> BudgetLeg:
     section = f"budget_legs[{index}]"
     if not isinstance(data, dict):
@@ -174,8 +182,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         compensation=comp,
         mode=data.get("mode", "physical"),
         target_es_n0_db=data.get("target_es_n0_db"),
-        total_bits=int(data.get("total_bits", 1_000_000)),
-        seed=int(data.get("seed", 1)),
+        total_bits=_integer("total_bits", data.get("total_bits", 1_000_000)),
+        seed=_integer("seed", data.get("seed", 1)),
         budget_legs=built_legs,
         metadata=metadata,
     )

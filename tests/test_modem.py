@@ -229,6 +229,37 @@ class TestShapingCascade:
             rx_match(sym, CFG)
 
 
+class TestPolyphaseOracles:
+    """The polyphase filters against plain full-rate convolution."""
+
+    @pytest.mark.parametrize("sps", [2, 4, 8])
+    @pytest.mark.parametrize("span", [2, 10, 30])
+    def test_tx_shape_equals_zero_stuffed_convolution(self, sps, span):
+        cfg = ModemConfig(samples_per_symbol=sps, filter_span_symbols=span)
+        rng = np.random.default_rng(sps * 100 + span)
+        s = rng.standard_normal(53) + 1j * rng.standard_normal(53)
+        up = np.zeros(s.size * sps, dtype=complex)
+        up[::sps] = s
+        expected = np.convolve(up, rrc_taps(cfg.rolloff, sps, span))
+        out = tx_shape(ComplexFrame(s, cfg.symbol_rate_hz), cfg).samples
+        assert out.shape == expected.shape
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sps", [2, 4, 8])
+    @pytest.mark.parametrize("span", [2, 10, 30])
+    def test_rx_match_equals_decimated_convolution(self, sps, span):
+        cfg = ModemConfig(samples_per_symbol=sps, filter_span_symbols=span)
+        h = rrc_taps(cfg.rolloff, sps, span)
+        rng = np.random.default_rng(sps * 100 + span)
+        # every input length modulo sps, starting just past the group delay
+        for n in range(span * sps + 1, span * sps + 2 * sps + 2):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            expected = np.convolve(x, h)[::sps]
+            out = rx_match(ComplexFrame(x, cfg.sample_rate_hz), cfg).samples
+            assert out.shape == expected.shape
+            assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+
 def test_symbol_and_sample_rates():
     # 4 bits/symbol at 40 us per bit -> 6.25 ksym/s; x8 oversampling -> 50 kHz
     assert CFG.symbol_rate_hz == pytest.approx(6250.0)

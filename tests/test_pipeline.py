@@ -64,6 +64,17 @@ class TestEndToEnd:
         assert np.min([np.min(np.abs(p - grid)) for p in z_pre[np.abs(z_pre) > 4]]) > 0.5
         assert np.max([np.min(np.abs(p - grid)) for p in z_post]) < 0.05
 
+    def test_uncompensated_pre_and_post_snapshots_agree(self, awgn_scenario):
+        # with compensation off both snapshots filter the same waveform; the
+        # pre-correction one reads only the snapshot window, so every row
+        # (the last ones included) shows whether that window is long enough
+        result = simulate(awgn_scenario, total_bits=40_000, snapshot_points=500,
+                          with_spectra=False)
+        pre = result.constellation_rx_precorrection
+        post = result.constellation_rx_postcorrection
+        assert pre.shape == post.shape == (500, 2)
+        assert np.allclose(pre, post, rtol=1e-12, atol=1e-12)
+
     def test_different_seeds_differ(self, awgn_scenario):
         a = simulate(awgn_scenario, total_bits=40_000, seed=1, with_spectra=False)
         b = simulate(awgn_scenario, total_bits=40_000, seed=2, with_spectra=False)

@@ -228,6 +228,38 @@ class TestCli:
         ])
         assert code == EXIT_CONFIG
 
+    def test_sweep_integer_key_takes_integral_values(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "awgn-validation", "--param", "modem.samples_per_symbol",
+                     "--values", "4,8", "--out", str(out), "--bits", "10000"])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [4.0, 8.0]
+
+    @pytest.mark.parametrize("param, values, message", [
+        ("modem.samples_per_symbol", "4,4.5", "needs integer values, got 4.5"),
+        ("target_es_n0_db", "10,nan", "sweep values must be finite, got 'nan'"),
+    ])
+    def test_bad_sweep_value_fails_before_simulating(self, tmp_path, monkeypatch, capsys,
+                                                     param, values, message):
+        import vsatlink.pipeline as pipeline_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a sweep point ran before every value was checked")
+
+        monkeypatch.setattr(pipeline_mod, "simulate", boom)
+        code = main(["sweep", "awgn-validation", "--param", param, "--values", values,
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("seed", 1.5), ("total_bits", 40_000.5)])
+    def test_non_integral_integer_key_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(minimal_doc(**{key: value})))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{key}: must be an integer, got {value}" in capsys.readouterr().err
+
     def test_zero_snapshot_points_fails_before_simulating(self, tmp_path, monkeypatch, capsys):
         import vsatlink.pipeline as pipeline_mod
 
