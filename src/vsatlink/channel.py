@@ -109,6 +109,8 @@ class ImpairmentConfig:
     def __post_init__(self):
         if self.noise_temperature_k < 0:
             raise ParameterError("noise_temperature_k must be >= 0")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

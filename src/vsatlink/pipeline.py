@@ -302,8 +302,6 @@ def _set_scalar(data: dict, dotted: str, value: float) -> None:
     current = node[leaf]
     if isinstance(current, bool) or not isinstance(current, (int, float, type(None))):
         raise ParameterError(f"sweep key {dotted!r}: not a scalar numeric key")
-    if not math.isfinite(value):
-        raise ParameterError(f"sweep key {dotted!r}: values must be finite, got {value!r}")
     if _declares_int(dotted):
         if not float(value).is_integer():
             raise ParameterError(f"sweep key {dotted!r}: needs integer values, got {value!r}")
@@ -342,10 +340,13 @@ def run_sweep(
     """
     if not values:
         raise ParameterError("sweep produced no values")
+    from .scenario import scenario_from_dict
+
     base = scenario_to_dict(scenario)
     probe = json.loads(json.dumps(base))
-    for value in values:  # validate the key and every value before any run
+    for value in values:  # validate the key and every point's scenario before any run
         _set_scalar(probe, param, value)
+        scenario_from_dict(probe)
     seeds = [derive_seed(scenario.seed, _SWEEP_BASE + i) for i in range(len(values))]
     args = [(base, param, v, s, total_bits) for v, s in zip(values, seeds)]
     if jobs <= 1:

@@ -1,16 +1,19 @@
 """Scenario validation and CLI surface tests (exit codes, files, formats)."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsatlink import ConfigError, load_scenario, scenario_from_dict
 from vsatlink.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from vsatlink.errors import PipelineError
-from vsatlink.pipeline import derive_seed, parse_sweep_values, run_sweep
-from vsatlink.scenario import builtin_scenario_names, scenario_to_dict
+from vsatlink.pipeline import derive_seed, parse_sweep_values, run_sweep, simulate
+from vsatlink.scenario import builtin_scenario_names, builtin_scenario_path, scenario_to_dict
 
 
 def minimal_doc(**overrides):
@@ -26,6 +29,61 @@ def minimal_doc(**overrides):
         "compensation": {"dc": False, "agc": False, "phase_freq": False},
     }
     doc.update(overrides)
+    return doc
+
+
+def awgn_copy(tmp_path, key, value) -> Path:
+    """A copy of the builtin ``awgn-validation`` file with the dotted ``key`` set."""
+    doc = json.loads(builtin_scenario_path("awgn-validation").read_text())
+    *sections, leaf = key.split(".")
+    node = doc
+    for section in sections:
+        node = node[section]
+    node[leaf] = value
+    path = tmp_path / f"{key}={value!r}.scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of the scalar leaves of a scenario document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaf_paths(value, path + (key,))]
+
+
+_BUILTIN_DOCS = {name: json.loads(json.dumps(scenario_to_dict(load_scenario(name))))
+                 for name in builtin_scenario_names()}
+_BUILTIN_LEAVES = [(name, path) for name, doc in _BUILTIN_DOCS.items()
+                   for path in _leaf_paths(doc)]
+
+
+@st.composite
+def builtin_with_one_bad_leaf(draw):
+    """A builtin scenario document with one leaf replaced by a value of the wrong
+    kind: non-finite, null, another JSON type, or (in an integer field) a float.
+    Finite numbers of absurd size are not drawn."""
+    name, path = draw(st.sampled_from(_BUILTIN_LEAVES))
+    doc = json.loads(json.dumps(_BUILTIN_DOCS[name]))
+    *parents, leaf = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    old = node[leaf]
+    kinds = [
+        st.sampled_from([math.nan, math.inf, -math.inf, None]),
+        st.booleans(),
+        st.text(max_size=4),
+        st.lists(st.integers(-3, 3), max_size=2),
+        st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    ]
+    if type(old) is int:
+        kinds += [st.just(float(old)), st.floats(0.01, 0.99).map(lambda f: old + f)]
+    node[leaf] = draw(st.one_of(kinds))
     return doc
 
 
@@ -92,10 +150,20 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="rx_antenna"):
             scenario_from_dict(doc)
 
-    def test_round_trip_through_dict(self):
-        sc = load_scenario("kptcl-cband")
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_round_trip_through_dict(self, name):
+        sc = load_scenario(name)
         again = scenario_from_dict(scenario_to_dict(sc))
         assert scenario_to_dict(again) == scenario_to_dict(sc)
+
+    @given(doc=builtin_with_one_bad_leaf())
+    @settings(max_examples=50, deadline=None)
+    def test_bad_leaf_is_config_error_or_runs(self, doc):
+        try:
+            sc = scenario_from_dict(doc)
+        except ConfigError:
+            return
+        simulate(sc, total_bits=10_000, with_spectra=False)
 
 
 class TestSweepHelpers:
@@ -239,6 +307,7 @@ class TestCli:
     @pytest.mark.parametrize("param, values, message", [
         ("modem.samples_per_symbol", "4,4.5", "needs integer values, got 4.5"),
         ("target_es_n0_db", "10,nan", "sweep values must be finite, got 'nan'"),
+        ("modem.rolloff", "0.2,1.5", "rolloff must be in (0, 1]"),
     ])
     def test_bad_sweep_value_fails_before_simulating(self, tmp_path, monkeypatch, capsys,
                                                      param, values, message):
@@ -259,6 +328,34 @@ class TestCli:
         cfg.write_text(json.dumps(minimal_doc(**{key: value})))
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"{key}: must be an integer, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("target_es_n0_db", math.nan),
+        ("impairments.phase_offset_deg", math.nan),
+        ("impairments.seed", 1.5),
+        ("modem.samples_per_symbol", 4.5),
+        ("compensation.dc", "no"),
+    ])
+    def test_mistyped_value_is_config_error_naming_key(self, tmp_path, capsys, key, value):
+        cfg = awgn_copy(tmp_path, key, value)
+        code = main(["simulate", str(cfg), "--out", str(tmp_path / "o"), "--bits", "20000"])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key}: must be " in capsys.readouterr().err
+
+    def test_integral_float_in_integer_field_runs_as_that_integer(self, tmp_path):
+        ber = []
+        for value in (8, 8.0):
+            cfg = awgn_copy(tmp_path, "modem.samples_per_symbol", value)
+            out = tmp_path / repr(value)
+            assert main(["simulate", str(cfg), "--out", str(out), "--bits", "20000"]) == EXIT_OK
+            ber.append((out / "ber.json").read_bytes())
+        assert ber[0] == ber[1]
+
+    def test_negative_impairment_seed_is_config_error(self, tmp_path, capsys):
+        cfg = awgn_copy(tmp_path, "impairments.seed", -1)
+        code = main(["simulate", str(cfg), "--out", str(tmp_path / "o"), "--bits", "20000"])
+        assert code == EXIT_CONFIG
+        assert "impairments: seed must be >= 0" in capsys.readouterr().err
 
     def test_zero_snapshot_points_fails_before_simulating(self, tmp_path, monkeypatch, capsys):
         import vsatlink.pipeline as pipeline_mod
