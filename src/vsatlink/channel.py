@@ -1,21 +1,28 @@
 """RF impairments: Saleh TWTA, dB gains, path loss, rotation, noise, I/Q skew.
 
-The full transponder chain (:class:`SatelliteChannel`) composes, in order:
-TWTA -> Tx dish gain -> uplink path loss -> satellite Rx gain -> transponder
-amplifier gain -> satellite Tx gain -> downlink path loss -> phase/Doppler
-rotation -> Rx dish gain -> receiver thermal noise -> I/Q imbalance.
+The full transponder chain (:class:`SatelliteChannel`) is one pass: TWTA ->
+one scalar gain -> phase/Doppler rotation -> receiver noise -> I/Q imbalance.
+Every block after the TWTA is linear, and the rotation has unit modulus, so
+the seven dB terms of the link (Tx dish gain, uplink path loss, satellite Rx
+gain, transponder amplifier gain, satellite Tx gain, downlink path loss, Rx
+dish gain) collapse into that one gain and commute with the rotation.
 
-Two power modes:
+Two power modes choose only the gain and the noise variance:
 
-* ``physical`` - every dB term is applied literally; noise is kTB from the
+* ``physical`` - the gain is the literal dB sum; noise is kTB from the
   receiver noise temperature.  If the transponder amplifier gain is left
   unset it is auto-closed so the mean pre-noise received power equals the
   channel-input power (the published gain/loss figures do not close the
-  link by themselves); the value used is reported.
-* ``normalized`` - the dB terms are replaced by a single renormalization
-  back to the input waveform's own power before noise injection, and noise
-  comes from a target Es/N0 instead of a temperature.  With all impairments
-  neutral this mode is an exact identity.
+  link by themselves); the value used is reported.  Under auto-closure the
+  seven terms cancel to ``10*log10(p_in/p_sig)`` whatever :class:`LinkGains`
+  holds (``p_sig`` is the TWTA output power), so the dB figures change only
+  the logged transponder gain.
+* ``normalized`` - the gain is ``sqrt(p_in/p_sig)``, the same closure without
+  the dB round trip, and noise comes from a target Es/N0 instead of a
+  temperature.  With all impairments neutral this mode is an exact identity.
+
+Physical auto-closure and normalized mode therefore differ only in the noise
+variance and in the logged numbers.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import ParameterError, PipelineError
+from .errors import ParameterError, PipelineError, check_range
 from .frames import ComplexFrame
 
 __all__ = [
@@ -46,6 +53,15 @@ __all__ = [
 ]
 
 BOLTZMANN_J_PER_K = 1.380649e-23
+
+# Range limits for the config numbers: wide enough for any real link, narrow
+# enough that every power in the chain (|x|^2, kTB, 10^(dB/10)) stays finite.
+MAX_ABS_DB = 400.0
+MAX_ABS_PHASE_DEG = 360.0
+MAX_ABS_FREQ_OFFSET_HZ = 1e9
+MAX_NOISE_TEMPERATURE_K = 1e9
+MAX_ABS_AMPLITUDE = 1e6  # volts across 1 ohm
+MAX_SALEH_COEFFICIENT = 1e6
 
 
 def _db_to_amplitude(db: float) -> float:
@@ -70,8 +86,14 @@ class SalehParams:
     output_scale_db: float = 32.9118
 
     def __post_init__(self):
-        if self.amam_beta < 0 or self.ampm_beta < 0:
-            raise ParameterError("Saleh beta coefficients must be >= 0")
+        for name in ("input_scale_db", "output_scale_db"):
+            check_range(name, getattr(self, name), -MAX_ABS_DB, MAX_ABS_DB)
+        check_range("amam_alpha", self.amam_alpha, 1.0 / MAX_SALEH_COEFFICIENT,
+                    MAX_SALEH_COEFFICIENT)
+        check_range("ampm_alpha", self.ampm_alpha, -MAX_SALEH_COEFFICIENT,
+                    MAX_SALEH_COEFFICIENT)
+        for name in ("amam_beta", "ampm_beta"):
+            check_range(name, getattr(self, name), 0.0, MAX_SALEH_COEFFICIENT)
 
     @classmethod
     def linear(cls) -> "SalehParams":
@@ -107,8 +129,16 @@ class ImpairmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_temperature_k < 0:
-            raise ParameterError("noise_temperature_k must be >= 0")
+        for name in ("phase_offset_deg", "iq_phase_imbalance_deg"):
+            check_range(name, getattr(self, name), -MAX_ABS_PHASE_DEG, MAX_ABS_PHASE_DEG)
+        check_range("freq_offset_hz", self.freq_offset_hz,
+                    -MAX_ABS_FREQ_OFFSET_HZ, MAX_ABS_FREQ_OFFSET_HZ)
+        check_range("noise_temperature_k", self.noise_temperature_k,
+                    0.0, MAX_NOISE_TEMPERATURE_K)
+        check_range("iq_amplitude_imbalance_db", self.iq_amplitude_imbalance_db,
+                    -MAX_ABS_DB, MAX_ABS_DB)
+        for name in ("dc_offset_i", "dc_offset_q"):
+            check_range(name, getattr(self, name), -MAX_ABS_AMPLITUDE, MAX_ABS_AMPLITUDE)
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
 
@@ -126,8 +156,13 @@ class LinkGains:
     downlink_loss_db: float = 217.0
 
     def __post_init__(self):
-        if self.uplink_loss_db < 0 or self.downlink_loss_db < 0:
-            raise ParameterError("path losses must be >= 0 dB")
+        for name in ("uplink_loss_db", "downlink_loss_db"):
+            check_range(name, getattr(self, name), 0.0, MAX_ABS_DB)
+        for name in ("tx_dish_gain_db", "sat_rx_gain_db", "sat_tx_gain_db", "rx_dish_gain_db"):
+            check_range(name, getattr(self, name), -MAX_ABS_DB, MAX_ABS_DB)
+        if self.transponder_amp_gain_db is not None:
+            check_range("transponder_amp_gain_db", self.transponder_amp_gain_db,
+                        -MAX_ABS_DB, MAX_ABS_DB)
 
 
 def saleh_amplify(x: ComplexFrame, p: SalehParams) -> ComplexFrame:
@@ -199,24 +234,24 @@ def thermal_noise(x: ComplexFrame, temperature_k: float, seed: int) -> ComplexFr
     B is the frame sample rate; the variance splits equally between the real
     and imaginary parts.  Deterministic for a fixed seed.
     """
-    return thermal_noise_from_rng(x, temperature_k, np.random.default_rng(seed))
-
-
-def thermal_noise_from_rng(
-    x: ComplexFrame, temperature_k: float, rng: np.random.Generator
-) -> ComplexFrame:
-    """kTB noise drawn from an existing generator (streaming use)."""
     if temperature_k < 0:
         raise ParameterError("temperature must be >= 0 K")
-    return _awgn(x, _ktb_variance(temperature_k, x.sample_rate_hz), rng)
+    out = x.samples.copy()
+    _add_noise(out, _ktb_variance(temperature_k, x.sample_rate_hz), np.random.default_rng(seed))
+    return x.with_samples(out)
 
 
-def _awgn(x: ComplexFrame, sigma2: float, rng: np.random.Generator) -> ComplexFrame:
+def _add_noise(samples: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
+    """Add complex Gaussian noise of total variance ``sigma2`` in place.
+
+    The real parts are drawn first, then the imaginary parts, so the stream
+    equals ``std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))``.
+    """
     if sigma2 == 0.0:
-        return x.with_samples(x.samples)
+        return
     std = np.sqrt(sigma2 / 2.0)
-    noise = std * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
-    return x.with_samples(x.samples + noise)
+    samples.real += std * rng.standard_normal(samples.size)
+    samples.imag += std * rng.standard_normal(samples.size)
 
 
 def iq_imbalance(x: ComplexFrame, cfg: ImpairmentConfig) -> ComplexFrame:
@@ -285,53 +320,37 @@ class SatelliteChannel:
         )
 
     def run(self, x: ComplexFrame) -> ComplexFrame:
-        imp = self.impairments
         log = ChannelLog(mode=self.mode)
         p_in = x.mean_power
-
         y = saleh_amplify(x, self.saleh)
+        p_sig = y.mean_power
 
         if self.mode == "physical":
             transponder_db = self.gains.transponder_amp_gain_db
-            if transponder_db is None:
-                # Auto-closure: make mean pre-noise received power equal the
-                # channel-input power.  The post-TWTA blocks are all linear,
-                # so closing against the measured TWTA output is exact.
-                p_sig = y.mean_power
+            if transponder_db is None:  # auto-closure against the TWTA output
                 if p_in <= 0.0 or p_sig <= 0.0:
                     raise PipelineError(
                         "channel", "cannot auto-close transponder gain on a zero-power signal"
                     )
-                fixed_without = self._fixed_gain_db(0.0)
-                transponder_db = 10.0 * np.log10(p_in / p_sig) - fixed_without
-            net_db = self._fixed_gain_db(transponder_db)
+                transponder_db = 10.0 * np.log10(p_in / p_sig) - self._fixed_gain_db(0.0)
             log.transponder_amp_gain_db = float(transponder_db)
-            log.net_fixed_gain_db = float(net_db)
-            # All dB blocks up to the Rx dish commute with the rotation; the
-            # pre-rotation part is applied first to keep the listed order.
-            pre_rot_db = net_db - self.gains.rx_dish_gain_db
-            y = apply_gain_db(y, pre_rot_db)
-            y = self._rotator.process(y)
-            y = apply_gain_db(y, self.gains.rx_dish_gain_db)
-            y = thermal_noise_from_rng(y, imp.noise_temperature_k, self._rng)
-            log.noise_variance_w = _ktb_variance(imp.noise_temperature_k, y.sample_rate_hz)
+            log.net_fixed_gain_db = float(self._fixed_gain_db(transponder_db))
+            gain = _db_to_amplitude(log.net_fixed_gain_db)
+            log.noise_variance_w = _ktb_variance(
+                self.impairments.noise_temperature_k, y.sample_rate_hz
+            )
         else:
-            y = self._rotator.process(y)
-            p_sig = y.mean_power
-            if p_in > 0.0 and p_sig > 0.0:
-                factor = np.sqrt(p_in / p_sig)
-            else:
-                factor = 1.0
-            log.normalization_factor = float(factor)
-            if factor != 1.0:
-                y = y.with_samples(y.samples * factor)
+            gain = np.sqrt(p_in / p_sig) if p_in > 0.0 and p_sig > 0.0 else 1.0
+            log.normalization_factor = float(gain)
             if self.target_es_n0_db is not None:
                 es_n0 = 10.0 ** (self.target_es_n0_db / 10.0)
-                sigma2 = self.reference_symbol_power / es_n0
-                log.noise_variance_w = sigma2
-                y = _awgn(y, sigma2, self._rng)
+                log.noise_variance_w = self.reference_symbol_power / es_n0
 
-        y = iq_imbalance(y, imp)
+        # in place: saleh_amplify and the rotator return arrays of their own
+        y.samples *= gain
+        y = self._rotator.process(y)
+        _add_noise(y.samples, log.noise_variance_w, self._rng)
+        y = iq_imbalance(y, self.impairments)
         self.last_log = log
         return y
 

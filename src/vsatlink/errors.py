@@ -1,4 +1,4 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the range check that raises them."""
 
 
 class VsatLinkError(Exception):
@@ -30,3 +30,9 @@ class PipelineError(VsatLinkError, RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def check_range(name: str, value: float, low: float, high: float) -> None:
+    """Raise :class:`ParameterError` naming ``name`` unless ``low <= value <= high``."""
+    if not low <= value <= high:
+        raise ParameterError(f"{name} must be in [{low:g}, {high:g}], got {value!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as _signal
 
-from .errors import FramingError, InsufficientDataError, ParameterError
+from .errors import FramingError, InsufficientDataError, ParameterError, check_range
 from .frames import BitFrame, ComplexFrame
 
 __all__ = [
@@ -55,10 +55,10 @@ class ModemConfig:
             raise ParameterError("samples_per_symbol must be >= 2")
         if self.filter_span_symbols <= 0 or self.filter_span_symbols % 2:
             raise ParameterError("filter_span_symbols must be a positive even integer")
-        if not self.min_distance > 0:
-            raise ParameterError("min_distance must be > 0")
-        if not self.bit_sample_time_s > 0:
-            raise ParameterError("bit_sample_time_s must be > 0")
+        # a micro- to a megavolt keeps |s|^2 well inside float64
+        check_range("min_distance", self.min_distance, 1e-6, 1e6)
+        # 1 bit/s to 1 Tbit/s
+        check_range("bit_sample_time_s", self.bit_sample_time_s, 1e-12, 1.0)
 
     @property
     def bits_per_symbol(self) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -224,13 +224,7 @@ def simulate(
             "agc_reference_power": agc_reference,
             "alignment_delay_bits": delay_bits,
             "snapshot_skip_symbols": skip,
-            "channel": {
-                "mode": chan_log.mode,
-                "transponder_amp_gain_db": chan_log.transponder_amp_gain_db,
-                "normalization_factor": chan_log.normalization_factor,
-                "noise_variance_w": chan_log.noise_variance_w,
-                "net_fixed_gain_db": chan_log.net_fixed_gain_db,
-            },
+            "channel": asdict(chan_log),
         },
         "ber": report.as_dict(),
     }

@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
-from .channel import ImpairmentConfig, LinkGains, SalehParams
+from .channel import MAX_ABS_DB, ImpairmentConfig, LinkGains, SalehParams
 from .errors import ConfigError, ParameterError
 from .linkbudget import BudgetLeg
 from .modem import ModemConfig
@@ -70,6 +70,11 @@ class ScenarioConfig:
             )
         if self.mode == "normalized" and self.target_es_n0_db is None:
             raise ConfigError("target_es_n0_db: required when mode is 'normalized'")
+        if self.target_es_n0_db is not None and not abs(self.target_es_n0_db) <= MAX_ABS_DB:
+            raise ConfigError(
+                f"target_es_n0_db: must be in [{-MAX_ABS_DB:g}, {MAX_ABS_DB:g}], "
+                f"got {self.target_es_n0_db!r}"
+            )
 
 
 @cache

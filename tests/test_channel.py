@@ -197,6 +197,14 @@ class TestThermalNoise:
         with pytest.raises(ParameterError):
             thermal_noise(rand_frame(8, 0), -1.0, 0)
 
+    def test_stream_is_real_draws_then_imaginary_draws(self):
+        n = 1000
+        x = rand_frame(n, 10)
+        std = np.sqrt(BOLTZMANN_J_PER_K * 45.0 * FS / 2.0)
+        g = np.random.default_rng(5)
+        expected = x.samples + std * (g.standard_normal(n) + 1j * g.standard_normal(n))
+        assert np.array_equal(thermal_noise(x, 45.0, 5).samples, expected)
+
 
 class TestIqImbalance:
     def test_all_zero_is_identity(self):
@@ -280,6 +288,21 @@ class TestFullChain:
         # noise at 0 K and neutral I/Q: pre-noise power == output power
         assert out.mean_power == pytest.approx(x.mean_power, rel=1e-9)
         assert chan.last_log.transponder_amp_gain_db == pytest.approx(256.5, abs=2.0)
+
+    def test_auto_closure_cancels_the_db_terms(self):
+        # Under auto-closure the seven dB terms collapse to sqrt(p_in/p_sig),
+        # so the published figures, the budget's computed ones and the
+        # normalized mode without noise give the same waveform.
+        cfg, x = _tx_waveform(8000, 11)
+        imp = ImpairmentConfig(phase_offset_deg=15.0, noise_temperature_k=0.0)
+        published = run_channel(x, LinkGains(), PAPER_SALEH, imp, mode="physical")
+        computed = run_channel(
+            x, LinkGains(uplink_loss_db=200.64, rx_dish_gain_db=36.98), PAPER_SALEH, imp,
+            mode="physical",
+        )
+        normalized = run_channel(x, LinkGains(), PAPER_SALEH, imp, mode="normalized")
+        np.testing.assert_allclose(computed.samples, published.samples, rtol=1e-12)
+        np.testing.assert_allclose(normalized.samples, published.samples, rtol=1e-12)
 
     def test_phase_only_chain_is_exact_rotation(self):
         cfg, x = _tx_waveform(8000, 6)

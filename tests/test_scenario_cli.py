@@ -2,7 +2,9 @@
 
 import json
 import math
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -13,7 +15,12 @@ from vsatlink import ConfigError, load_scenario, scenario_from_dict
 from vsatlink.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from vsatlink.errors import PipelineError
 from vsatlink.pipeline import derive_seed, parse_sweep_values, run_sweep, simulate
-from vsatlink.scenario import builtin_scenario_names, builtin_scenario_path, scenario_to_dict
+from vsatlink.scenario import (
+    ScenarioConfig,
+    builtin_scenario_names,
+    builtin_scenario_path,
+    scenario_to_dict,
+)
 
 
 def minimal_doc(**overrides):
@@ -62,11 +69,32 @@ _BUILTIN_LEAVES = [(name, path) for name, doc in _BUILTIN_DOCS.items()
                    for path in _leaf_paths(doc)]
 
 
+def _is_float_field(path) -> bool:
+    """Whether the scenario leaf at ``path`` is typed ``float`` or ``Optional[float]``."""
+    hint = ScenarioConfig
+    for key in path:
+        if isinstance(key, int):  # an item of a tuple[X, ...] field
+            hint = get_args(hint)[0]
+        elif is_dataclass(hint):
+            hint = get_type_hints(hint)[key]
+        else:  # inside the free-form metadata
+            return False
+        args = [arg for arg in get_args(hint) if arg is not type(None)]
+        if get_origin(hint) is Union and len(args) == 1:
+            hint = args[0]
+    return hint is float
+
+
+_FLOAT_FIELDS = sorted({".".join(path) for _, path in _BUILTIN_LEAVES
+                        if "budget_legs" not in path and _is_float_field(path)})
+_EXTREME_FLOATS = [1e300, -1e300, 1e30, -1e30]
+
+
 @st.composite
 def builtin_with_one_bad_leaf(draw):
     """A builtin scenario document with one leaf replaced by a value of the wrong
-    kind: non-finite, null, another JSON type, or (in an integer field) a float.
-    Finite numbers of absurd size are not drawn."""
+    kind: non-finite, null, another JSON type, (in an integer field) a float, or
+    (in a float field) a finite number of absurd size."""
     name, path = draw(st.sampled_from(_BUILTIN_LEAVES))
     doc = json.loads(json.dumps(_BUILTIN_DOCS[name]))
     *parents, leaf = path
@@ -83,6 +111,8 @@ def builtin_with_one_bad_leaf(draw):
     ]
     if type(old) is int:
         kinds += [st.just(float(old)), st.floats(0.01, 0.99).map(lambda f: old + f)]
+    if _is_float_field(path):
+        kinds.append(st.sampled_from(_EXTREME_FLOATS))
     node[leaf] = draw(st.one_of(kinds))
     return doc
 
@@ -164,6 +194,20 @@ class TestScenarioValidation:
         except ConfigError:
             return
         simulate(sc, total_bits=10_000, with_spectra=False)
+
+    @pytest.mark.parametrize("key", _FLOAT_FIELDS)
+    def test_absurd_float_is_config_error_naming_key(self, key):
+        *sections, leaf = key.split(".")
+        named = f"{sections[0]}: {leaf} must be" if sections else f"{leaf}: must be"
+        for value in _EXTREME_FLOATS:
+            doc = json.loads(json.dumps(_BUILTIN_DOCS["awgn-validation"]))
+            node = doc
+            for section in sections:
+                node = node[section]
+            node[leaf] = value
+            with pytest.raises(ConfigError) as err:
+                scenario_from_dict(doc)
+            assert str(err.value).startswith(named)
 
 
 class TestSweepHelpers:
