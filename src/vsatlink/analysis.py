@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
-from scipy import signal as _signal
-from scipy.special import erfc
 
 from .errors import InsufficientDataError, ParameterError
 from .frames import BitFrame, ComplexFrame
@@ -65,8 +62,10 @@ def _best_delay(a: np.ndarray, b: np.ndarray, max_lag: int) -> int:
     """Lag of maximum bit agreement between a and b (positive = b delayed)."""
     sa = 1.0 - 2.0 * a.astype(np.float64)
     sb = 1.0 - 2.0 * b.astype(np.float64)
-    # full cross-correlation: index j holds sum_i sa[i] * sb[i + j - (la-1)]
-    corr = _signal.correlate(sb, sa, mode="full", method="fft")
+    # full cross-correlation: index j holds sum_i sa[i] * sb[i + j - (la-1)].
+    # The terms are +-1, so rounding the FFT product gives the exact integers.
+    n = sa.size + sb.size - 1
+    corr = np.rint(np.fft.irfft(np.fft.rfft(sb, n) * np.fft.rfft(sa[::-1], n), n))
     lags = np.arange(corr.size) - (sa.size - 1)
     keep = np.abs(lags) <= max_lag
     lags, corr = lags[keep], corr[keep]
@@ -122,6 +121,8 @@ def estimate_psd(
     shorter than a segment is dropped, as in ``scipy.signal.welch``) and are
     transformed ``PSD_BLOCK_SEGMENTS`` at a time, one FFT call per block.
     """
+    if segment_len < 2:
+        raise ParameterError(f"segment_len must be >= 2, got {segment_len}")
     if segment_len > len(x):
         raise ParameterError(
             f"segment_len {segment_len} exceeds frame length {len(x)}"
@@ -131,14 +132,15 @@ def estimate_psd(
     fs = x.sample_rate_hz
     step = segment_len - int(segment_len * overlap_fraction)
     segments = sliding_window_view(x.samples, segment_len)[::step]
-    window = _signal.get_window("hann", segment_len)
+    # periodic Hann window, as scipy.signal.get_window("hann", segment_len)
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_len + 1)[:-1])
     power = np.zeros(segment_len)
     for start in range(0, len(segments), PSD_BLOCK_SEGMENTS):
-        spectra = sp_fft.fft(segments[start : start + PSD_BLOCK_SEGMENTS] * window, axis=-1)
+        spectra = np.fft.fft(segments[start : start + PSD_BLOCK_SEGMENTS] * window, axis=-1)
         power += np.sum(spectra.real**2 + spectra.imag**2, axis=0)
     psd = power / (len(segments) * fs * np.sum(window**2))
     return SpectrumEstimate(
-        frequencies_hz=np.fft.fftshift(sp_fft.fftfreq(segment_len, 1.0 / fs)),
+        frequencies_hz=np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs)),
         psd_w_per_hz=np.fft.fftshift(psd),
         resolution_bw_hz=fs / segment_len,
     )
@@ -163,4 +165,4 @@ def theoretical_qam_ber(es_n0_db: float, m_ary: int) -> float:
     q = int(round(math.sqrt(m_ary)))
     es_n0 = 10.0 ** (es_n0_db / 10.0)
     arg = math.sqrt(3.0 * es_n0 / (2.0 * (m_ary - 1)))
-    return (1.0 - 1.0 / q) / math.log2(q) * float(erfc(arg))
+    return (1.0 - 1.0 / q) / math.log2(q) * math.erfc(arg)

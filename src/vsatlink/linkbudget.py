@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .channel import BOLTZMANN_J_PER_K
-from .errors import ParameterError
+from .channel import BOLTZMANN_J_PER_K, MAX_ABS_DB, MAX_NOISE_TEMPERATURE_K
+from .errors import ParameterError, check_range
 
 __all__ = [
     "SPEED_OF_LIGHT_M_S",
@@ -32,6 +32,16 @@ __all__ = [
 
 SPEED_OF_LIGHT_M_S = 3.0e8
 
+# Range limits for the budget numbers: wide enough for any real link, narrow
+# enough that every dB line and the combined C/N of two legs stay finite.
+DIAMETER_RANGE_M = (1e-3, 1e3)
+EFFICIENCY_RANGE = (1e-6, 1.0)
+DISTANCE_RANGE_M = (1e-3, 1e13)
+FREQUENCY_RANGE_HZ = (1.0, 1e15)
+TX_POWER_RANGE_W = (1e-12, 1e9)
+BANDWIDTH_RANGE_HZ = (1.0, 1e12)
+NOISE_TEMPERATURE_RANGE_K = (1e-3, MAX_NOISE_TEMPERATURE_K)
+
 
 @dataclass(frozen=True)
 class AntennaSpec:
@@ -40,12 +50,9 @@ class AntennaSpec:
     pointing_loss_db: float = 0.0
 
     def __post_init__(self):
-        if not self.diameter_m > 0:
-            raise ParameterError("antenna diameter must be > 0")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ParameterError("antenna efficiency must be in (0, 1]")
-        if self.pointing_loss_db < 0:
-            raise ParameterError("pointing loss must be >= 0 dB")
+        check_range("diameter_m", self.diameter_m, *DIAMETER_RANGE_M)
+        check_range("efficiency", self.efficiency, *EFFICIENCY_RANGE)
+        check_range("pointing_loss_db", self.pointing_loss_db, 0.0, MAX_ABS_DB)
 
 
 @dataclass(frozen=True)
@@ -54,10 +61,8 @@ class LinkGeometry:
     frequency_hz: float
 
     def __post_init__(self):
-        if not self.range_m > 0:
-            raise ParameterError("range must be > 0 m")
-        if not self.frequency_hz > 0:
-            raise ParameterError("frequency must be > 0 Hz")
+        check_range("range_m", self.range_m, *DISTANCE_RANGE_M)
+        check_range("frequency_hz", self.frequency_hz, *FREQUENCY_RANGE_HZ)
 
     @property
     def wavelength_m(self) -> float:
@@ -84,12 +89,15 @@ class BudgetLeg:
     loss_override_db: Optional[float] = None
 
     def __post_init__(self):
-        if not self.tx_power_w > 0:
-            raise ParameterError("tx_power_w must be > 0")
-        if not self.bandwidth_hz > 0:
-            raise ParameterError("bandwidth_hz must be > 0")
-        if not self.system_noise_temperature_k > 0:
-            raise ParameterError("system_noise_temperature_k must be > 0")
+        check_range("tx_power_w", self.tx_power_w, *TX_POWER_RANGE_W)
+        check_range("bandwidth_hz", self.bandwidth_hz, *BANDWIDTH_RANGE_HZ)
+        check_range("system_noise_temperature_k", self.system_noise_temperature_k,
+                    *NOISE_TEMPERATURE_RANGE_K)
+        for name in ("tx_antenna_gain_db", "rx_antenna_gain_db"):
+            if getattr(self, name) is not None:
+                check_range(name, getattr(self, name), -MAX_ABS_DB, MAX_ABS_DB)
+        if self.loss_override_db is not None:
+            check_range("loss_override_db", self.loss_override_db, 0.0, MAX_ABS_DB)
         if (self.tx_antenna_gain_db is None) == (self.tx_antenna is None):
             raise ParameterError(
                 "provide exactly one of tx_antenna_gain_db or tx_antenna"
@@ -98,8 +106,6 @@ class BudgetLeg:
             raise ParameterError(
                 "provide exactly one of rx_antenna_gain_db or rx_antenna"
             )
-        if self.loss_override_db is not None and self.loss_override_db < 0:
-            raise ParameterError("loss_override_db must be >= 0 dB")
 
 
 @dataclass(frozen=True)

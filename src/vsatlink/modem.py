@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 from .errors import FramingError, InsufficientDataError, ParameterError, check_range
 from .frames import BitFrame, ComplexFrame
@@ -241,7 +240,7 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     # inputs are never multiplied.  Positions no phase reaches stay exactly 0.
     shaped = np.zeros(len(symbols) * sps + h.size - 1, dtype=np.complex128)
     for p in range(sps):
-        phase = _signal.convolve(symbols.samples, h[p::sps], method="direct")
+        phase = np.convolve(symbols.samples, h[p::sps])
         shaped[p::sps][: phase.size] = phase
     return ComplexFrame(shaped, cfg.sample_rate_hz)
 
@@ -274,7 +273,7 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     out = np.zeros((len(x) + h.size - 2) // sps + 1, dtype=np.complex128)
     for p in range(sps):
         start, lag = (0, 0) if p == 0 else (sps - p, 1)
-        phase = _signal.convolve(x[start::sps], h[p::sps], method="direct")
+        phase = np.convolve(x[start::sps], h[p::sps])
         out[lag : lag + phase.size] += phase
     return ComplexFrame(out, cfg.symbol_rate_hz)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 from .channel import PhaseFrequencyRotator
 from .errors import ParameterError
@@ -33,9 +32,15 @@ __all__ = [
 # put a 3e-2 floor under the compensated BER.
 DC_FORGETTING_FACTOR = 0.999
 
-# The AGC filters long frames in blocks of this many samples, carrying the
-# filter state between blocks; the split changes no output.
+# The AGC processes long frames in blocks of this many samples, which bounds
+# its float temporaries; any split of the input gives the same output bits.
 AGC_BLOCK_SAMPLES = 2**16
+
+# Longest row of the one-pole recursion.  The row is halved until
+# a**(L-1) >= _MIN_ROW_DECAY, so the row scale factors a**-k stay within 1e16
+# and only inputs near the float limit could overflow.
+ONE_POLE_ROW_SAMPLES = 2048
+_MIN_ROW_DECAY = 1e-16
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,61 @@ class AgcConfig:
             raise ParameterError("step_size must be in (0, 1]")
 
 
+class _OnePole:
+    """Streaming ``y[n] = a*y[n-1] + b*x[n]`` from the state ``y[-1] = y0``.
+
+    The input is cut into rows of ``L`` samples on a grid anchored at the
+    first sample ever processed.  Each row is solved from zero state in closed
+    form, ``a**k * cumsum(b * a**-k * x[k])``; a scalar loop carries the
+    row-end values from row to row, and the state ``c`` entering a row adds
+    ``a**(k+1) * c`` to its sample k.  The input of a partial last row is kept
+    and that row is solved again on the next call, so any split of the input
+    gives the same output bits.
+    """
+
+    def __init__(self, a: float, b: float, y0):
+        width = ONE_POLE_ROW_SAMPLES
+        while width > 1 and a ** (width - 1) < _MIN_ROW_DECAY:
+            width //= 2
+        self.a = a
+        self._decay = a ** np.arange(width)
+        self._scale = b / self._decay
+        self._carry = y0  # y just before the first sample of the pending row
+        self._pending = np.empty(0)  # input samples of the partial last row
+        self.last = y0  # y of the last input sample
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Return y for the samples of ``x``, continuing the previous call."""
+        skip = self._pending.size
+        xs = np.concatenate([self._pending, x]) if skip else x
+        size, width = xs.size, self._decay.size
+        full, part = divmod(size, width)
+        z = np.empty((full + (part > 0), width), dtype=np.result_type(xs, self._scale))
+        np.multiply(xs[: full * width].reshape(full, width), self._scale, out=z[:full])
+        if part:
+            np.multiply(xs[full * width :], self._scale[:part], out=z[full, :part])
+            z[full, part:] = 0.0
+        np.cumsum(z, axis=1, out=z)
+        # zero-state row ends, then the state entering each row
+        ends = (z[:, -1] * self._decay[-1]).tolist()
+        a, carry = self.a, self._carry
+        a_row = a * self._decay[-1]
+        starts = []
+        for end in ends:
+            starts.append(carry)
+            carry = end + a_row * carry
+        if part:
+            self._carry, self._pending = starts[-1], xs[full * width :].copy()
+        else:
+            self._carry, self._pending = carry, np.empty(0)
+        z += a * np.array(starts)[:, None]
+        z *= self._decay
+        y = z.reshape(-1)[skip:size]
+        if y.size:
+            self.last = y[-1].item()
+        return y
+
+
 class DcOffsetCompensator:
     """Subtracts a running exponentially weighted mean with weight ``w``.
 
@@ -71,21 +131,19 @@ class DcOffsetCompensator:
         if not 0.0 < forgetting_factor < 1.0:
             raise ParameterError("forgetting factor must be in (0, 1)")
         self.w = forgetting_factor
-        self._zi = np.zeros(1, dtype=np.complex128)
+        # m[n] = w*m[n-1] + (1-w)*x[n]
+        self._mean = _OnePole(forgetting_factor, 1.0 - forgetting_factor, 0j)
 
     @property
     def estimate(self) -> complex:
-        """Current running-mean estimate (the lfilter state holds w * m)."""
-        return complex(self._zi[0] / self.w)
+        """Current running-mean estimate: the mean after the last sample."""
+        return complex(self._mean.last)
 
     def process(self, x: ComplexFrame) -> ComplexFrame:
         if len(x) == 0:
             raise ParameterError("dc_offset_remove requires a non-empty frame")
-        # m[n] = w*m[n-1] + (1-w)*x[n], then y[n] = x[n] - m[n]
-        mean, self._zi = _signal.lfilter(
-            [1.0 - self.w], [1.0, -self.w], x.samples, zi=self._zi
-        )
-        return x.with_samples(x.samples - mean)
+        mean = self._mean(x.samples)
+        return x.with_samples(np.subtract(x.samples, mean, out=mean))
 
 
 def dc_offset_remove(x: ComplexFrame) -> ComplexFrame:
@@ -108,13 +166,13 @@ class AutomaticGainControl:
 
     def __init__(self, cfg: AgcConfig | None = None):
         self.cfg = cfg or AgcConfig()
-        # lfilter state of the delayed average: the estimate p[n-1] that
-        # scales the next sample
-        self._zi = np.array([self.cfg.reference_power])
+        mu = self.cfg.step_size
+        # p[n] = (1-mu)*p[n-1] + mu*|x[n]|^2; its last value scales the next sample
+        self._power = _OnePole(1.0 - mu, mu, self.cfg.reference_power)
 
     @property
     def gain(self) -> float:
-        return float(self._gains(self._zi)[0])
+        return float(self._gains(np.array([self._power.last]))[0])
 
     def _gains(self, p_prev: np.ndarray) -> np.ndarray:
         cfg = self.cfg
@@ -123,17 +181,13 @@ class AutomaticGainControl:
         return np.sqrt(ref / np.clip(p_prev, ref / g_max2, ref * g_max2))
 
     def process(self, x: ComplexFrame) -> ComplexFrame:
-        mu = self.cfg.step_size
-        # p_prev[n] = (1-mu)*p_prev[n-1] + mu*|x[n-1]|^2: the average delayed
-        # by one sample, so the filter output is the estimate sample n uses
-        b, a = [0.0, mu], [1.0, mu - 1.0]
         out = x.samples.copy()
-        # bounded blocks keep the float temporaries small on long frames
         for start in range(0, out.size, AGC_BLOCK_SAMPLES):
             blk = out[start:start + AGC_BLOCK_SAMPLES]
-            power = blk.real * blk.real + blk.imag * blk.imag
-            p_prev, self._zi = _signal.lfilter(b, a, power, zi=self._zi)
-            blk *= self._gains(p_prev)
+            p_last = self._power.last
+            p = self._power(blk.real * blk.real + blk.imag * blk.imag)
+            # sample n is scaled by the average up to sample n-1
+            blk *= self._gains(np.concatenate(([p_last], p[:-1])))
         return x.with_samples(out)
 
 

@@ -72,6 +72,16 @@ class TestMeasureBer:
         rev = measure_ber(BitFrame(b), BitFrame(a))
         assert fwd.as_dict() == rev.as_dict()
 
+    @pytest.mark.parametrize("flip, lag", [(0, 0), (1, 1)])
+    def test_correlation_ties_pick_smallest_then_non_negative_lag(self, flip, lag):
+        # alternating bits score equally at every even (flip 0) or every odd
+        # (flip 1, complemented stream) lag; the rule takes 0, then +1 over -1
+        a = BitFrame(np.arange(1001) % 2)
+        report = measure_ber(a, BitFrame(a.bits ^ flip))
+        assert report.alignment_delay_bits == lag
+        assert report.bit_errors == 0
+        assert report.bits_compared == 1001 - lag
+
     def test_empty_overlap_raises(self):
         a = bitarr(*([1] * 10))
         with pytest.raises(InsufficientDataError):
@@ -119,6 +129,11 @@ class TestEstimatePsd:
     def test_segment_longer_than_data_rejected(self):
         with pytest.raises(ParameterError):
             estimate_psd(ComplexFrame(np.ones(100, dtype=complex), FS), 256)
+
+    @pytest.mark.parametrize("segment_len", [1, 0, -4])
+    def test_segment_shorter_than_two_rejected(self, segment_len):
+        with pytest.raises(ParameterError):
+            estimate_psd(ComplexFrame(np.ones(100, dtype=complex), FS), segment_len)
 
     def test_bad_overlap_rejected(self):
         x = ComplexFrame(np.ones(1024, dtype=complex), FS)

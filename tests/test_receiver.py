@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
 import oracles
 from vsatlink import (
@@ -22,7 +25,12 @@ from vsatlink import (
     qam_modulate,
 )
 from vsatlink.pipeline import simulate
-from vsatlink.receiver import AGC_BLOCK_SAMPLES, DC_FORGETTING_FACTOR
+from vsatlink.receiver import (
+    AGC_BLOCK_SAMPLES,
+    DC_FORGETTING_FACTOR,
+    ONE_POLE_ROW_SAMPLES,
+    _OnePole,
+)
 
 FS = 50_000.0
 
@@ -79,7 +87,76 @@ class TestDcOffsetRemoval:
         a = comp.process(frame(x.samples[:1500]))
         b = comp.process(frame(x.samples[1500:]))
         whole = dc_offset_remove(x)
-        assert np.allclose(np.concatenate([a.samples, b.samples]), whole.samples, atol=1e-15)
+        assert np.array_equal(np.concatenate([a.samples, b.samples]), whole.samples)
+
+
+class TestOnePole:
+    """The row-wise one-pole recursion against scipy.signal.lfilter."""
+
+    @pytest.mark.parametrize("a", [0.999, 0.99, 0.5, 0.0])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_matches_lfilter_with_carried_state(self, a, dtype):
+        rng = np.random.default_rng(11)
+        n = 3 * ONE_POLE_ROW_SAMPLES + 77
+        x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if dtype is np.complex128 else 0)
+        x = x.astype(dtype) + 0.3
+        y0 = dtype(2.5)
+        pole = _OnePole(a, 1.0 - a, y0)
+        y = np.concatenate([pole(x[:1000]), pole(x[1000:])])
+        # y[n] = a*y[n-1] + b*x[n]; lfilter's state is a * y[-1]
+        ref, _ = signal.lfilter([1.0 - a], [1.0, -a], x, zi=np.array([a * y0], dtype=dtype))
+        assert y.dtype == dtype
+        assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert pole.last == pytest.approx(ref[-1], rel=1e-13)
+
+    def test_unit_step_size_agc_follows_the_last_sample(self):
+        # step_size 1: p[n] = |x[n]|^2, so sample n is scaled by sqrt(P_ref / |x[n-1]|^2)
+        cfg = AgcConfig(reference_power=4.0, step_size=1.0)
+        x = rand_frame(5000, 12)
+        loop = AutomaticGainControl(cfg)
+        y = loop.process(x)
+        p_prev = np.concatenate(([cfg.reference_power], np.abs(x.samples[:-1]) ** 2))
+        expected = x.samples * np.sqrt(cfg.reference_power / p_prev)
+        assert np.allclose(y.samples, expected, rtol=1e-12, atol=0)
+        assert loop.gain == pytest.approx(np.sqrt(4.0 / abs(x.samples[-1]) ** 2), rel=1e-12)
+
+
+def _streamed(block, x, cuts):
+    pieces = np.split(x.samples, cuts)
+    return np.concatenate([block.process(frame(p)).samples for p in pieces if p.size])
+
+
+class TestStreamingIsExact:
+    """Any split of the input gives the one-shot output bits."""
+
+    N = 3 * ONE_POLE_ROW_SAMPLES + 123
+
+    @pytest.mark.parametrize("make", [DcOffsetCompensator, AutomaticGainControl])
+    @pytest.mark.parametrize("cuts", [
+        [ONE_POLE_ROW_SAMPLES, 2 * ONE_POLE_ROW_SAMPLES],  # at row boundaries
+        [ONE_POLE_ROW_SAMPLES // 3, ONE_POLE_ROW_SAMPLES + 5],  # inside rows
+        list(range(1, N)),  # one-sample frames
+    ], ids=["row-boundary", "inside-row", "one-sample"])
+    def test_split(self, make, cuts):
+        x = rand_frame(self.N, 13, scale=0.4)
+        whole = make().process(x).samples
+        assert np.array_equal(_streamed(make(), x, cuts), whole)
+
+    @given(
+        n=st.integers(1, 3 * ONE_POLE_ROW_SAMPLES),
+        cuts=st.lists(st.integers(1, 3 * ONE_POLE_ROW_SAMPLES), max_size=6),
+        agc_block=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_splits(self, n, cuts, agc_block):
+        make = AutomaticGainControl if agc_block else DcOffsetCompensator
+        x = rand_frame(n, n, scale=0.4)
+        one = make()
+        whole = one.process(x).samples
+        split = make()
+        assert np.array_equal(_streamed(split, x, sorted(c for c in cuts if c < n)), whole)
+        state = (one.gain, split.gain) if agc_block else (one.estimate, split.estimate)
+        assert state[0] == state[1]
 
 
 class TestAgc:

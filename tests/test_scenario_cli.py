@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import is_dataclass
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -11,10 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vsatlink
 from vsatlink import ConfigError, load_scenario, scenario_from_dict
 from vsatlink.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from vsatlink.errors import PipelineError
-from vsatlink.pipeline import derive_seed, parse_sweep_values, run_sweep, simulate
+from vsatlink.linkbudget import combined_cn_db
+from vsatlink.pipeline import (
+    derive_seed,
+    parse_sweep_values,
+    run_linkbudget,
+    run_sweep,
+    simulate,
+)
 from vsatlink.scenario import (
     ScenarioConfig,
     builtin_scenario_names,
@@ -87,7 +98,24 @@ def _is_float_field(path) -> bool:
 
 _FLOAT_FIELDS = sorted({".".join(path) for _, path in _BUILTIN_LEAVES
                         if "budget_legs" not in path and _is_float_field(path)})
+_BUDGET_FLOAT_PATHS = [path for name, path in _BUILTIN_LEAVES
+                       if name == "kptcl-cband" and "budget_legs" in path
+                       and _is_float_field(path)]
 _EXTREME_FLOATS = [1e300, -1e300, 1e30, -1e30]
+
+
+def _with_leaf(doc, path, value):
+    """A copy of ``doc`` with the leaf at ``path`` set, and the key text an
+    error names it by: ("budget_legs", 0, "geometry", "range_m") ->
+    "budget_legs[0].geometry: range_m"."""
+    doc = json.loads(json.dumps(doc))
+    *sections, leaf = path
+    node = doc
+    for section in sections:
+        node = node[section]
+    node[leaf] = value
+    where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in sections)
+    return doc, f"{where.lstrip('.')}: {leaf}"
 
 
 @st.composite
@@ -194,6 +222,10 @@ class TestScenarioValidation:
         except ConfigError:
             return
         simulate(sc, total_bits=10_000, with_spectra=False)
+        if sc.budget_legs:  # what `vsatlink linkbudget` computes
+            reports = run_linkbudget(sc)
+            if len(reports) == 2:
+                combined_cn_db(reports[0].cn_db, reports[1].cn_db)
 
     @pytest.mark.parametrize("key", _FLOAT_FIELDS)
     def test_absurd_float_is_config_error_naming_key(self, key):
@@ -208,6 +240,15 @@ class TestScenarioValidation:
             with pytest.raises(ConfigError) as err:
                 scenario_from_dict(doc)
             assert str(err.value).startswith(named)
+
+    @pytest.mark.parametrize("path", _BUDGET_FLOAT_PATHS,
+                             ids=lambda path: ".".join(map(str, path)))
+    def test_absurd_budget_number_is_config_error_naming_key(self, path):
+        for value in _EXTREME_FLOATS:
+            doc, key = _with_leaf(_BUILTIN_DOCS["kptcl-cband"], path, value)
+            with pytest.raises(ConfigError) as err:
+                scenario_from_dict(doc)
+            assert str(err.value).startswith(f"{key} must be")
 
 
 class TestSweepHelpers:
@@ -251,6 +292,29 @@ class TestCli:
         assert "Path loss (computed)" in out
         assert "Path loss (override; used)" in out
         assert "Combined C/N" in out
+
+    @pytest.mark.parametrize("path, value", [
+        (("budget_legs", 0, "bandwidth_hz"), 1e-300),
+        (("budget_legs", 0, "tx_antenna_gain_db"), 1e300),
+        (("budget_legs", 0, "tx_antenna_gain_db"), -1e300),
+        (("budget_legs", 0, "geometry", "range_m"), 1e300),
+        (("budget_legs", 0, "geometry", "frequency_hz"), 1e-300),
+    ])
+    def test_linkbudget_extreme_leg_number_is_config_error(self, tmp_path, capsys, path, value):
+        doc, key = _with_leaf(json.loads(builtin_scenario_path("kptcl-cband").read_text()),
+                              path, value)
+        cfg = tmp_path / "leg.scenario.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["linkbudget", str(cfg)]) == EXIT_CONFIG
+        assert f"{key} must be in" in capsys.readouterr().err
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, vsatlink.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        src = str(Path(vsatlink.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src},
+                             timeout=60).stdout
+        assert out.strip() == "[]"
 
     def test_linkbudget_empty_legs_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "empty.json"
