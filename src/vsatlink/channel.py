@@ -33,7 +33,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .errors import ParameterError, PipelineError, check_range
-from .frames import ComplexFrame
+from .frames import ComplexFrame, block_slices
 
 __all__ = [
     "BOLTZMANN_J_PER_K",
@@ -171,12 +171,26 @@ def saleh_amplify(x: ComplexFrame, p: SalehParams) -> ComplexFrame:
     Computed in complex-gain form, x * alpha/(1+beta*r^2) * exp(j*phi(r)),
     which is the same A(r)*exp(j(arg x + phi)) without a polar round trip.
     """
-    xs = x.samples * _db_to_amplitude(p.input_scale_db)
-    r2 = xs.real * xs.real + xs.imag * xs.imag
-    gain = p.amam_alpha / (1.0 + p.amam_beta * r2)
-    phi = p.ampm_alpha * r2 / (1.0 + p.ampm_beta * r2)
-    out = xs * gain * np.exp(1j * phi) * _db_to_amplitude(p.output_scale_db)
+    scale_in = _db_to_amplitude(p.input_scale_db)
+    scale_out = _db_to_amplitude(p.output_scale_db)
+    out = np.empty_like(x.samples)
+    for sl in block_slices(len(x)):
+        xs = x.samples[sl] * scale_in
+        r2 = xs.real * xs.real + xs.imag * xs.imag
+        xs *= p.amam_alpha / (1.0 + p.amam_beta * r2)
+        blk = out[sl]
+        # xs first, into a separate array: see PhaseFrequencyRotator._rotate
+        np.multiply(xs, _unit_phasor(p.ampm_alpha * r2 / (1.0 + p.ampm_beta * r2)), out=blk)
+        blk *= scale_out
     return x.with_samples(out)
+
+
+def _unit_phasor(theta: np.ndarray) -> np.ndarray:
+    """``exp(1j*theta)``, bit for bit, without the complex argument array."""
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def apply_gain_db(x: ComplexFrame, gain_db: float) -> ComplexFrame:
@@ -208,11 +222,26 @@ class PhaseFrequencyRotator:
         self.sample_counter = 0
 
     def process(self, x: ComplexFrame) -> ComplexFrame:
-        n = self.sample_counter + np.arange(len(x))
-        theta = 2.0 * np.pi * self.freq_hz * n / x.sample_rate_hz + self.phase_rad
-        out = x.samples * np.exp(1j * self.sign * theta)
-        self.sample_counter += len(x)
+        out = np.empty_like(x.samples)
+        self._rotate(x.samples, out, x.sample_rate_hz)
         return x.with_samples(out)
+
+    def _rotate(self, src: np.ndarray, dst: np.ndarray, sample_rate_hz: float) -> None:
+        """Write ``src`` rotated into ``dst`` (which may be ``src``) and advance
+        the counter."""
+        omega = 2.0 * np.pi * self.freq_hz
+        for sl in block_slices(src.size):
+            n = np.arange(self.sample_counter + sl.start, self.sample_counter + sl.stop)
+            theta = omega * n / sample_rate_hz + self.phase_rad
+            theta *= self.sign
+            # numpy's SIMD complex multiply rounds the imaginary part of a*b
+            # and b*a differently.  The whole-frame x*exp(1j*theta) runs as
+            # phasor*x (numpy writes the product into the exp temporary), so
+            # the phasor comes first.  A one-sample product written over an
+            # input takes a scalar loop that rounds differently again, so the
+            # product goes to a fresh array before it is copied into dst.
+            dst[sl] = np.multiply(_unit_phasor(theta), src[sl])
+        self.sample_counter += src.size
 
 
 def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> ComplexFrame:
@@ -250,8 +279,10 @@ def _add_noise(samples: np.ndarray, sigma2: float, rng: np.random.Generator) -> 
     if sigma2 == 0.0:
         return
     std = np.sqrt(sigma2 / 2.0)
-    samples.real += std * rng.standard_normal(samples.size)
-    samples.imag += std * rng.standard_normal(samples.size)
+    for part in (samples.real, samples.imag):
+        for sl in block_slices(part.size):
+            blk = part[sl]
+            blk += std * rng.standard_normal(blk.size)
 
 
 def iq_imbalance(x: ComplexFrame, cfg: ImpairmentConfig) -> ComplexFrame:
@@ -261,13 +292,22 @@ def iq_imbalance(x: ComplexFrame, cfg: ImpairmentConfig) -> ComplexFrame:
         I' = Re(x) cos(t/2) + Im(x) g sin(t/2) + dc_i
         Q' = Re(x) sin(t/2) + Im(x) g cos(t/2) + dc_q
     """
+    out = np.empty_like(x.samples)
+    _iq_imbalance(x.samples, out, cfg)
+    return x.with_samples(out)
+
+
+def _iq_imbalance(src: np.ndarray, dst: np.ndarray, cfg: ImpairmentConfig) -> None:
+    """Write :func:`iq_imbalance` of ``src`` into ``dst`` (which may be ``src``)."""
     g = _db_to_amplitude(cfg.iq_amplitude_imbalance_db)
     theta = np.deg2rad(cfg.iq_phase_imbalance_deg)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    re, im = x.samples.real, x.samples.imag
-    i_out = re * c + im * g * s + cfg.dc_offset_i
-    q_out = re * s + im * g * c + cfg.dc_offset_q
-    return x.with_samples(i_out + 1j * q_out)
+    for sl in block_slices(src.size):
+        re, im = src[sl].real, src[sl].imag
+        i_out = re * c + im * g * s + cfg.dc_offset_i
+        q_out = re * s + im * g * c + cfg.dc_offset_q
+        blk = dst[sl]
+        blk.real, blk.imag = i_out, q_out
 
 
 @dataclass
@@ -346,13 +386,14 @@ class SatelliteChannel:
                 es_n0 = 10.0 ** (self.target_es_n0_db / 10.0)
                 log.noise_variance_w = self.reference_symbol_power / es_n0
 
-        # in place: saleh_amplify and the rotator return arrays of their own
-        y.samples *= gain
-        y = self._rotator.process(y)
-        _add_noise(y.samples, log.noise_variance_w, self._rng)
-        y = iq_imbalance(y, self.impairments)
+        # every later step works in place on the TWTA output
+        out = y.samples
+        out *= gain
+        self._rotator._rotate(out, out, y.sample_rate_hz)
+        _add_noise(out, log.noise_variance_w, self._rng)
+        _iq_imbalance(out, out, self.impairments)
         self.last_log = log
-        return y
+        return y.with_samples(out)
 
 
 def run_channel(

@@ -9,12 +9,25 @@ reference, so ``|x|**2`` is watts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["BitFrame", "ComplexFrame"]
+__all__ = ["BLOCK_SAMPLES", "BitFrame", "ComplexFrame", "block_slices"]
+
+# The sample-wise stages walk long frames in blocks of this many samples and
+# write into one full-length output, which bounds their float temporaries to
+# a few blocks.  Every stage computes each sample from that sample alone (or
+# from a state that is split-exact), so the block size never changes the bits.
+BLOCK_SAMPLES = 2**16
+
+
+def block_slices(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most :data:`BLOCK_SAMPLES` covering ``range(n)``."""
+    for start in range(0, n, BLOCK_SAMPLES):
+        yield slice(start, min(start + BLOCK_SAMPLES, n))
 
 
 @dataclass

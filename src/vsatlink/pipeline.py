@@ -7,6 +7,7 @@ reproducible bit-for-bit and sweep points are independent yet replayable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import asdict, dataclass, is_dataclass, replace
@@ -18,6 +19,7 @@ from . import __version__
 from .analysis import BerReport, constellation_snapshot, estimate_psd, measure_ber
 from .channel import SatelliteChannel
 from .errors import ParameterError, PipelineError
+from .frames import ComplexFrame
 from .linkbudget import LinkBudgetReport, compute_budget
 from .modem import (
     generate_bits,
@@ -88,18 +90,18 @@ class SimulationResult:
         }
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    """Re-raise stage failures with the stage name attached."""
-    class _Ctx:
-        def __enter__(self):
-            return self
+    """Re-raise stage failures with the stage name attached.
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, str(exc)) from exc
-            return False
-
-    return _Ctx()
+    Only ``Exception`` is wrapped: an interrupt or exit passes through as is.
+    """
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
 
 
 def simulate(
@@ -152,11 +154,21 @@ def simulate(
         rx_wave = channel.run(tx_wave)
     chan_log = channel.last_log
 
+    # Each waveform-sized frame is dropped once its last reader is done, so
+    # at its peak the run holds two of them plus smaller arrays.
+    tx_power = tx_wave.mean_power
+    seg = min(SPECTRUM_SEGMENT_LEN, len(tx_wave))
+    spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
+    if with_spectra:
+        with _stage("analysis.spectra"):
+            spectrum_tx = _spectrum(tx_wave, seg)
+    del tx_wave
+
     # AGC drives total power to its reference; the corrections here are
     # data-aided, so the reference is the known signal power plus the known
     # injected noise power - otherwise the noise share would shrink the
     # recovered constellation below the decision grid.
-    agc_reference = tx_wave.mean_power + chan_log.noise_variance_w
+    agc_reference = tx_power + chan_log.noise_variance_w
 
     comp = scenario.compensation
     with _stage("receiver.dc_offset_remove"):
@@ -166,6 +178,9 @@ def simulate(
         if comp.agc:
             loop = AutomaticGainControl(AgcConfig(reference_power=agc_reference))
             rx_wave = loop.process(rx_wave)
+    if with_spectra:
+        with _stage("analysis.spectra"):
+            spectrum_rx = _spectrum(rx_wave, seg)
     with _stage("receiver.phase_freq_correct"):
         if comp.phase_freq:
             corrected = phase_freq_correct(
@@ -183,6 +198,7 @@ def simulate(
         pre_window = rx_wave.with_samples(rx_wave.samples[:window])
         pre_symbols = rx_match(pre_window, cfg)
         post_symbols = rx_match(corrected, cfg)
+    del pre_window, rx_wave, corrected
     with _stage("modem.qam_demodulate"):
         rx_bits = qam_demodulate(post_symbols, cfg)
 
@@ -198,17 +214,6 @@ def simulate(
         cons_post = constellation_snapshot(
             post_symbols.with_samples(post_symbols.samples[skip:]), snapshot_points
         )
-    if with_spectra:
-        with _stage("analysis.spectra"):
-            seg = min(SPECTRUM_SEGMENT_LEN, len(tx_wave))
-            spec_tx = estimate_psd(tx_wave, seg)
-            spec_rx = estimate_psd(rx_wave, seg)
-            spectrum_tx = (spec_tx.frequencies_hz, spec_tx.psd_w_per_hz)
-            spectrum_rx = (spec_rx.frequencies_hz, spec_rx.psd_w_per_hz)
-    else:
-        empty = (np.empty(0), np.empty(0))
-        spectrum_tx = spectrum_rx = empty
-
     run_log = {
         "vsatlink_version": __version__,
         "scenario": scenario_to_dict(scenario),
@@ -220,7 +225,7 @@ def simulate(
             "bits_per_symbol": cfg.bits_per_symbol,
             "symbol_rate_hz": cfg.symbol_rate_hz,
             "sample_rate_hz": cfg.sample_rate_hz,
-            "tx_waveform_power_w": tx_wave.mean_power,
+            "tx_waveform_power_w": tx_power,
             "agc_reference_power": agc_reference,
             "alignment_delay_bits": delay_bits,
             "snapshot_skip_symbols": skip,
@@ -239,9 +244,14 @@ def simulate(
     )
 
 
+def _spectrum(x: ComplexFrame, segment_len: int) -> tuple[np.ndarray, np.ndarray]:
+    spec = estimate_psd(x, segment_len)
+    return spec.frequencies_hz, spec.psd_w_per_hz
+
+
 def run_linkbudget(scenario: ScenarioConfig) -> list[LinkBudgetReport]:
     if not scenario.budget_legs:
-        raise ParameterError("no legs configured")
+        raise ParameterError("budget_legs: no legs configured")
     return [compute_budget(leg) for leg in scenario.budget_legs]
 
 

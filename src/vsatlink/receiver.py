@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import PhaseFrequencyRotator
 from .errors import ParameterError
-from .frames import ComplexFrame
+from .frames import ComplexFrame, block_slices
 
 __all__ = [
     "AgcConfig",
@@ -31,10 +31,6 @@ __all__ = [
 # (100-sample constant) would high-pass away ~3 % of the occupied band and
 # put a 3e-2 floor under the compensated BER.
 DC_FORGETTING_FACTOR = 0.999
-
-# The AGC processes long frames in blocks of this many samples, which bounds
-# its float temporaries; any split of the input gives the same output bits.
-AGC_BLOCK_SAMPLES = 2**16
 
 # Longest row of the one-pole recursion.  The row is halved until
 # a**(L-1) >= _MIN_ROW_DECAY, so the row scale factors a**-k stay within 1e16
@@ -182,8 +178,8 @@ class AutomaticGainControl:
 
     def process(self, x: ComplexFrame) -> ComplexFrame:
         out = x.samples.copy()
-        for start in range(0, out.size, AGC_BLOCK_SAMPLES):
-            blk = out[start:start + AGC_BLOCK_SAMPLES]
+        for sl in block_slices(out.size):
+            blk = out[sl]
             p_last = self._power.last
             p = self._power(blk.real * blk.real + blk.imag * blk.imag)
             # sample n is scaled by the average up to sample n-1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vsatlink.frames
 from vsatlink import (
     BOLTZMANN_J_PER_K,
     ComplexFrame,
@@ -21,6 +22,7 @@ from vsatlink import (
     fspl_attenuate,
     generate_bits,
     iq_imbalance,
+    phase_freq_correct,
     phase_freq_offset,
     qam_modulate,
     run_channel,
@@ -166,7 +168,7 @@ class TestPhaseFreqOffset:
         a = rot.process(frame(x.samples[:400]))
         b = rot.process(frame(x.samples[400:]))
         whole = phase_freq_offset(x, 10.0, 3.0)
-        assert np.allclose(np.concatenate([a.samples, b.samples]), whole.samples, rtol=1e-12)
+        assert np.array_equal(np.concatenate([a.samples, b.samples]), whole.samples)
 
 
 class TestThermalNoise:
@@ -324,3 +326,32 @@ class TestFullChain:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ParameterError):
             SatelliteChannel(LinkGains(), SalehParams(), ImpairmentConfig(), mode="other")
+
+
+class TestBlockSize:
+    """The sample chain walks frames in BLOCK_SAMPLES blocks; the block size
+    must not change a bit of the output."""
+
+    @staticmethod
+    def _outputs(scenario, x):
+        imp = replace(
+            scenario.impairments, noise_temperature_k=1e6, iq_amplitude_imbalance_db=0.8,
+            iq_phase_imbalance_deg=3.0, dc_offset_i=0.05, dc_offset_q=-0.03, seed=12,
+        )
+        chan = SatelliteChannel(scenario.gains, scenario.saleh, imp, mode="physical")
+        return {
+            "channel": chan.run(x).samples,
+            "saleh": saleh_amplify(x, scenario.saleh).samples,
+            "correct": phase_freq_correct(x, imp.phase_offset_deg, imp.freq_offset_hz).samples,
+        }
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_block_size_does_not_change_output(self, reference_scenario, monkeypatch, block):
+        _, x = _tx_waveform(5000, 13)  # 10240 samples
+        x = ComplexFrame(x.samples, x.sample_rate_hz, start_sample=123_457)
+        default = self._outputs(reference_scenario, x)
+        assert len(x) < vsatlink.frames.BLOCK_SAMPLES
+        monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", block)
+        blocked = self._outputs(reference_scenario, x)
+        for name, samples in default.items():
+            assert np.array_equal(blocked[name], samples), name

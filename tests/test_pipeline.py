@@ -1,12 +1,20 @@
 """Integration tests across the whole modem->channel->receiver stack."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vsatlink import ModemConfig, SalehParams, theoretical_qam_ber
+from vsatlink import (
+    ModemConfig,
+    SalehParams,
+    generate_bits,
+    qam_modulate,
+    theoretical_qam_ber,
+    tx_shape,
+)
 from vsatlink.cli import EXIT_OK, main
 from vsatlink.pipeline import run_linkbudget, simulate
 
@@ -86,6 +94,23 @@ class TestEndToEnd:
         assert chan["mode"] == "physical"
         assert chan["transponder_amp_gain_db"] == pytest.approx(256.5, abs=2.0)
         assert chan["noise_variance_w"] == pytest.approx(1.380649e-23 * 45 * 50_000, rel=1e-9)
+
+
+class TestMemory:
+    def test_peak_is_under_three_waveforms(self, reference_scenario):
+        # the sample chain works block-wise in place and each waveform is
+        # dropped after its last reader: two waveforms and a few smaller
+        # arrays are alive at the peak
+        bits = 200_000
+        cfg = reference_scenario.modem
+        wave_bytes = tx_shape(qam_modulate(generate_bits(bits, 0.5, 0), cfg), cfg).samples.nbytes
+        tracemalloc.start()
+        try:
+            simulate(reference_scenario, total_bits=bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * wave_bytes, peak / wave_bytes
 
 
 class TestLinkbudgetJson:

@@ -24,9 +24,9 @@ from vsatlink import (
     qam_demodulate,
     qam_modulate,
 )
+from vsatlink.frames import BLOCK_SAMPLES
 from vsatlink.pipeline import simulate
 from vsatlink.receiver import (
-    AGC_BLOCK_SAMPLES,
     DC_FORGETTING_FACTOR,
     ONE_POLE_ROW_SAMPLES,
     _OnePole,
@@ -203,8 +203,8 @@ class TestAgc:
         assert np.allclose(np.concatenate([a.samples, b.samples]), whole.samples, atol=1e-15)
 
     def test_streaming_across_block_boundaries_is_exact(self):
-        # longer than AGC_BLOCK_SAMPLES and split off a block boundary
-        assert 200_000 > AGC_BLOCK_SAMPLES and 70_001 % AGC_BLOCK_SAMPLES != 0
+        # longer than BLOCK_SAMPLES and split off a block boundary
+        assert 200_000 > BLOCK_SAMPLES and 70_001 % BLOCK_SAMPLES != 0
         x = rand_frame(200_000, 5, scale=0.3)
         loop = AutomaticGainControl()
         a = loop.process(frame(x.samples[:70_001]))

@@ -320,7 +320,9 @@ class TestCli:
         cfg = tmp_path / "empty.json"
         cfg.write_text(json.dumps(minimal_doc()))
         assert main(["linkbudget", str(cfg)]) == EXIT_CONFIG
-        assert "no legs configured" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no legs configured" in err
+        assert "budget_legs" in err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -505,4 +507,15 @@ class TestPipelineErrorWrapping:
 
         monkeypatch.setattr(pipeline_mod, "qam_modulate", boom)
         with pytest.raises(PipelineError, match=r"\[modem\.qam_modulate\]"):
+            pipeline_mod.simulate(awgn_scenario, total_bits=12_000, with_spectra=False)
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_are_not_wrapped(self, awgn_scenario, monkeypatch, exc):
+        import vsatlink.pipeline as pipeline_mod
+
+        def interrupt(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(pipeline_mod, "tx_shape", interrupt)
+        with pytest.raises(exc):
             pipeline_mod.simulate(awgn_scenario, total_bits=12_000, with_spectra=False)
