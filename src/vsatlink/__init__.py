@@ -14,14 +14,10 @@ from .channel import (  # noqa: F401
     BOLTZMANN_J_PER_K,
     ImpairmentConfig,
     LinkGains,
-    PhaseFrequencyRotator,
     SalehParams,
     SatelliteChannel,
-    apply_gain_db,
-    fspl_attenuate,
     iq_imbalance,
     phase_freq_offset,
-    run_channel,
     saleh_amplify,
     thermal_noise,
 )
@@ -59,8 +55,6 @@ from .receiver import (  # noqa: F401
     AgcConfig,
     AutomaticGainControl,
     DcOffsetCompensator,
-    agc,
-    dc_offset_remove,
     phase_freq_correct,
 )
 from .scenario import (  # noqa: F401

@@ -41,15 +41,11 @@ __all__ = [
     "ImpairmentConfig",
     "LinkGains",
     "saleh_amplify",
-    "apply_gain_db",
-    "fspl_attenuate",
     "phase_freq_offset",
-    "PhaseFrequencyRotator",
     "thermal_noise",
     "iq_imbalance",
     "SatelliteChannel",
     "ChannelLog",
-    "run_channel",
 ]
 
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -179,7 +175,7 @@ def saleh_amplify(x: ComplexFrame, p: SalehParams) -> ComplexFrame:
         r2 = xs.real * xs.real + xs.imag * xs.imag
         xs *= p.amam_alpha / (1.0 + p.amam_beta * r2)
         blk = out[sl]
-        # xs first, into a separate array: see PhaseFrequencyRotator._rotate
+        # xs first, into a separate array: see _rotate
         np.multiply(xs, _unit_phasor(p.ampm_alpha * r2 / (1.0 + p.ampm_beta * r2)), out=blk)
         blk *= scale_out
     return x.with_samples(out)
@@ -193,63 +189,30 @@ def _unit_phasor(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_gain_db(x: ComplexFrame, gain_db: float) -> ComplexFrame:
-    """Scale amplitudes by 10^(gain_db/20)."""
-    return x.with_samples(x.samples * _db_to_amplitude(gain_db))
-
-
-def fspl_attenuate(x: ComplexFrame, loss_db: float) -> ComplexFrame:
-    """Free-space attenuation; ``loss_db`` must be non-negative."""
-    if loss_db < 0:
-        raise ParameterError(f"path loss must be >= 0 dB, got {loss_db}")
-    return apply_gain_db(x, -loss_db)
-
-
-class PhaseFrequencyRotator:
-    """Rotates samples by phi0 + 2*pi*f*n/fs with a persistent counter.
-
-    The counter continues across frames so the impairment does not depend on
-    how the stream is blocked.  ``sign=-1`` gives the exact inverse used by
-    the receiver-side correction.
-    """
-
-    def __init__(self, phase_deg: float, freq_hz: float, sign: int = +1):
-        if sign not in (+1, -1):
-            raise ParameterError("sign must be +1 or -1")
-        self.phase_rad = np.deg2rad(phase_deg)
-        self.freq_hz = float(freq_hz)
-        self.sign = sign
-        self.sample_counter = 0
-
-    def process(self, x: ComplexFrame) -> ComplexFrame:
-        out = np.empty_like(x.samples)
-        self._rotate(x.samples, out, x.sample_rate_hz)
-        return x.with_samples(out)
-
-    def _rotate(self, src: np.ndarray, dst: np.ndarray, sample_rate_hz: float) -> None:
-        """Write ``src`` rotated into ``dst`` (which may be ``src``) and advance
-        the counter."""
-        omega = 2.0 * np.pi * self.freq_hz
-        for sl in block_slices(src.size):
-            n = np.arange(self.sample_counter + sl.start, self.sample_counter + sl.stop)
-            theta = omega * n / sample_rate_hz + self.phase_rad
-            theta *= self.sign
-            # numpy's SIMD complex multiply rounds the imaginary part of a*b
-            # and b*a differently.  The whole-frame x*exp(1j*theta) runs as
-            # phasor*x (numpy writes the product into the exp temporary), so
-            # the phasor comes first.  A one-sample product written over an
-            # input takes a scalar loop that rounds differently again, so the
-            # product goes to a fresh array before it is copied into dst.
-            dst[sl] = np.multiply(_unit_phasor(theta), src[sl])
-        self.sample_counter += src.size
-
-
 def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> ComplexFrame:
-    """One-shot rotation; sample 0 of the frame continues the frame's own
-    global clock (``x.start_sample``)."""
-    rot = PhaseFrequencyRotator(phase_deg, freq_hz, sign=+1)
-    rot.sample_counter = x.start_sample
-    return rot.process(x)
+    """Rotate sample n by ``phase + 2*pi*f*n/fs``, n counted on the frame's
+    global clock (``x.start_sample`` is the index of its first sample)."""
+    out = np.empty_like(x.samples)
+    _rotate(x, out, phase_deg, freq_hz)
+    return x.with_samples(out)
+
+
+def _rotate(x: ComplexFrame, dst: np.ndarray, phase_deg: float, freq_hz: float) -> None:
+    """Write :func:`phase_freq_offset` of ``x`` into ``dst`` (which may be
+    ``x.samples``)."""
+    src = x.samples
+    phase_rad = np.deg2rad(phase_deg)
+    omega = 2.0 * np.pi * float(freq_hz)
+    for sl in block_slices(src.size):
+        n = np.arange(x.start_sample + sl.start, x.start_sample + sl.stop)
+        theta = omega * n / x.sample_rate_hz + phase_rad
+        # numpy's SIMD complex multiply rounds the imaginary part of a*b
+        # and b*a differently.  The whole-frame x*exp(1j*theta) runs as
+        # phasor*x (numpy writes the product into the exp temporary), so
+        # the phasor comes first.  A one-sample product written over an
+        # input takes a scalar loop that rounds differently again, so the
+        # product goes to a fresh array before it is copied into dst.
+        dst[sl] = np.multiply(_unit_phasor(theta), src[sl])
 
 
 def _ktb_variance(temperature_k: float, bandwidth_hz: float) -> float:
@@ -322,7 +285,9 @@ class ChannelLog:
 
 
 class SatelliteChannel:
-    """Stateful transponder chain (owns the rotation clock and noise stream)."""
+    """Transponder chain.  The noise stream carries across runs; the rotation
+    is counted from each frame's ``start_sample``, so a stream split into
+    frames with consecutive clocks gets the same rotation as one frame."""
 
     def __init__(
         self,
@@ -341,9 +306,6 @@ class SatelliteChannel:
         self.mode = mode
         self.target_es_n0_db = target_es_n0_db
         self.reference_symbol_power = float(reference_symbol_power)
-        self._rotator = PhaseFrequencyRotator(
-            impairments.phase_offset_deg, impairments.freq_offset_hz, sign=+1
-        )
         self._rng = np.random.default_rng(impairments.seed)
         self.last_log: Optional[ChannelLog] = None
 
@@ -389,24 +351,9 @@ class SatelliteChannel:
         # every later step works in place on the TWTA output
         out = y.samples
         out *= gain
-        self._rotator._rotate(out, out, y.sample_rate_hz)
+        _rotate(y, out, self.impairments.phase_offset_deg, self.impairments.freq_offset_hz)
         _add_noise(out, log.noise_variance_w, self._rng)
         _iq_imbalance(out, out, self.impairments)
         self.last_log = log
         return y.with_samples(out)
 
-
-def run_channel(
-    x: ComplexFrame,
-    gains: LinkGains,
-    saleh: SalehParams,
-    impairments: ImpairmentConfig,
-    mode: Literal["physical", "normalized"] = "physical",
-    target_es_n0_db: Optional[float] = None,
-    reference_symbol_power: float = 10.0,
-) -> ComplexFrame:
-    """One-shot convenience wrapper around :class:`SatelliteChannel`."""
-    chan = SatelliteChannel(
-        gains, saleh, impairments, mode, target_es_n0_db, reference_symbol_power
-    )
-    return chan.run(x)

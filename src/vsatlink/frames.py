@@ -59,8 +59,10 @@ class ComplexFrame:
     samples: np.ndarray
     sample_rate_hz: float
     start_sample: int = field(default=0)
-    """Index of the first sample on the global sample clock (carries the
-    persistent counter used by phase/frequency rotation across frames)."""
+    """Index of the first sample on the global sample clock.  It is the only
+    clock of the link's phase/frequency rotation: the channel and the
+    receiver's correction both count sample n from here, so a stream split
+    into frames with consecutive ``start_sample`` is rotated as one frame."""
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import asdict, dataclass, is_dataclass, replace
-from typing import Optional, get_type_hints
+from dataclasses import asdict, dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -78,16 +78,6 @@ class SimulationResult:
     constellation_rx_postcorrection: np.ndarray
     spectrum_tx: tuple[np.ndarray, np.ndarray]
     spectrum_rx: tuple[np.ndarray, np.ndarray]
-
-    @property
-    def artifacts(self) -> dict:
-        return {
-            "constellation_tx.csv": self.constellation_tx,
-            "constellation_rx_precorrection.csv": self.constellation_rx_precorrection,
-            "constellation_rx_postcorrection.csv": self.constellation_rx_postcorrection,
-            "spectrum_tx.csv": self.spectrum_tx,
-            "spectrum_rx.csv": self.spectrum_rx,
-        }
 
 
 @contextlib.contextmanager
@@ -283,16 +273,6 @@ def parse_sweep_values(spec: str) -> list[float]:
     return values
 
 
-def _declares_int(dotted: str) -> bool:
-    """Whether the scenario field named by the dotted key is typed ``int``."""
-    hint: object = ScenarioConfig
-    for key in dotted.split("."):
-        if not is_dataclass(hint):
-            return False
-        hint = get_type_hints(hint).get(key)
-    return hint is int
-
-
 def _set_scalar(data: dict, dotted: str, value: float) -> None:
     keys = dotted.split(".")
     node = data
@@ -306,10 +286,6 @@ def _set_scalar(data: dict, dotted: str, value: float) -> None:
     current = node[leaf]
     if isinstance(current, bool) or not isinstance(current, (int, float, type(None))):
         raise ParameterError(f"sweep key {dotted!r}: not a scalar numeric key")
-    if _declares_int(dotted):
-        if not float(value).is_integer():
-            raise ParameterError(f"sweep key {dotted!r}: needs integer values, got {value!r}")
-        value = int(value)
     node[leaf] = value
 
 
@@ -339,11 +315,13 @@ def run_sweep(
     """One pipeline run per value; independent seeds derived from the master.
 
     Points are independent (separately seeded), so with ``jobs > 1`` they run
-    in a process pool; rows come back in sweep order and are identical to a
-    sequential run.
+    in a process pool of at most one worker per point; rows come back in
+    sweep order and are identical to a sequential run.
     """
     if not values:
         raise ParameterError("sweep produced no values")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     from .scenario import scenario_from_dict
 
     base = scenario_to_dict(scenario)
@@ -353,9 +331,10 @@ def run_sweep(
         scenario_from_dict(probe)
     seeds = [derive_seed(scenario.seed, _SWEEP_BASE + i) for i in range(len(values))]
     args = [(base, param, v, s, total_bits) for v, s in zip(values, seeds)]
-    if jobs <= 1:
+    workers = min(jobs, len(args))
+    if workers == 1:
         return [_sweep_point(*a) for a in args]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_point, *zip(*args)))

@@ -13,16 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PhaseFrequencyRotator
+from .channel import phase_freq_offset
 from .errors import ParameterError
 from .frames import ComplexFrame, block_slices
 
 __all__ = [
     "AgcConfig",
     "DcOffsetCompensator",
-    "dc_offset_remove",
     "AutomaticGainControl",
-    "agc",
     "phase_freq_correct",
 ]
 
@@ -118,7 +116,7 @@ class _OnePole:
 class DcOffsetCompensator:
     """Subtracts a running exponentially weighted mean with weight ``w``.
 
-    ``w`` defaults to :data:`DC_FORGETTING_FACTOR`.  The estimator starts at
+    ``w`` is ``forgetting_factor``, by default :data:`DC_FORGETTING_FACTOR`.  The estimator starts at
     0 and carries across frames, so a constant offset decays geometrically:
     the residual on the n-th sample (counting from 1) is ``offset * w**n``.
     """
@@ -126,7 +124,6 @@ class DcOffsetCompensator:
     def __init__(self, forgetting_factor: float = DC_FORGETTING_FACTOR):
         if not 0.0 < forgetting_factor < 1.0:
             raise ParameterError("forgetting factor must be in (0, 1)")
-        self.w = forgetting_factor
         # m[n] = w*m[n-1] + (1-w)*x[n]
         self._mean = _OnePole(forgetting_factor, 1.0 - forgetting_factor, 0j)
 
@@ -137,14 +134,9 @@ class DcOffsetCompensator:
 
     def process(self, x: ComplexFrame) -> ComplexFrame:
         if len(x) == 0:
-            raise ParameterError("dc_offset_remove requires a non-empty frame")
+            raise ParameterError("DC offset removal requires a non-empty frame")
         mean = self._mean(x.samples)
         return x.with_samples(np.subtract(x.samples, mean, out=mean))
-
-
-def dc_offset_remove(x: ComplexFrame) -> ComplexFrame:
-    """One-shot DC removal with a fresh estimator."""
-    return DcOffsetCompensator().process(x)
 
 
 class AutomaticGainControl:
@@ -187,17 +179,11 @@ class AutomaticGainControl:
         return x.with_samples(out)
 
 
-def agc(x: ComplexFrame, cfg: AgcConfig | None = None) -> ComplexFrame:
-    """One-shot AGC starting from unity gain."""
-    return AutomaticGainControl(cfg).process(x)
-
-
 def phase_freq_correct(x: ComplexFrame, phase_deg: float, freq_hz: float) -> ComplexFrame:
     """Exact inverse of the channel's phase/Doppler rotation.
 
     Multiplies sample n by exp(-j*(2*pi*f*n/fs + phase)); the sample index
-    continues the frame's global clock, matching the impairment's counter.
+    is counted from ``x.start_sample``, the same clock the channel's rotation
+    uses.
     """
-    rot = PhaseFrequencyRotator(phase_deg, freq_hz, sign=-1)
-    rot.sample_counter = x.start_sample
-    return rot.process(x)
+    return phase_freq_offset(x, -phase_deg, -freq_hz)

@@ -38,6 +38,7 @@ from vsatlink import (
     LinkGeometry,
     ModemConfig,
     SalehParams,
+    SatelliteChannel,
     antenna_gain_db,
     compute_budget,
     free_space_path_loss_db,
@@ -47,7 +48,6 @@ from vsatlink import (
     qam_demodulate,
     qam_modulate,
     rrc_taps,
-    run_channel,
     rx_match,
     theoretical_qam_ber,
     tx_shape,
@@ -260,10 +260,10 @@ def test_criterion_9_inverse_composition_identities():
     rot_err = np.max(np.abs(restored.samples - x.samples)) / np.max(np.abs(x.samples))
 
     # neutral chain in normalized mode is the identity
-    out = run_channel(
-        x, LinkGains(), SalehParams.linear(), ImpairmentConfig(),
+    out = SatelliteChannel(
+        LinkGains(), SalehParams.linear(), ImpairmentConfig(),
         mode="normalized", reference_symbol_power=cfg.mean_symbol_power,
-    )
+    ).run(x)
     chain_err = np.max(np.abs(out.samples - x.samples)) / np.max(np.abs(x.samples))
 
     # and the demodulated bits reproduce the source exactly

@@ -4,8 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import vsatlink.frames
 from vsatlink import (
@@ -15,17 +13,13 @@ from vsatlink import (
     LinkGains,
     ModemConfig,
     ParameterError,
-    PhaseFrequencyRotator,
     SalehParams,
     SatelliteChannel,
-    apply_gain_db,
-    fspl_attenuate,
     generate_bits,
     iq_imbalance,
     phase_freq_correct,
     phase_freq_offset,
     qam_modulate,
-    run_channel,
     saleh_amplify,
     thermal_noise,
     tx_shape,
@@ -105,40 +99,6 @@ class TestSaleh:
 
 
 class TestGains:
-    def test_zero_db_identity(self):
-        x = rand_frame(100, 0)
-        assert np.array_equal(apply_gain_db(x, 0.0).samples, x.samples)
-
-    def test_20db_is_times_ten(self):
-        out = apply_gain_db(frame([1.0]), 20.0)
-        assert out.samples[0] == pytest.approx(10.0, rel=1e-12)
-
-    def test_inverse_composition(self):
-        x = rand_frame(500, 1)
-        out = apply_gain_db(apply_gain_db(x, -221.0), 221.0)
-        assert np.allclose(out.samples, x.samples, rtol=1e-12)
-
-    @given(
-        g1=st.floats(-100, 100),
-        g2=st.floats(-100, 100),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_gain_blocks_commute_and_add(self, g1, g2):
-        x = rand_frame(64, 2)
-        a = apply_gain_db(apply_gain_db(x, g1), g2)
-        b = apply_gain_db(x, g1 + g2)
-        assert np.allclose(a.samples, b.samples, rtol=1e-12)
-
-    def test_fspl_values(self):
-        x = frame([1.0])
-        assert fspl_attenuate(x, 0.0).samples[0] == 1.0
-        assert fspl_attenuate(x, 221.0).samples[0] == pytest.approx(10 ** (-221 / 20), rel=1e-12)
-        assert fspl_attenuate(x, 217.0).samples[0] == pytest.approx(10 ** (-217 / 20), rel=1e-12)
-
-    def test_fspl_negative_rejected(self):
-        with pytest.raises(ParameterError):
-            fspl_attenuate(frame([1.0]), -1.0)
-
     def test_losses_must_be_nonnegative(self):
         with pytest.raises(ParameterError):
             LinkGains(uplink_loss_db=-5.0)
@@ -163,10 +123,10 @@ class TestPhaseFreqOffset:
         assert np.degrees(inc) == pytest.approx(2 * 360 / 50_000, rel=1e-9)  # 0.0144 deg
 
     def test_counter_persists_across_frames(self):
+        # the second frame continues the clock through its start_sample
         x = rand_frame(1000, 7)
-        rot = PhaseFrequencyRotator(10.0, 3.0)
-        a = rot.process(frame(x.samples[:400]))
-        b = rot.process(frame(x.samples[400:]))
+        a = phase_freq_offset(frame(x.samples[:400]), 10.0, 3.0)
+        b = phase_freq_offset(ComplexFrame(x.samples[400:], FS, start_sample=400), 10.0, 3.0)
         whole = phase_freq_offset(x, 10.0, 3.0)
         assert np.array_equal(np.concatenate([a.samples, b.samples]), whole.samples)
 
@@ -254,21 +214,22 @@ def _tx_waveform(n_bits=20_000, seed=3):
 class TestFullChain:
     def test_normalized_neutral_chain_is_identity(self):
         cfg, x = _tx_waveform()
-        out = run_channel(
-            x,
+        out = SatelliteChannel(
             LinkGains(),
             SalehParams.linear(),
             ImpairmentConfig(),
             mode="normalized",
             reference_symbol_power=cfg.mean_symbol_power,
-        )
+        ).run(x)
         err = np.max(np.abs(out.samples - x.samples))
         assert err <= 1e-9 * np.max(np.abs(x.samples))
 
     def test_physical_net_gain_is_db_sum(self):
         cfg, x = _tx_waveform(8000, 4)
         gains = LinkGains(transponder_amp_gain_db=100.0)
-        out = run_channel(x, gains, SalehParams.linear(), ImpairmentConfig(), mode="physical")
+        out = SatelliteChannel(
+            gains, SalehParams.linear(), ImpairmentConfig(), mode="physical"
+        ).run(x)
         net_db = (
             gains.tx_dish_gain_db
             - gains.uplink_loss_db
@@ -297,30 +258,42 @@ class TestFullChain:
         # normalized mode without noise give the same waveform.
         cfg, x = _tx_waveform(8000, 11)
         imp = ImpairmentConfig(phase_offset_deg=15.0, noise_temperature_k=0.0)
-        published = run_channel(x, LinkGains(), PAPER_SALEH, imp, mode="physical")
-        computed = run_channel(
-            x, LinkGains(uplink_loss_db=200.64, rx_dish_gain_db=36.98), PAPER_SALEH, imp,
+        published = SatelliteChannel(LinkGains(), PAPER_SALEH, imp, mode="physical").run(x)
+        computed = SatelliteChannel(
+            LinkGains(uplink_loss_db=200.64, rx_dish_gain_db=36.98), PAPER_SALEH, imp,
             mode="physical",
-        )
-        normalized = run_channel(x, LinkGains(), PAPER_SALEH, imp, mode="normalized")
+        ).run(x)
+        normalized = SatelliteChannel(LinkGains(), PAPER_SALEH, imp, mode="normalized").run(x)
         np.testing.assert_allclose(computed.samples, published.samples, rtol=1e-12)
         np.testing.assert_allclose(normalized.samples, published.samples, rtol=1e-12)
 
     def test_phase_only_chain_is_exact_rotation(self):
         cfg, x = _tx_waveform(8000, 6)
         imp = ImpairmentConfig(phase_offset_deg=15.0)
-        out = run_channel(
-            x, LinkGains(), SalehParams.linear(), imp,
+        out = SatelliteChannel(
+            LinkGains(), SalehParams.linear(), imp,
             mode="normalized", reference_symbol_power=cfg.mean_symbol_power,
-        )
+        ).run(x)
         expected = x.samples * np.exp(1j * np.deg2rad(15.0))
         assert np.allclose(out.samples, expected, rtol=1e-12, atol=1e-12)
+
+    def test_correction_inverts_the_channel_on_any_frame_clock(self):
+        # the channel and the receiver's correction count the rotation from
+        # the same clock, the frame's start_sample
+        _, x = _tx_waveform(16_000, 8)
+        x = ComplexFrame(x.samples, x.sample_rate_hz, start_sample=123_457)
+        imp = ImpairmentConfig(phase_offset_deg=15.0, freq_offset_hz=2.0)
+        out = SatelliteChannel(LinkGains(), SalehParams.linear(), imp, mode="normalized").run(x)
+        back = phase_freq_correct(out, imp.phase_offset_deg, imp.freq_offset_hz)
+        peak = np.max(np.abs(x.samples))
+        assert np.max(np.abs(back.samples - x.samples)) <= 1e-12 * peak
 
     def test_noise_seed_reproducibility(self):
         cfg, x = _tx_waveform(4000, 7)
         imp = ImpairmentConfig(noise_temperature_k=45.0, seed=77)
-        a = run_channel(x, LinkGains(transponder_amp_gain_db=0.0), SalehParams.linear(), imp)
-        b = run_channel(x, LinkGains(transponder_amp_gain_db=0.0), SalehParams.linear(), imp)
+        gains = LinkGains(transponder_amp_gain_db=0.0)
+        a = SatelliteChannel(gains, SalehParams.linear(), imp).run(x)
+        b = SatelliteChannel(gains, SalehParams.linear(), imp).run(x)
         assert np.array_equal(a.samples, b.samples)
 
     def test_invalid_mode_rejected(self):

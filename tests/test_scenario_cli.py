@@ -283,6 +283,32 @@ class TestSweepHelpers:
                         total_bits=20_000, jobs=2)
         assert seq == par
 
+    def test_pool_never_exceeds_point_count(self, awgn_scenario, monkeypatch):
+        import concurrent.futures
+
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        values = [10.0, 12.0, 14.0]
+        rows = run_sweep(awgn_scenario, "target_es_n0_db", values, total_bits=10_000, jobs=64)
+        assert workers == [3]
+        assert [row["swept_value"] for row in rows] == values
+        run_sweep(awgn_scenario, "target_es_n0_db", [10.0], total_bits=10_000, jobs=64)
+        assert workers == [3]  # one point runs in process
+
 
 class TestCli:
     def test_linkbudget_output(self, capsys):
@@ -397,6 +423,12 @@ class TestCli:
         assert len(bers) == 6
         assert all(a >= b for a, b in zip(bers, bers[1:]))
 
+    def test_sweep_jobs_below_one_is_config_error(self, tmp_path, capsys):
+        code = main(["sweep", "awgn-validation", "--param", "target_es_n0_db",
+                     "--values", "10", "--jobs", "0", "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_CONFIG
+        assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+
     def test_sweep_empty_values_is_error(self, tmp_path, capsys):
         code = main([
             "sweep", "awgn-validation",
@@ -415,7 +447,8 @@ class TestCli:
         assert [float(row[0]) for row in rows] == [4.0, 8.0]
 
     @pytest.mark.parametrize("param, values, message", [
-        ("modem.samples_per_symbol", "4,4.5", "needs integer values, got 4.5"),
+        ("modem.samples_per_symbol", "4,4.5",
+         "modem.samples_per_symbol: must be an integer, got 4.5"),
         ("target_es_n0_db", "10,nan", "sweep values must be finite, got 'nan'"),
         ("modem.rolloff", "0.2,1.5", "rolloff must be in (0, 1]"),
     ])
