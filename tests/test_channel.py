@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vsatlink.frames
 from vsatlink import (
@@ -98,7 +100,60 @@ class TestSaleh:
         assert np.allclose(out.samples, expected, rtol=1e-12)
 
 
+ZERO_GAINS = LinkGains(
+    tx_dish_gain_db=0.0, sat_rx_gain_db=0.0, transponder_amp_gain_db=0.0,
+    sat_tx_gain_db=0.0, rx_dish_gain_db=0.0, uplink_loss_db=0.0, downlink_loss_db=0.0,
+)
+
+
+def gain_chain(x, **gains):
+    """The physical chain with only the given dB terms non-zero (linear TWTA,
+    no impairments), so its output is ``x`` scaled by their net dB sum."""
+    chan = SatelliteChannel(
+        replace(ZERO_GAINS, **gains), SalehParams.linear(), ImpairmentConfig(), mode="physical"
+    )
+    return chan.run(x)
+
+
 class TestGains:
+    def test_zero_db_identity(self):
+        x = rand_frame(100, 0)
+        assert np.array_equal(gain_chain(x).samples, x.samples)
+
+    def test_20db_is_times_ten(self):
+        out = gain_chain(frame([1.0]), transponder_amp_gain_db=20.0)
+        assert out.samples[0] == pytest.approx(10.0, rel=1e-12)
+
+    def test_inverse_composition(self):
+        x = rand_frame(500, 1)
+        out = gain_chain(x, uplink_loss_db=221.0, transponder_amp_gain_db=221.0)
+        assert np.allclose(out.samples, x.samples, rtol=1e-12)
+
+    @given(
+        g1=st.floats(-100, 100),
+        g2=st.floats(-100, 100),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gain_blocks_commute_and_add(self, g1, g2):
+        x = rand_frame(64, 2)
+        a = gain_chain(x, tx_dish_gain_db=g1, sat_tx_gain_db=g2)
+        b = gain_chain(x, sat_tx_gain_db=g1, tx_dish_gain_db=g2)
+        c = gain_chain(x, transponder_amp_gain_db=g1 + g2)
+        assert np.allclose(a.samples, b.samples, rtol=1e-12)
+        assert np.allclose(a.samples, c.samples, rtol=1e-12)
+
+    def test_fspl_values(self):
+        x = frame([1.0])
+        assert gain_chain(x).samples[0] == 1.0
+        up = gain_chain(x, uplink_loss_db=221.0).samples[0]
+        down = gain_chain(x, downlink_loss_db=217.0).samples[0]
+        assert up == pytest.approx(10 ** (-221 / 20), rel=1e-12)
+        assert down == pytest.approx(10 ** (-217 / 20), rel=1e-12)
+
+    def test_fspl_negative_rejected(self):
+        with pytest.raises(ParameterError):
+            LinkGains(downlink_loss_db=-1.0)
+
     def test_losses_must_be_nonnegative(self):
         with pytest.raises(ParameterError):
             LinkGains(uplink_loss_db=-5.0)
