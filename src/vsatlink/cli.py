@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config", help="scenario file or builtin name")
     p_sweep.add_argument("--param", required=True,
                          help="dotted scalar key, e.g. target_es_n0_db")
-    p_sweep.add_argument("--values", required=True, help="start:stop:step or v1,v2,...")
+    p_sweep.add_argument("--values", required=True,
+                         help="start:stop:step (at most 10000 points) or v1,v2,...")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--bits", type=int, default=None, help="override total_bits per point")
     p_sweep.add_argument("--jobs", type=int, default=1,

@@ -45,15 +45,16 @@ class ModemConfig:
     bit_sample_time_s: float = 4.0 / 100000.0
 
     def __post_init__(self):
-        m = self.m_ary
-        if m < 4 or (4 ** int(round(np.log(m) / np.log(4)))) != m:
-            raise ParameterError(f"m_ary must be a power of 4, got {m}")
+        # the upper bounds keep the label table and the RRC taps small
+        check_range("m_ary", self.m_ary, 4, 4096)
+        if self.m_ary not in (4, 16, 64, 256, 1024, 4096):
+            raise ParameterError(f"m_ary must be a power of 4, got {self.m_ary}")
         if not 0.0 < self.rolloff <= 1.0:
             raise ParameterError(f"rolloff must be in (0, 1], got {self.rolloff}")
-        if self.samples_per_symbol < 2:
-            raise ParameterError("samples_per_symbol must be >= 2")
-        if self.filter_span_symbols <= 0 or self.filter_span_symbols % 2:
-            raise ParameterError("filter_span_symbols must be a positive even integer")
+        check_range("samples_per_symbol", self.samples_per_symbol, 2, 64)
+        check_range("filter_span_symbols", self.filter_span_symbols, 2, 256)
+        if self.filter_span_symbols % 2:
+            raise ParameterError("filter_span_symbols must be even")
         # a micro- to a megavolt keeps |s|^2 well inside float64
         check_range("min_distance", self.min_distance, 1e-6, 1e6)
         # 1 bit/s to 1 Tbit/s
@@ -88,47 +89,24 @@ class ModemConfig:
         return float(np.mean(np.abs(pts) ** 2))
 
 
-def _gray_encode(k: np.ndarray) -> np.ndarray:
-    return k ^ (k >> 1)
-
-
-def _gray_decode(g: np.ndarray, nbits: int) -> np.ndarray:
-    k = g.copy()
-    shift = 1
-    while shift < nbits:
-        k = k ^ (k >> shift)
-        shift *= 2
-    return k
-
-
-def _bits_to_level_index(bit_groups: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """(N, bits_per_axis) bit rows -> ascending level indices."""
-    nbits = bit_groups.shape[1]
-    weights = 1 << np.arange(nbits - 1, -1, -1)
-    codes = bit_groups @ weights
-    if cfg.gray_coding:
-        return _gray_decode(codes.astype(np.int64), nbits)
-    return codes.astype(np.int64)
-
-
-def _level_index_to_bits(idx: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    nbits = cfg.bits_per_symbol // 2
-    codes = _gray_encode(idx) if cfg.gray_coding else idx
-    shifts = np.arange(nbits - 1, -1, -1)
-    return ((codes[:, None] >> shifts) & 1).astype(np.int8)
+def _axis_codes(cfg: ModemConfig) -> np.ndarray:
+    """Code carried by each ascending level of one axis."""
+    k = np.arange(cfg.levels_per_axis)
+    return k ^ (k >> 1) if cfg.gray_coding else k
 
 
 def constellation_points(cfg: ModemConfig) -> np.ndarray:
-    """All M lattice points, ordered by the integer value of their bit label."""
-    nbits = cfg.bits_per_symbol
+    """All M lattice points indexed by bit label: the one statement of the mapping.
+
+    The label's high half is the I axis code and its low half the Q code;
+    ascending level ``k`` of an axis carries code ``k ^ (k >> 1)`` under
+    ``gray_coding``, else ``k``.  ``qam_modulate`` looks labels up here.
+    """
+    half = cfg.bits_per_symbol // 2
+    axis = np.empty(cfg.levels_per_axis)
+    axis[_axis_codes(cfg)] = cfg.axis_levels  # the level each code selects
     labels = np.arange(cfg.m_ary)
-    shifts = np.arange(nbits - 1, -1, -1)
-    bits = ((labels[:, None] >> shifts) & 1).astype(np.int8)
-    half = nbits // 2
-    li = _bits_to_level_index(bits[:, :half], cfg)
-    lq = _bits_to_level_index(bits[:, half:], cfg)
-    lv = cfg.axis_levels
-    return lv[li] + 1j * lv[lq]
+    return axis[labels >> half] + 1j * axis[labels & (cfg.levels_per_axis - 1)]
 
 
 def generate_bits(n: int, p_one: float, seed: int) -> BitFrame:
@@ -153,31 +131,28 @@ def qam_modulate(bits: BitFrame, cfg: ModemConfig) -> ComplexFrame:
         raise FramingError(
             f"bit count {b.size} is not divisible by bits/symbol {k}"
         )
-    groups = b.reshape(-1, k)
-    half = k // 2
-    li = _bits_to_level_index(groups[:, :half], cfg)
-    lq = _bits_to_level_index(groups[:, half:], cfg)
-    lv = cfg.axis_levels
-    sym = lv[li] + 1j * lv[lq]
-    return ComplexFrame(sym, cfg.symbol_rate_hz)
-
-
-def _decide_level_indices(x: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    # Boundaries sit halfway between adjacent levels; a value exactly on a
-    # boundary goes to the lower level, anything outside clamps to the edge.
-    lv = cfg.axis_levels
-    boundaries = (lv[:-1] + lv[1:]) / 2.0
-    return np.searchsorted(boundaries, x, side="left")
+    labels = b.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))  # first bit is the MSB
+    return ComplexFrame(constellation_points(cfg)[labels], cfg.symbol_rate_hz)
 
 
 def qam_demodulate(symbols: ComplexFrame, cfg: ModemConfig) -> BitFrame:
-    """Hard decision: nearest level independently per axis, then unmap."""
+    """Hard decision: nearest level independently per axis, then unlabel.
+
+    Boundaries sit halfway between adjacent levels; a value exactly on a
+    boundary goes to the lower level, anything outside clamps to the edge.
+    The two axis codes form the label ``codes[li] << half | codes[lq]``,
+    the inverse of :func:`constellation_points`.
+    """
     s = symbols.samples
-    li = _decide_level_indices(s.real, cfg)
-    lq = _decide_level_indices(s.imag, cfg)
-    bi = _level_index_to_bits(li, cfg)
-    bq = _level_index_to_bits(lq, cfg)
-    return BitFrame(np.concatenate([bi, bq], axis=1).reshape(-1))
+    k = cfg.bits_per_symbol
+    lv = cfg.axis_levels
+    boundaries = (lv[:-1] + lv[1:]) / 2.0
+    codes = _axis_codes(cfg)
+    li = np.searchsorted(boundaries, s.real, side="left")
+    lq = np.searchsorted(boundaries, s.imag, side="left")
+    labels = codes[li] << k // 2 | codes[lq]
+    label_bits = (np.arange(cfg.m_ary)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return BitFrame(label_bits.astype(np.int8).take(labels, axis=0).reshape(-1))
 
 
 def rrc_taps(rolloff: float, samples_per_symbol: int, span_symbols: int) -> np.ndarray:

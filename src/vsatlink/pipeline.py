@@ -8,7 +8,6 @@ reproducible bit-for-bit and sweep points are independent yet replayable.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -47,6 +46,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 SNAPSHOT_POINTS_DEFAULT = 1024
 SPECTRUM_SEGMENT_LEN = 1024
+# a start:stop:step grid longer than this is refused before it is built
+MAX_SWEEP_POINTS = 10_000
 
 # stream tags for derive_seed
 _STREAM_BITS = 1
@@ -264,7 +265,12 @@ def parse_sweep_values(spec: str) -> list[float]:
         a, b, step = (_sweep_number(p) for p in parts)
         if step <= 0:
             raise ParameterError("sweep step must be > 0")
-        count = int(np.floor((b - a) / step + 1e-9)) + 1
+        span = (b - a) / step + 1e-9  # may be inf: checked before int()
+        if not span < MAX_SWEEP_POINTS:
+            raise ParameterError(
+                f"sweep grid {spec!r} has more than {MAX_SWEEP_POINTS} points"
+            )
+        count = int(np.floor(span)) + 1
         values = [a + i * step for i in range(count)]
     else:
         values = [_sweep_number(p) for p in spec.split(",") if p.strip()]
@@ -289,13 +295,8 @@ def _set_scalar(data: dict, dotted: str, value: float) -> None:
     node[leaf] = value
 
 
-def _sweep_point(doc: dict, param: str, value: float, seed: int,
+def _sweep_point(point: ScenarioConfig, value: float, seed: int,
                  total_bits: Optional[int]) -> dict:
-    from .scenario import scenario_from_dict
-
-    point_doc = json.loads(json.dumps(doc))
-    _set_scalar(point_doc, param, value)
-    point = scenario_from_dict(point_doc)
     result = simulate(point, total_bits=total_bits, seed=seed, with_spectra=False)
     return {
         "swept_value": value,
@@ -324,13 +325,13 @@ def run_sweep(
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     from .scenario import scenario_from_dict
 
-    base = scenario_to_dict(scenario)
-    probe = json.loads(json.dumps(base))
-    for value in values:  # validate the key and every point's scenario before any run
-        _set_scalar(probe, param, value)
-        scenario_from_dict(probe)
+    doc = scenario_to_dict(scenario)
+    points = []
+    for value in values:  # build (and so validate) every point before any run
+        _set_scalar(doc, param, value)
+        points.append(scenario_from_dict(doc))
     seeds = [derive_seed(scenario.seed, _SWEEP_BASE + i) for i in range(len(values))]
-    args = [(base, param, v, s, total_bits) for v, s in zip(values, seeds)]
+    args = [(p, v, s, total_bits) for p, v, s in zip(points, values, seeds)]
     workers = min(jobs, len(args))
     if workers == 1:
         return [_sweep_point(*a) for a in args]

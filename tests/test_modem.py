@@ -118,6 +118,43 @@ class TestQamMapping:
         with pytest.raises(ParameterError):
             ModemConfig(m_ary=32)
 
+    def test_largest_integers_are_accepted(self):
+        cfg = ModemConfig(m_ary=4096, samples_per_symbol=64, filter_span_symbols=256)
+        assert constellation_points(cfg).size == 4096
+
+    @pytest.mark.parametrize("m_ary", [4, 16, 64])
+    @pytest.mark.parametrize("gray", [True, False])
+    def test_modulate_is_a_lookup_in_the_label_table(self, m_ary, gray):
+        cfg = ModemConfig(m_ary=m_ary, gray_coding=gray)
+        k = cfg.bits_per_symbol
+        labels = np.arange(m_ary)
+        bits = ((labels[:, None] >> np.arange(k - 1, -1, -1)) & 1).reshape(-1)
+        sym = qam_modulate(BitFrame(bits), cfg)
+        assert np.array_equal(sym.samples, constellation_points(cfg))
+        assert np.array_equal(qam_demodulate(sym, cfg).bits, bits)
+
+
+class TestNaturalBinaryMapping:
+    CFG = ModemConfig(gray_coding=False)
+
+    def test_label_table_is_natural_binary(self):
+        levels = [-3.0, -1.0, 1.0, 3.0]
+        table = [complex(levels[v >> 2], levels[v & 3]) for v in range(16)]
+        assert np.array_equal(constellation_points(self.CFG), table)
+
+    def test_decisions_on_boundaries_and_outside_the_grid(self):
+        f = ComplexFrame(np.array([0 + 0j, -2 + 2j, 100 - 100j]), self.CFG.symbol_rate_hz)
+        # ties go to the lower level (label 01 per axis at 0, 00 at -2, 10 at +2)
+        assert np.array_equal(qam_demodulate(f, self.CFG).bits,
+                              [0, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0])
+
+    @pytest.mark.parametrize("m_ary", [16, 64])
+    def test_round_trip(self, m_ary):
+        cfg = ModemConfig(m_ary=m_ary, gray_coding=False)
+        bits = generate_bits(cfg.bits_per_symbol * 500, 0.5, 11)
+        out = qam_demodulate(qam_modulate(bits, cfg), cfg)
+        assert np.array_equal(out.bits, bits.bits)
+
 
 class TestRrcTaps:
     def test_tap_count(self):

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import vsatlink
 from vsatlink import ConfigError, load_scenario, scenario_from_dict
 from vsatlink.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
-from vsatlink.errors import PipelineError
+from vsatlink.errors import ParameterError, PipelineError
 from vsatlink.linkbudget import combined_cn_db
 from vsatlink.pipeline import (
+    MAX_SWEEP_POINTS,
     derive_seed,
     parse_sweep_values,
     run_linkbudget,
@@ -262,6 +263,12 @@ class TestSweepHelpers:
         with pytest.raises(Exception):
             parse_sweep_values("0:10:0")
 
+    def test_grid_at_the_point_cap_is_built(self):
+        values = parse_sweep_values(f"0:{MAX_SWEEP_POINTS - 1}:1")
+        assert len(values) == MAX_SWEEP_POINTS
+        with pytest.raises(ParameterError, match="more than"):
+            parse_sweep_values(f"0:{MAX_SWEEP_POINTS}:1")
+
     def test_non_scalar_key_rejected(self, awgn_scenario):
         with pytest.raises(Exception, match="not a scalar"):
             run_sweep(awgn_scenario, "compensation.dc", [1.0], total_bits=10_000)
@@ -438,6 +445,25 @@ class TestCli:
         ])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("values", ["0:1e300:1e-300", "0:1e9:1e-3"])
+    def test_oversized_sweep_grid_is_config_error(self, tmp_path, capsys, values):
+        code = main(["sweep", "awgn-validation", "--param", "target_es_n0_db",
+                     "--values", values, "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"sweep grid {values!r} has more than {MAX_SWEEP_POINTS} points" in err
+        assert "Traceback" not in err
+
+    def test_sweep_over_modem_order(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "awgn-validation", "--param", "modem.m_ary",
+                     "--values", "4,16,64", "--out", str(out), "--bits", "12000"])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        bers = [float(row[1]) for row in rows]
+        assert [float(row[0]) for row in rows] == [4.0, 16.0, 64.0]
+        assert bers[0] <= bers[1] <= bers[2]
+
     def test_sweep_integer_key_takes_integral_values(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = main(["sweep", "awgn-validation", "--param", "modem.samples_per_symbol",
@@ -484,6 +510,25 @@ class TestCli:
         code = main(["simulate", str(cfg), "--out", str(tmp_path / "o"), "--bits", "20000"])
         assert code == EXIT_CONFIG
         assert f"config error: {key}: must be " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, bounds", [
+        ("modem.m_ary", 16384, "[4, 4096]"),  # the next power of 4
+        ("modem.samples_per_symbol", 65, "[2, 64]"),
+        ("modem.filter_span_symbols", 258, "[2, 256]"),  # the next even span
+    ])
+    def test_modem_integer_past_its_bound_is_config_error(self, tmp_path, monkeypatch,
+                                                          capsys, key, value, bounds):
+        import vsatlink.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("simulate ran on an out-of-range modem config")
+
+        monkeypatch.setattr(cli_mod, "simulate", boom)
+        cfg = awgn_copy(tmp_path, key, value)
+        code = main(["simulate", str(cfg), "--out", str(tmp_path / "o"), "--bits", "20000"])
+        assert code == EXIT_CONFIG
+        leaf = key.split(".")[1]
+        assert f"modem: {leaf} must be in {bounds}, got {value}" in capsys.readouterr().err
 
     def test_integral_float_in_integer_field_runs_as_that_integer(self, tmp_path):
         ber = []
