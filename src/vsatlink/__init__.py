@@ -19,7 +19,6 @@ from .channel import (  # noqa: F401
     iq_imbalance,
     phase_freq_offset,
     saleh_amplify,
-    thermal_noise,
 )
 from .errors import (  # noqa: F401
     ConfigError,

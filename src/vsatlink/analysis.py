@@ -1,9 +1,8 @@
 """Measurement sinks: BER counting, PSD estimation, constellation capture.
 
-Alignment policy: the analytic modem delay is authoritative; a
-cross-correlation search over +- lags is available as a fallback
-(``delay_bits=None``), which also makes the comparison symmetric in its
-two arguments.
+BER alignment takes the delay as given: the caller passes the analytic
+modem round-trip delay (``modem.pipeline_delay_bits``), and the receive
+stream is compared from that many bits on.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "theoretical_qam_ber",
 ]
 
-MAX_DELAY_SEARCH_BITS = 4096
 # Welch segments transformed per FFT call; bounds the scratch memory of
 # estimate_psd to this many segments whatever the frame length.
 PSD_BLOCK_SEGMENTS = 64
@@ -58,49 +56,15 @@ class SpectrumEstimate:
     resolution_bw_hz: float
 
 
-def _best_delay(a: np.ndarray, b: np.ndarray, max_lag: int) -> int:
-    """Lag of maximum bit agreement between a and b (positive = b delayed)."""
-    sa = 1.0 - 2.0 * a.astype(np.float64)
-    sb = 1.0 - 2.0 * b.astype(np.float64)
-    # full cross-correlation: index j holds sum_i sa[i] * sb[i + j - (la-1)].
-    # The terms are +-1, so rounding the FFT product gives the exact integers.
-    n = sa.size + sb.size - 1
-    corr = np.rint(np.fft.irfft(np.fft.rfft(sb, n) * np.fft.rfft(sa[::-1], n), n))
-    lags = np.arange(corr.size) - (sa.size - 1)
-    keep = np.abs(lags) <= max_lag
-    lags, corr = lags[keep], corr[keep]
-    overlap = np.where(
-        lags >= 0, np.minimum(sa.size, sb.size - lags), np.minimum(sb.size, sa.size + lags)
-    )
-    valid = overlap > 0
-    lags, corr, overlap = lags[valid], corr[valid], overlap[valid]
-    score = corr / overlap
-    # prefer the smallest |lag|, then the non-negative one, on ties
-    best = max(range(lags.size), key=lambda i: (score[i], -abs(lags[i]), lags[i] >= 0))
-    return int(lags[best])
-
-
-def measure_ber(
-    tx_bits: BitFrame, rx_bits: BitFrame, delay_bits: int | None = None
-) -> BerReport:
+def measure_ber(tx_bits: BitFrame, rx_bits: BitFrame, delay_bits: int) -> BerReport:
     """Count bit errors over the overlapping region after delay removal.
 
-    With an explicit ``delay_bits`` the receive stream is taken as delayed
-    by that many bits.  With ``None`` the delay is found by correlation
-    search over +-MAX_DELAY_SEARCH_BITS lags; the report then carries the
-    magnitude of the detected lag.
+    The receive stream is taken as delayed by ``delay_bits`` bits.
     """
     a, b = tx_bits.bits, rx_bits.bits
-    if delay_bits is None:
-        max_lag = min(MAX_DELAY_SEARCH_BITS, a.size - 1, b.size - 1)
-        lag = _best_delay(a, b, max_lag)
-        if lag < 0:
-            a, b = b, a
-            lag = -lag
-    else:
-        lag = int(delay_bits)
-        if lag < 0:
-            raise ParameterError("delay_bits must be >= 0")
+    lag = int(delay_bits)
+    if lag < 0:
+        raise ParameterError("delay_bits must be >= 0")
     if lag >= b.size or a.size == 0:
         raise InsufficientDataError(
             f"no overlap: delay {lag} bits, stream lengths {a.size}/{b.size}"

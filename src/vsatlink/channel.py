@@ -33,7 +33,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .errors import ParameterError, PipelineError, check_range
-from .frames import ComplexFrame, block_slices
+from .frames import ComplexFrame, _unchecked, block_slices
 
 __all__ = [
     "BOLTZMANN_J_PER_K",
@@ -42,7 +42,6 @@ __all__ = [
     "LinkGains",
     "saleh_amplify",
     "phase_freq_offset",
-    "thermal_noise",
     "iq_imbalance",
     "SatelliteChannel",
     "ChannelLog",
@@ -166,6 +165,8 @@ def saleh_amplify(x: ComplexFrame, p: SalehParams) -> ComplexFrame:
 
     Computed in complex-gain form, x * alpha/(1+beta*r^2) * exp(j*phi(r)),
     which is the same A(r)*exp(j(arg x + phi)) without a polar round trip.
+    The output is checked: ``r^2`` overflows for a finite input near 1e154,
+    and the resulting NaN raises :class:`ParameterError` here.
     """
     scale_in = _db_to_amplitude(p.input_scale_db)
     scale_out = _db_to_amplitude(p.output_scale_db)
@@ -194,7 +195,7 @@ def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Comp
     global clock (``x.start_sample`` is the index of its first sample)."""
     out = np.empty_like(x.samples)
     _rotate(x, out, phase_deg, freq_hz)
-    return x.with_samples(out)
+    return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
 
 
 def _rotate(x: ComplexFrame, dst: np.ndarray, phase_deg: float, freq_hz: float) -> None:
@@ -218,19 +219,6 @@ def _rotate(x: ComplexFrame, dst: np.ndarray, phase_deg: float, freq_hz: float) 
 def _ktb_variance(temperature_k: float, bandwidth_hz: float) -> float:
     """Thermal noise power kTB in watts."""
     return BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz
-
-
-def thermal_noise(x: ComplexFrame, temperature_k: float, seed: int) -> ComplexFrame:
-    """Add circularly-symmetric Gaussian noise of total variance kTB.
-
-    B is the frame sample rate; the variance splits equally between the real
-    and imaginary parts.  Deterministic for a fixed seed.
-    """
-    if temperature_k < 0:
-        raise ParameterError("temperature must be >= 0 K")
-    out = x.samples.copy()
-    _add_noise(out, _ktb_variance(temperature_k, x.sample_rate_hz), np.random.default_rng(seed))
-    return x.with_samples(out)
 
 
 def _add_noise(samples: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
@@ -257,7 +245,7 @@ def iq_imbalance(x: ComplexFrame, cfg: ImpairmentConfig) -> ComplexFrame:
     """
     out = np.empty_like(x.samples)
     _iq_imbalance(x.samples, out, cfg)
-    return x.with_samples(out)
+    return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
 
 
 def _iq_imbalance(src: np.ndarray, dst: np.ndarray, cfg: ImpairmentConfig) -> None:
@@ -308,6 +296,7 @@ class SatelliteChannel:
         self.reference_symbol_power = float(reference_symbol_power)
         self._rng = np.random.default_rng(impairments.seed)
         self.last_log: Optional[ChannelLog] = None
+        self.last_input_power_w: Optional[float] = None  # mean |x|^2 of the last input
 
     def _fixed_gain_db(self, transponder_db: float) -> float:
         g = self.gains
@@ -355,5 +344,6 @@ class SatelliteChannel:
         _add_noise(out, log.noise_variance_w, self._rng)
         _iq_imbalance(out, out, self.impairments)
         self.last_log = log
-        return y.with_samples(out)
+        self.last_input_power_w = p_in
+        return y.with_samples(out)  # checked: the gain and offsets may overflow
 

@@ -4,11 +4,20 @@ All signals travel as :class:`ComplexFrame` (complex baseband samples plus
 their sample rate) and bit streams as :class:`BitFrame`.  Amplitudes are
 dimensionless; in physical mode they are read as volts across a 1-ohm
 reference, so ``|x|**2`` is watts.
+
+Frames are checked where outside data enters: the public constructors and
+:meth:`ComplexFrame.with_samples` refuse NaN/Inf samples, a non-positive
+rate and bits other than 0/1.  A stage whose output is 1-D ``complex128``
+samples at a ``float`` rate (or ``int8`` 0/1 bits) by construction builds
+it with :func:`_unchecked` instead, so a waveform is not scanned again at
+every stage.  The two stages that can turn finite input into NaN/Inf keep
+the check: the TWTA (``saleh_amplify``; ``|x|**2`` overflows near 1e154)
+and the output of the whole transponder chain (``SatelliteChannel.run``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -28,6 +37,15 @@ def block_slices(n: int) -> Iterator[slice]:
     """Consecutive slices of at most :data:`BLOCK_SAMPLES` covering ``range(n)``."""
     for start in range(0, n, BLOCK_SAMPLES):
         yield slice(start, min(start + BLOCK_SAMPLES, n))
+
+
+def _unchecked(cls, *values):
+    """A ``cls`` frame holding ``values`` (its fields in order), built
+    without ``__post_init__``: no check, no copy, no coercion.  A field left
+    out keeps its default."""
+    frame = object.__new__(cls)
+    frame.__dict__.update(zip([f.name for f in fields(cls)], values))
+    return frame
 
 
 @dataclass

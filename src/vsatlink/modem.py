@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FramingError, InsufficientDataError, ParameterError, check_range
-from .frames import BitFrame, ComplexFrame
+from .frames import BitFrame, ComplexFrame, _unchecked
 
 __all__ = [
     "ModemConfig",
@@ -109,15 +109,12 @@ def constellation_points(cfg: ModemConfig) -> np.ndarray:
     return axis[labels >> half] + 1j * axis[labels & (cfg.levels_per_axis - 1)]
 
 
-def generate_bits(n: int, p_one: float, seed: int) -> BitFrame:
-    """Draw ``n`` i.i.d. Bernoulli bits with P(bit=1) = ``p_one``."""
+def generate_bits(n: int, seed: int) -> BitFrame:
+    """Draw ``n`` i.i.d. equiprobable bits."""
     if n <= 0:
         raise ParameterError(f"bit count must be > 0, got {n}")
-    if not 0.0 <= p_one <= 1.0:
-        raise ParameterError(f"p_one must be in [0, 1], got {p_one}")
     rng = np.random.default_rng(seed)
-    bits = (rng.random(n) < p_one).astype(np.int8)
-    return BitFrame(bits)
+    return _unchecked(BitFrame, (rng.random(n) < 0.5).astype(np.int8))
 
 
 def qam_modulate(bits: BitFrame, cfg: ModemConfig) -> ComplexFrame:
@@ -132,7 +129,7 @@ def qam_modulate(bits: BitFrame, cfg: ModemConfig) -> ComplexFrame:
             f"bit count {b.size} is not divisible by bits/symbol {k}"
         )
     labels = b.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))  # first bit is the MSB
-    return ComplexFrame(constellation_points(cfg)[labels], cfg.symbol_rate_hz)
+    return _unchecked(ComplexFrame, constellation_points(cfg)[labels], cfg.symbol_rate_hz)
 
 
 def qam_demodulate(symbols: ComplexFrame, cfg: ModemConfig) -> BitFrame:
@@ -152,7 +149,7 @@ def qam_demodulate(symbols: ComplexFrame, cfg: ModemConfig) -> BitFrame:
     lq = np.searchsorted(boundaries, s.imag, side="left")
     labels = codes[li] << k // 2 | codes[lq]
     label_bits = (np.arange(cfg.m_ary)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return BitFrame(label_bits.astype(np.int8).take(labels, axis=0).reshape(-1))
+    return _unchecked(BitFrame, label_bits.astype(np.int8).take(labels, axis=0).reshape(-1))
 
 
 def rrc_taps(rolloff: float, samples_per_symbol: int, span_symbols: int) -> np.ndarray:
@@ -217,7 +214,7 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     for p in range(sps):
         phase = np.convolve(symbols.samples, h[p::sps])
         shaped[p::sps][: phase.size] = phase
-    return ComplexFrame(shaped, cfg.sample_rate_hz)
+    return _unchecked(ComplexFrame, shaped, cfg.sample_rate_hz)
 
 
 def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
@@ -250,7 +247,7 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
         start, lag = (0, 0) if p == 0 else (sps - p, 1)
         phase = np.convolve(x[start::sps], h[p::sps])
         out[lag : lag + phase.size] += phase
-    return ComplexFrame(out, cfg.symbol_rate_hz)
+    return _unchecked(ComplexFrame, out, cfg.symbol_rate_hz)
 
 
 def pipeline_delay_symbols(cfg: ModemConfig) -> int:

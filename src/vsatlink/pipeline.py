@@ -127,7 +127,7 @@ def simulate(
         impairments = replace(impairments, seed=noise_seed)
 
     with _stage("modem.generate_bits"):
-        tx_bits = generate_bits(n_bits, 0.5, bits_seed)
+        tx_bits = generate_bits(n_bits, bits_seed)
     with _stage("modem.qam_modulate"):
         symbols = qam_modulate(tx_bits, cfg)
     with _stage("modem.tx_shape"):
@@ -144,10 +144,10 @@ def simulate(
     with _stage("channel.run"):
         rx_wave = channel.run(tx_wave)
     chan_log = channel.last_log
+    tx_power = channel.last_input_power_w
 
     # Each waveform-sized frame is dropped once its last reader is done, so
     # at its peak the run holds two of them plus smaller arrays.
-    tx_power = tx_wave.mean_power
     seg = min(SPECTRUM_SEGMENT_LEN, len(tx_wave))
     spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
     if with_spectra:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import phase_freq_offset
-from .errors import ParameterError
-from .frames import ComplexFrame, block_slices
+from .channel import MAX_ABS_DB, phase_freq_offset
+from .errors import ParameterError, check_range
+from .frames import ComplexFrame, _unchecked, block_slices
 
 __all__ = [
     "AgcConfig",
@@ -52,10 +52,13 @@ class AgcConfig:
     max_gain_db: float = 60.0
 
     def __post_init__(self):
-        if not self.reference_power > 0:
-            raise ParameterError("reference_power must be > 0")
+        if not 0.0 < self.reference_power < np.inf:
+            raise ParameterError("reference_power must be finite and > 0")
         if not 0.0 < self.step_size <= 1.0:
             raise ParameterError("step_size must be in (0, 1]")
+        # the AGC output is not checked again: a NaN or huge clamp would
+        # pass NaN/Inf samples on
+        check_range("max_gain_db", self.max_gain_db, 0.0, MAX_ABS_DB)
 
 
 class _OnePole:
@@ -136,7 +139,8 @@ class DcOffsetCompensator:
         if len(x) == 0:
             raise ParameterError("DC offset removal requires a non-empty frame")
         mean = self._mean(x.samples)
-        return x.with_samples(np.subtract(x.samples, mean, out=mean))
+        np.subtract(x.samples, mean, out=mean)
+        return _unchecked(ComplexFrame, mean, x.sample_rate_hz, x.start_sample)
 
 
 class AutomaticGainControl:
@@ -176,7 +180,7 @@ class AutomaticGainControl:
             p = self._power(blk.real * blk.real + blk.imag * blk.imag)
             # sample n is scaled by the average up to sample n-1
             blk *= self._gains(np.concatenate(([p_last], p[:-1])))
-        return x.with_samples(out)
+        return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
 
 
 def phase_freq_correct(x: ComplexFrame, phase_deg: float, freq_hz: float) -> ComplexFrame:

@@ -250,7 +250,7 @@ def test_criterion_8_saleh_analytics():
 
 def test_criterion_9_inverse_composition_identities():
     cfg = ModemConfig()
-    bits = generate_bits(40_000, 0.5, 21)
+    bits = generate_bits(40_000, 21)
     s = qam_modulate(bits, cfg)
     x = tx_shape(s, cfg)
 

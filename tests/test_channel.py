@@ -23,7 +23,6 @@ from vsatlink import (
     phase_freq_offset,
     qam_modulate,
     saleh_amplify,
-    thermal_noise,
     tx_shape,
 )
 
@@ -186,10 +185,21 @@ class TestPhaseFreqOffset:
         assert np.array_equal(np.concatenate([a.samples, b.samples]), whole.samples)
 
 
+def _noise_channel(temperature_k, seed, gains=LinkGains(transponder_amp_gain_db=0.0)):
+    """Physical channel with a transparent TWTA and an explicit transponder
+    gain, so an all-zero input comes out as exactly the kTB noise."""
+    return SatelliteChannel(
+        gains,
+        SalehParams.linear(),
+        ImpairmentConfig(noise_temperature_k=temperature_k, seed=seed),
+    )
+
+
 class TestThermalNoise:
     def test_zero_kelvin_identity(self):
         x = rand_frame(100, 8)
-        assert np.array_equal(thermal_noise(x, 0.0, 1).samples, x.samples)
+        unity = LinkGains(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(_noise_channel(0.0, 1, unity).run(x).samples, x.samples)
 
     def test_variance_formula(self):
         # kTB at 45 K, 50 kHz: 1.380649e-23 * 45 * 5e4 = 3.1065e-17 W
@@ -199,28 +209,28 @@ class TestThermalNoise:
     def test_empirical_variance_within_2_percent(self):
         n = 10**6
         x = frame(np.zeros(n))
-        out = thermal_noise(x, 45.0, 99)
+        out = _noise_channel(45.0, 99).run(x)
         sigma2 = BOLTZMANN_J_PER_K * 45.0 * FS
         measured = np.mean(np.abs(out.samples) ** 2)
         assert measured == pytest.approx(sigma2, rel=0.02)
 
     def test_reproducible_per_seed(self):
         x = rand_frame(1000, 9)
-        a = thermal_noise(x, 45.0, 1234)
-        b = thermal_noise(x, 45.0, 1234)
+        a = _noise_channel(45.0, 1234).run(x)
+        b = _noise_channel(45.0, 1234).run(x)
         assert np.array_equal(a.samples, b.samples)
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ParameterError):
-            thermal_noise(rand_frame(8, 0), -1.0, 0)
+            ImpairmentConfig(noise_temperature_k=-1.0)
 
     def test_stream_is_real_draws_then_imaginary_draws(self):
         n = 1000
-        x = rand_frame(n, 10)
+        x = frame(np.zeros(n))
         std = np.sqrt(BOLTZMANN_J_PER_K * 45.0 * FS / 2.0)
         g = np.random.default_rng(5)
-        expected = x.samples + std * (g.standard_normal(n) + 1j * g.standard_normal(n))
-        assert np.array_equal(thermal_noise(x, 45.0, 5).samples, expected)
+        expected = std * (g.standard_normal(n) + 1j * g.standard_normal(n))
+        assert np.array_equal(_noise_channel(45.0, 5).run(x).samples, expected)
 
 
 class TestIqImbalance:
@@ -262,7 +272,7 @@ class TestIqImbalance:
 
 def _tx_waveform(n_bits=20_000, seed=3):
     cfg = ModemConfig()
-    bits = generate_bits(n_bits, 0.5, seed)
+    bits = generate_bits(n_bits, seed)
     return cfg, tx_shape(qam_modulate(bits, cfg), cfg)
 
 

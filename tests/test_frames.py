@@ -3,7 +3,27 @@
 import numpy as np
 import pytest
 
-from vsatlink import BitFrame, ComplexFrame, ParameterError
+from vsatlink import (
+    AutomaticGainControl,
+    BitFrame,
+    ComplexFrame,
+    DcOffsetCompensator,
+    ImpairmentConfig,
+    LinkGains,
+    ModemConfig,
+    ParameterError,
+    SalehParams,
+    SatelliteChannel,
+    generate_bits,
+    iq_imbalance,
+    phase_freq_correct,
+    phase_freq_offset,
+    qam_demodulate,
+    qam_modulate,
+    rx_match,
+    saleh_amplify,
+    tx_shape,
+)
 
 
 class TestBitFrame:
@@ -42,3 +62,69 @@ class TestComplexFrame:
         g = f.with_samples(np.zeros(4, dtype=complex))
         assert g.start_sample == 100
         assert g.sample_rate_hz == 50e3
+
+
+class TestBoundaryChecks:
+    """Outside data is checked where it enters, and at the two stages that
+    can turn a finite frame into NaN/Inf."""
+
+    def test_with_samples_rejects_nan(self):
+        f = ComplexFrame(np.ones(1, dtype=complex), 50e3)
+        with pytest.raises(ParameterError):
+            f.with_samples(np.array([np.nan]))
+
+    def test_twta_overflow_rejected(self):
+        # |x|^2 overflows inside the TWTA and its AM/PM term turns into NaN
+        x = ComplexFrame(np.array([1e160, 1]), 50e3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ParameterError):
+            saleh_amplify(x, SalehParams())
+
+    def test_channel_run_overflow_rejected(self):
+        channel = SatelliteChannel(LinkGains(), SalehParams(), ImpairmentConfig())
+        x = ComplexFrame(np.array([1e160, 1]), 50e3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ParameterError):
+            channel.run(x)
+
+
+def _assert_samples(f, rate, start):
+    assert f.samples.ndim == 1 and f.samples.dtype == np.complex128
+    assert type(f.sample_rate_hz) is float and f.sample_rate_hz == rate
+    assert f.start_sample == start
+
+
+class TestUncheckedStages:
+    """Stages that skip the frame check still hand out what the check made."""
+
+    CFG = ModemConfig()
+
+    def test_bit_stages(self):
+        bits = generate_bits(4000, 3)
+        assert bits.bits.ndim == 1 and bits.bits.dtype == np.int8
+        assert set(np.unique(bits.bits)) == {0, 1}
+        rx = qam_demodulate(qam_modulate(bits, self.CFG), self.CFG)
+        assert rx.bits.ndim == 1 and rx.bits.dtype == np.int8
+        assert np.array_equal(rx.bits, bits.bits)
+
+    def test_modem_stages(self):
+        cfg = self.CFG
+        symbols = qam_modulate(generate_bits(4000, 4), cfg)
+        _assert_samples(symbols, cfg.symbol_rate_hz, 0)
+        wave = tx_shape(symbols, cfg)
+        _assert_samples(wave, cfg.sample_rate_hz, 0)
+        _assert_samples(rx_match(wave, cfg), cfg.symbol_rate_hz, 0)
+
+    def test_sample_wise_stages_keep_the_clock(self):
+        rng = np.random.default_rng(5)
+        x = ComplexFrame(rng.standard_normal(3000) + 1j * rng.standard_normal(3000),
+                         50e3, start_sample=123)
+        impairments = ImpairmentConfig(iq_amplitude_imbalance_db=0.5, dc_offset_i=0.1)
+        outputs = [
+            phase_freq_offset(x, 10.0, 3.0),
+            phase_freq_correct(x, 10.0, 3.0),
+            iq_imbalance(x, impairments),
+            DcOffsetCompensator().process(x),
+            AutomaticGainControl().process(x),
+        ]
+        for out in outputs:
+            _assert_samples(out, 50e3, 123)
+            assert len(out) == len(x)

@@ -28,30 +28,19 @@ SPAN = CFG.filter_span_symbols
 
 
 class TestGenerateBits:
-    def test_degenerate_all_zero(self):
-        assert not generate_bits(512, 0.0, 123).bits.any()
-
-    def test_degenerate_all_one(self):
-        assert generate_bits(512, 1.0, 123).bits.all()
-
     def test_mean_within_binomial_interval(self):
         # 1e6 draws at p=0.5: +-4 sigma is +-0.002
-        bits = generate_bits(10**6, 0.5, 42)
+        bits = generate_bits(10**6, 42)
         assert 0.498 <= bits.bits.mean() <= 0.502
 
     def test_deterministic_per_seed(self):
-        a = generate_bits(1000, 0.5, 7)
-        b = generate_bits(1000, 0.5, 7)
+        a = generate_bits(1000, 7)
+        b = generate_bits(1000, 7)
         assert np.array_equal(a.bits, b.bits)
-
-    @pytest.mark.parametrize("p", [-0.1, 1.5])
-    def test_invalid_probability(self, p):
-        with pytest.raises(ParameterError):
-            generate_bits(10, p, 0)
 
     def test_invalid_count(self):
         with pytest.raises(ParameterError):
-            generate_bits(0, 0.5, 0)
+            generate_bits(0, 0)
 
 
 class TestQamMapping:
@@ -110,7 +99,7 @@ class TestQamMapping:
 
     def test_64qam_round_trip(self):
         cfg = ModemConfig(m_ary=64)
-        bits = generate_bits(6 * 500, 0.5, 9)
+        bits = generate_bits(6 * 500, 9)
         out = qam_demodulate(qam_modulate(bits, cfg), cfg)
         assert np.array_equal(out.bits, bits.bits)
 
@@ -151,7 +140,7 @@ class TestNaturalBinaryMapping:
     @pytest.mark.parametrize("m_ary", [16, 64])
     def test_round_trip(self, m_ary):
         cfg = ModemConfig(m_ary=m_ary, gray_coding=False)
-        bits = generate_bits(cfg.bits_per_symbol * 500, 0.5, 11)
+        bits = generate_bits(cfg.bits_per_symbol * 500, 11)
         out = qam_demodulate(qam_modulate(bits, cfg), cfg)
         assert np.array_equal(out.bits, bits.bits)
 
@@ -208,7 +197,7 @@ class TestShapingCascade:
 
     def test_loopback_within_isi_bound(self):
         """Worst-case loopback error obeys the convolution-oracle bound."""
-        bits = generate_bits(20000, 0.5, 5)
+        bits = generate_bits(20000, 5)
         s = qam_modulate(bits, CFG)
         y = rx_match(tx_shape(s, CFG), CFG)
         err = np.abs(y.samples[SPAN : SPAN + len(s)] - s.samples)
@@ -223,14 +212,14 @@ class TestShapingCascade:
 
     def test_loopback_4qam_within_1e3_rms(self):
         cfg = ModemConfig(m_ary=4)
-        bits = generate_bits(10000, 0.5, 6)
+        bits = generate_bits(10000, 6)
         s = qam_modulate(bits, cfg)
         y = rx_match(tx_shape(s, cfg), cfg)
         err = np.abs(y.samples[SPAN : SPAN + len(s)] - s.samples)
         assert np.sqrt(np.mean(err**2)) <= 1e-3
 
     def test_loopback_bits_recover_exactly(self):
-        bits = generate_bits(40000, 0.5, 11)
+        bits = generate_bits(40000, 11)
         s = qam_modulate(bits, CFG)
         y = rx_match(tx_shape(s, CFG), CFG)
         trimmed = ComplexFrame(y.samples[SPAN : SPAN + len(s)], CFG.symbol_rate_hz)

@@ -103,7 +103,7 @@ class TestMemory:
         # arrays are alive at the peak
         bits = 200_000
         cfg = reference_scenario.modem
-        wave_bytes = tx_shape(qam_modulate(generate_bits(bits, 0.5, 0), cfg), cfg).samples.nbytes
+        wave_bytes = tx_shape(qam_modulate(generate_bits(bits, 0), cfg), cfg).samples.nbytes
         tracemalloc.start()
         try:
             simulate(reference_scenario, total_bits=bits)

@@ -191,6 +191,11 @@ class TestAgc:
             AgcConfig(reference_power=0.0)
         with pytest.raises(ParameterError):
             AgcConfig(step_size=0.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                AgcConfig(reference_power=bad)
+            with pytest.raises(ParameterError):
+                AgcConfig(max_gain_db=bad)
 
     def test_streaming_matches_one_shot(self):
         x = rand_frame(3000, 4, scale=0.3)
@@ -245,7 +250,7 @@ class TestPhaseFreqCorrection:
         """Correcting only the 15 deg tilt with 2 Hz still spinning leaves the
         uniform-rotation error floor (0.414 by enumeration)."""
         cfg = ModemConfig()
-        bits = generate_bits(200_000, 0.5, 7)
+        bits = generate_bits(200_000, 7)
         s = qam_modulate(bits, cfg)
         spun = phase_freq_offset(s, 15.0, 2.0)  # 2 Hz at symbol rate: slow spin
         corrected = phase_freq_correct(spun, 15.0, 0.0)
