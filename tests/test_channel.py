@@ -332,6 +332,15 @@ class TestFullChain:
         np.testing.assert_allclose(computed.samples, published.samples, rtol=1e-12)
         np.testing.assert_allclose(normalized.samples, published.samples, rtol=1e-12)
 
+    def test_input_power_is_kept(self):
+        # simulate reads the transmit power from the run instead of
+        # computing the same mean |x|^2 again
+        _, x = _tx_waveform(4000, 9)
+        chan = SatelliteChannel(LinkGains(), SalehParams(), ImpairmentConfig())
+        assert chan.last_input_power_w is None
+        chan.run(x)
+        assert chan.last_input_power_w == x.mean_power
+
     def test_phase_only_chain_is_exact_rotation(self):
         cfg, x = _tx_waveform(8000, 6)
         imp = ImpairmentConfig(phase_offset_deg=15.0)

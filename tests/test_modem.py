@@ -42,6 +42,12 @@ class TestGenerateBits:
         with pytest.raises(ParameterError):
             generate_bits(0, 0)
 
+    def test_bits_are_uniform_draws_below_one_half(self):
+        expected = np.random.default_rng(13).random(1000) < 0.5
+        bits = generate_bits(1000, 13).bits
+        assert bits.dtype == np.int8
+        assert np.array_equal(bits, expected)
+
 
 class TestQamMapping:
     def test_full_label_table_matches_reference(self):

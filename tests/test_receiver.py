@@ -191,11 +191,14 @@ class TestAgc:
             AgcConfig(reference_power=0.0)
         with pytest.raises(ParameterError):
             AgcConfig(step_size=0.0)
-        for bad in (np.inf, np.nan):
-            with pytest.raises(ParameterError):
-                AgcConfig(reference_power=bad)
-            with pytest.raises(ParameterError):
-                AgcConfig(max_gain_db=bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_config_rejected(self, bad):
+        # the AGC output is not re-checked, so its config must be finite
+        with pytest.raises(ParameterError):
+            AgcConfig(reference_power=bad)
+        with pytest.raises(ParameterError):
+            AgcConfig(max_gain_db=bad)
 
     def test_streaming_matches_one_shot(self):
         x = rand_frame(3000, 4, scale=0.3)
