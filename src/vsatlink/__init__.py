@@ -16,7 +16,6 @@ from .channel import (  # noqa: F401
     LinkGains,
     SalehParams,
     SatelliteChannel,
-    iq_imbalance,
     phase_freq_offset,
     saleh_amplify,
 )
@@ -51,7 +50,6 @@ from .modem import (  # noqa: F401
     tx_shape,
 )
 from .receiver import (  # noqa: F401
-    AgcConfig,
     AutomaticGainControl,
     DcOffsetCompensator,
     phase_freq_correct,

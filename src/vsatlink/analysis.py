@@ -2,7 +2,8 @@
 
 BER alignment takes the delay as given: the caller passes the analytic
 modem round-trip delay (``modem.pipeline_delay_bits``), and the receive
-stream is compared from that many bits on.
+stream is compared from that many bits on.  The PSD is a Welch estimate
+whose Hann-windowed segments always overlap by half.
 """
 
 from __future__ import annotations
@@ -74,16 +75,14 @@ def measure_ber(tx_bits: BitFrame, rx_bits: BitFrame, delay_bits: int) -> BerRep
     return BerReport(bit_errors=errors, bits_compared=n, alignment_delay_bits=lag)
 
 
-def estimate_psd(
-    x: ComplexFrame, segment_len: int, overlap_fraction: float = 0.5
-) -> SpectrumEstimate:
+def estimate_psd(x: ComplexFrame, segment_len: int) -> SpectrumEstimate:
     """Welch-averaged, Hann-windowed two-sided PSD over [-fs/2, fs/2).
 
     Density normalization: the PSD integrated over frequency equals the
-    mean signal power.  Segments start every
-    ``segment_len - int(segment_len * overlap_fraction)`` samples (a tail
-    shorter than a segment is dropped, as in ``scipy.signal.welch``) and are
-    transformed ``PSD_BLOCK_SEGMENTS`` at a time, one FFT call per block.
+    mean signal power.  Segments overlap by half: they start every
+    ``segment_len - segment_len // 2`` samples (a tail shorter than a
+    segment is dropped, as in ``scipy.signal.welch``) and are transformed
+    ``PSD_BLOCK_SEGMENTS`` at a time, one FFT call per block.
     """
     if segment_len < 2:
         raise ParameterError(f"segment_len must be >= 2, got {segment_len}")
@@ -91,10 +90,8 @@ def estimate_psd(
         raise ParameterError(
             f"segment_len {segment_len} exceeds frame length {len(x)}"
         )
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ParameterError("overlap_fraction must be in [0, 1)")
     fs = x.sample_rate_hz
-    step = segment_len - int(segment_len * overlap_fraction)
+    step = segment_len - segment_len // 2
     segments = sliding_window_view(x.samples, segment_len)[::step]
     # periodic Hann window, as scipy.signal.get_window("hann", segment_len)
     window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_len + 1)[:-1])

@@ -42,7 +42,6 @@ __all__ = [
     "LinkGains",
     "saleh_amplify",
     "phase_freq_offset",
-    "iq_imbalance",
     "SatelliteChannel",
     "ChannelLog",
 ]
@@ -236,28 +235,22 @@ def _add_noise(samples: np.ndarray, sigma2: float, rng: np.random.Generator) -> 
             blk += std * rng.standard_normal(blk.size)
 
 
-def iq_imbalance(x: ComplexFrame, cfg: ImpairmentConfig) -> ComplexFrame:
-    """Amplitude/phase mismatch between branches plus DC offsets.
+def _iq_imbalance(samples: np.ndarray, cfg: ImpairmentConfig) -> None:
+    """Apply the amplitude/phase mismatch between branches plus DC offsets
+    to ``samples`` in place.
 
     Split-phase convention with the amplitude imbalance on the Q branch:
         I' = Re(x) cos(t/2) + Im(x) g sin(t/2) + dc_i
         Q' = Re(x) sin(t/2) + Im(x) g cos(t/2) + dc_q
     """
-    out = np.empty_like(x.samples)
-    _iq_imbalance(x.samples, out, cfg)
-    return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
-
-
-def _iq_imbalance(src: np.ndarray, dst: np.ndarray, cfg: ImpairmentConfig) -> None:
-    """Write :func:`iq_imbalance` of ``src`` into ``dst`` (which may be ``src``)."""
     g = _db_to_amplitude(cfg.iq_amplitude_imbalance_db)
     theta = np.deg2rad(cfg.iq_phase_imbalance_deg)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    for sl in block_slices(src.size):
-        re, im = src[sl].real, src[sl].imag
+    for sl in block_slices(samples.size):
+        blk = samples[sl]
+        re, im = blk.real, blk.imag
         i_out = re * c + im * g * s + cfg.dc_offset_i
         q_out = re * s + im * g * c + cfg.dc_offset_q
-        blk = dst[sl]
         blk.real, blk.imag = i_out, q_out
 
 
@@ -342,7 +335,7 @@ class SatelliteChannel:
         out *= gain
         _rotate(y, out, self.impairments.phase_offset_deg, self.impairments.freq_offset_hz)
         _add_noise(out, log.noise_variance_w, self._rng)
-        _iq_imbalance(out, out, self.impairments)
+        _iq_imbalance(out, self.impairments)
         self.last_log = log
         self.last_input_power_w = p_in
         return y.with_samples(out)  # checked: the gain and offsets may overflow

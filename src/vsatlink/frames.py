@@ -62,12 +62,8 @@ class BitFrame:
             raise ParameterError("BitFrame elements must be exactly 0 or 1")
         self.bits = bits.astype(np.int8)
 
-    @property
-    def frame_len(self) -> int:
-        return int(self.bits.size)
-
     def __len__(self) -> int:
-        return self.frame_len
+        return int(self.bits.size)
 
 
 @dataclass

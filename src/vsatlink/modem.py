@@ -49,6 +49,7 @@ class ModemConfig:
         check_range("m_ary", self.m_ary, 4, 4096)
         if self.m_ary not in (4, 16, 64, 256, 1024, 4096):
             raise ParameterError(f"m_ary must be a power of 4, got {self.m_ary}")
+        # rolloff 0 is a pure sinc, which never decays enough to truncate
         if not 0.0 < self.rolloff <= 1.0:
             raise ParameterError(f"rolloff must be in (0, 1], got {self.rolloff}")
         check_range("samples_per_symbol", self.samples_per_symbol, 2, 64)
@@ -152,24 +153,18 @@ def qam_demodulate(symbols: ComplexFrame, cfg: ModemConfig) -> BitFrame:
     return _unchecked(BitFrame, label_bits.astype(np.int8).take(labels, axis=0).reshape(-1))
 
 
-def rrc_taps(rolloff: float, samples_per_symbol: int, span_symbols: int) -> np.ndarray:
-    """Square-root raised-cosine FIR taps, normalized to unit energy.
+def rrc_taps(cfg: ModemConfig) -> np.ndarray:
+    """Square-root raised-cosine FIR taps of ``cfg``, normalized to unit energy.
 
-    ``span_symbols * samples_per_symbol + 1`` taps, even-symmetric about the
-    center tap.  The removable singularities at t=0 and t=+-T/(4*rolloff) are
-    evaluated by their analytic limits.  ``rolloff=0`` is rejected (a pure
-    sinc never decays enough to truncate meaningfully).
+    ``filter_span_symbols * samples_per_symbol + 1`` taps, even-symmetric
+    about the center tap.  The removable singularities at t=0 and
+    t=+-T/(4*rolloff) are evaluated by their analytic limits.  The rules on
+    the rolloff, the oversampling and the even span are :class:`ModemConfig`'s.
     """
-    if not 0.0 < rolloff <= 1.0:
-        raise ParameterError(f"rolloff must be in (0, 1], got {rolloff}")
-    if samples_per_symbol < 2:
-        raise ParameterError("samples_per_symbol must be >= 2")
-    if span_symbols <= 0 or span_symbols % 2:
-        raise ParameterError("span_symbols must be a positive even integer")
-
-    beta = float(rolloff)
-    n = span_symbols * samples_per_symbol
-    t = (np.arange(n + 1) - n / 2) / samples_per_symbol  # in symbol periods
+    beta = float(cfg.rolloff)
+    sps = cfg.samples_per_symbol
+    n = cfg.filter_span_symbols * sps
+    t = (np.arange(n + 1) - n / 2) / sps  # in symbol periods
     h = np.empty(t.shape)
 
     at_zero = np.abs(t) < 1e-12
@@ -206,7 +201,7 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
             f"got {symbols.sample_rate_hz} Hz"
         )
     sps = cfg.samples_per_symbol
-    h = rrc_taps(cfg.rolloff, sps, cfg.filter_span_symbols)
+    h = rrc_taps(cfg)
     # Polyphase interpolation: output phase p (samples p, p+sps, ...) is the
     # symbol stream convolved with the taps h[p::sps], so the zero-stuffed
     # inputs are never multiplied.  Positions no phase reaches stay exactly 0.
@@ -237,7 +232,7 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
             f"need more than {group_delay_samples} samples "
             f"(total group delay), got {len(waveform)}"
         )
-    h = rrc_taps(cfg.rolloff, sps, cfg.filter_span_symbols)
+    h = rrc_taps(cfg)
     x = waveform.samples
     # Polyphase decimation: only the kept outputs y[k] = (x * h)[k * sps] are
     # computed, as y[k] = sum_p sum_m h[p + sps*m] * x[sps*(k - m) - p].  Phase

@@ -3,6 +3,8 @@
 Seed discipline: every random stream is derived from the scenario master
 seed with a splitmix64 mix (documented in :func:`derive_seed`), so runs are
 reproducible bit-for-bit and sweep points are independent yet replayable.
+Each sweep point's seed is derived from that point's own ``seed``, so a
+sweep of ``seed`` itself gives one run per swept value.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .modem import (
     rx_match,
     tx_shape,
 )
-from .receiver import AgcConfig, AutomaticGainControl, DcOffsetCompensator, phase_freq_correct
-from .scenario import MIN_BER_RUN_BITS, ScenarioConfig, scenario_to_dict
+from .receiver import AutomaticGainControl, DcOffsetCompensator, phase_freq_correct
+from .scenario import MAX_TOTAL_BITS, MIN_BER_RUN_BITS, ScenarioConfig, scenario_to_dict
 
 __all__ = [
     "derive_seed",
@@ -107,6 +109,7 @@ def simulate(
     if snapshot_points <= 0:
         raise ParameterError(f"snapshot_points must be > 0, got {snapshot_points}")
     requested_bits = int(total_bits if total_bits is not None else scenario.total_bits)
+    _check_max_bits(requested_bits)
     master = int(seed if seed is not None else scenario.seed)
     n_bits = requested_bits - requested_bits % cfg.bits_per_symbol
     if n_bits < MIN_BER_RUN_BITS:
@@ -167,7 +170,7 @@ def simulate(
             rx_wave = DcOffsetCompensator().process(rx_wave)
     with _stage("receiver.agc"):
         if comp.agc:
-            loop = AutomaticGainControl(AgcConfig(reference_power=agc_reference))
+            loop = AutomaticGainControl(agc_reference)
             rx_wave = loop.process(rx_wave)
     if with_spectra:
         with _stage("analysis.spectra"):
@@ -199,11 +202,12 @@ def simulate(
 
     with _stage("analysis.snapshots"):
         cons_tx = constellation_snapshot(symbols, snapshot_points)
+        shown = slice(skip, skip + snapshot_points)
         cons_pre = constellation_snapshot(
-            pre_symbols.with_samples(pre_symbols.samples[skip:]), snapshot_points
+            pre_symbols.with_samples(pre_symbols.samples[shown]), snapshot_points
         )
         cons_post = constellation_snapshot(
-            post_symbols.with_samples(post_symbols.samples[skip:]), snapshot_points
+            post_symbols.with_samples(post_symbols.samples[shown]), snapshot_points
         )
     run_log = {
         "vsatlink_version": __version__,
@@ -233,6 +237,11 @@ def simulate(
         spectrum_tx=spectrum_tx,
         spectrum_rx=spectrum_rx,
     )
+
+
+def _check_max_bits(total_bits: int) -> None:
+    if total_bits > MAX_TOTAL_BITS:
+        raise ParameterError(f"total_bits must be <= {MAX_TOTAL_BITS}, got {total_bits}")
 
 
 def _spectrum(x: ComplexFrame, segment_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +322,7 @@ def run_sweep(
     total_bits: Optional[int] = None,
     jobs: int = 1,
 ) -> list[dict]:
-    """One pipeline run per value; independent seeds derived from the master.
+    """One pipeline run per value; point i is seeded from its own ``seed``.
 
     Points are independent (separately seeded), so with ``jobs > 1`` they run
     in a process pool of at most one worker per point; rows come back in
@@ -323,6 +332,8 @@ def run_sweep(
         raise ParameterError("sweep produced no values")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    if total_bits is not None:
+        _check_max_bits(total_bits)
     from .scenario import scenario_from_dict
 
     doc = scenario_to_dict(scenario)
@@ -330,7 +341,7 @@ def run_sweep(
     for value in values:  # build (and so validate) every point before any run
         _set_scalar(doc, param, value)
         points.append(scenario_from_dict(doc))
-    seeds = [derive_seed(scenario.seed, _SWEEP_BASE + i) for i in range(len(values))]
+    seeds = [derive_seed(p.seed, _SWEEP_BASE + i) for i, p in enumerate(points)]
     args = [(p, v, s, total_bits) for p, v, s in zip(points, values, seeds)]
     workers = min(jobs, len(args))
     if workers == 1:

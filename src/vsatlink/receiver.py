@@ -4,21 +4,20 @@ Block order follows the receive chain: DC offset removal -> AGC ->
 phase/frequency correction -> matched filter.  The corrections are
 data-aided: they take the true impairment values (the link injects and
 removes offsets with the same known numbers); blind estimation is out of
-scope.
+scope.  The loop constants are fixed: the DC forgetting factor, the AGC
+step and the AGC clamp.  The one value a caller sets is the AGC's
+reference power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import MAX_ABS_DB, phase_freq_offset
-from .errors import ParameterError, check_range
+from .channel import phase_freq_offset
+from .errors import ParameterError
 from .frames import ComplexFrame, _unchecked, block_slices
 
 __all__ = [
-    "AgcConfig",
     "DcOffsetCompensator",
     "AutomaticGainControl",
     "phase_freq_correct",
@@ -29,36 +28,16 @@ __all__ = [
 # (100-sample constant) would high-pass away ~3 % of the occupied band and
 # put a 3e-2 floor under the compensated BER.
 DC_FORGETTING_FACTOR = 0.999
+# Weight of each new sample in the AGC power average: a 100-sample time constant.
+AGC_STEP_SIZE = 0.01
+# The AGC gain stays within +-60 dB, so an all-zero input meets a finite gain.
+AGC_MAX_GAIN_DB = 60.0
 
 # Longest row of the one-pole recursion.  The row is halved until
 # a**(L-1) >= _MIN_ROW_DECAY, so the row scale factors a**-k stay within 1e16
 # and only inputs near the float limit could overflow.
 ONE_POLE_ROW_SAMPLES = 2048
 _MIN_ROW_DECAY = 1e-16
-
-
-@dataclass(frozen=True)
-class AgcConfig:
-    """Gain-control settings.
-
-    ``reference_power`` defaults to 10, the mean symbol power of the M=16,
-    d=2 grid; drive it with the actual waveform power when the AGC sits
-    before the matched filter.  ``step_size`` is the weight of each new
-    sample in the power average (0.01: a 100-sample time constant).
-    """
-
-    reference_power: float = 10.0
-    step_size: float = 0.01
-    max_gain_db: float = 60.0
-
-    def __post_init__(self):
-        if not 0.0 < self.reference_power < np.inf:
-            raise ParameterError("reference_power must be finite and > 0")
-        if not 0.0 < self.step_size <= 1.0:
-            raise ParameterError("step_size must be in (0, 1]")
-        # the AGC output is not checked again: a NaN or huge clamp would
-        # pass NaN/Inf samples on
-        check_range("max_gain_db", self.max_gain_db, 0.0, MAX_ABS_DB)
 
 
 class _OnePole:
@@ -117,18 +96,16 @@ class _OnePole:
 
 
 class DcOffsetCompensator:
-    """Subtracts a running exponentially weighted mean with weight ``w``.
-
-    ``w`` is ``forgetting_factor``, by default :data:`DC_FORGETTING_FACTOR`.  The estimator starts at
-    0 and carries across frames, so a constant offset decays geometrically:
-    the residual on the n-th sample (counting from 1) is ``offset * w**n``.
+    """Subtracts a running exponentially weighted mean with weight
+    ``w`` = :data:`DC_FORGETTING_FACTOR`.  The estimator starts at 0 and
+    carries across frames, so a constant offset decays geometrically: the
+    residual on the n-th sample (counting from 1) is ``offset * w**n``.
     """
 
-    def __init__(self, forgetting_factor: float = DC_FORGETTING_FACTOR):
-        if not 0.0 < forgetting_factor < 1.0:
-            raise ParameterError("forgetting factor must be in (0, 1)")
+    def __init__(self):
+        w = DC_FORGETTING_FACTOR
         # m[n] = w*m[n-1] + (1-w)*x[n]
-        self._mean = _OnePole(forgetting_factor, 1.0 - forgetting_factor, 0j)
+        self._mean = _OnePole(w, 1.0 - w, 0j)
 
     @property
     def estimate(self) -> complex:
@@ -144,33 +121,39 @@ class DcOffsetCompensator:
 
 
 class AutomaticGainControl:
-    """Feed-forward gain control driving output power to a reference.
+    """Feed-forward gain control driving output power to ``reference_power``.
 
     The input power is tracked by a one-pole average that starts at
     ``P_ref`` and carries across frames:
-    ``p[n] = (1-mu)*p[n-1] + mu*|x[n]|^2``.  Sample n is scaled by
-    ``sqrt(P_ref / p[n-1])``, so its gain depends on the input up to sample
-    n-1 only.  The average is clipped to ``P_ref / g_max**2 .. P_ref *
-    g_max**2``, which keeps the gain within +-max_gain_db: an all-zero input
-    rides the gain up to the clamp and emits zeros (no divide by zero).
-    ``gain`` is the gain the next sample would get.
+    ``p[n] = (1-mu)*p[n-1] + mu*|x[n]|^2`` with ``mu`` =
+    :data:`AGC_STEP_SIZE`.  Sample n is scaled by ``sqrt(P_ref / p[n-1])``,
+    so its gain depends on the input up to sample n-1 only.  The average is
+    clipped to ``P_ref / g_max**2 .. P_ref * g_max**2``, which keeps the gain
+    within +-:data:`AGC_MAX_GAIN_DB`: an all-zero input rides the gain up to
+    the clamp and emits zeros (no divide by zero).  ``gain`` is the gain the
+    next sample would get.
     """
 
-    def __init__(self, cfg: AgcConfig | None = None):
-        self.cfg = cfg or AgcConfig()
-        mu = self.cfg.step_size
+    def __init__(self, reference_power: float):
+        # the AGC output is not checked again: a NaN or infinite reference
+        # would pass NaN/Inf samples on
+        if not 0.0 < reference_power < np.inf:
+            raise ParameterError(
+                f"reference_power must be finite and > 0, got {reference_power!r}"
+            )
+        self.reference_power = reference_power
+        g_max2 = 10.0 ** (AGC_MAX_GAIN_DB / 10.0)
+        self._p_min, self._p_max = reference_power / g_max2, reference_power * g_max2
+        mu = AGC_STEP_SIZE
         # p[n] = (1-mu)*p[n-1] + mu*|x[n]|^2; its last value scales the next sample
-        self._power = _OnePole(1.0 - mu, mu, self.cfg.reference_power)
+        self._power = _OnePole(1.0 - mu, mu, reference_power)
 
     @property
     def gain(self) -> float:
         return float(self._gains(np.array([self._power.last]))[0])
 
     def _gains(self, p_prev: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        g_max2 = 10.0 ** (cfg.max_gain_db / 10.0)
-        ref = cfg.reference_power
-        return np.sqrt(ref / np.clip(p_prev, ref / g_max2, ref * g_max2))
+        return np.sqrt(self.reference_power / np.clip(p_prev, self._p_min, self._p_max))
 
     def process(self, x: ComplexFrame) -> ComplexFrame:
         out = x.samples.copy()

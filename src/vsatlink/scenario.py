@@ -38,6 +38,9 @@ _ANNOTATION_KEYS = {"comment", "comments"}
 _PLAIN_TYPES = {bool: "true or false", str: "a string", dict: "an object"}
 
 MIN_BER_RUN_BITS = 10_000
+# 1e8 bits is a 3.2 GB waveform at 8 samples per 16-QAM symbol; a longer run
+# is refused before any array exists, not by the allocator mid-run
+MAX_TOTAL_BITS = 10**8
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,10 @@ class ScenarioConfig:
         if self.total_bits < MIN_BER_RUN_BITS:
             raise ConfigError(
                 f"total_bits: BER runs need >= {MIN_BER_RUN_BITS} bits, got {self.total_bits}"
+            )
+        if self.total_bits > MAX_TOTAL_BITS:
+            raise ConfigError(
+                f"total_bits: must be <= {MAX_TOTAL_BITS}, got {self.total_bits}"
             )
         if self.mode == "normalized" and self.target_es_n0_db is None:
             raise ConfigError("target_es_n0_db: required when mode is 'normalized'")

@@ -206,10 +206,7 @@ def test_criterion_6_awgn_validation(awgn_scenario):
 
 def test_criterion_7_nyquist_cascade():
     cfg = ModemConfig()
-    isi = oracles.cascade_isi_profile(
-        rrc_taps(cfg.rolloff, cfg.samples_per_symbol, cfg.filter_span_symbols),
-        cfg.samples_per_symbol,
-    )
+    isi = oracles.cascade_isi_profile(rrc_taps(cfg), cfg.samples_per_symbol)
     ok = isi.max() <= 1e-3
     check("7", ok, f"Tx+Rx cascade worst symbol-lag ISI {isi.max():.2e} <= 1e-3")
     assert ok

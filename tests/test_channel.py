@@ -18,7 +18,6 @@ from vsatlink import (
     SalehParams,
     SatelliteChannel,
     generate_bits,
-    iq_imbalance,
     phase_freq_correct,
     phase_freq_offset,
     qam_modulate,
@@ -233,33 +232,39 @@ class TestThermalNoise:
         assert np.array_equal(_noise_channel(45.0, 5).run(x).samples, expected)
 
 
+def iq_chain(x, **impairments):
+    """Normalized channel with a transparent TWTA and no noise, so only the
+    I/Q imbalance and DC offsets act."""
+    return SatelliteChannel(
+        LinkGains(), SalehParams.linear(), ImpairmentConfig(**impairments), mode="normalized"
+    ).run(x)
+
+
 class TestIqImbalance:
     def test_all_zero_is_identity(self):
         x = rand_frame(200, 10)
-        out = iq_imbalance(x, ImpairmentConfig())
+        out = iq_chain(x)
         assert np.allclose(out.samples, x.samples, atol=1e-15)
 
     def test_pure_dc_offsets(self):
         x = rand_frame(200, 11)
-        cfg = ImpairmentConfig(dc_offset_i=0.5, dc_offset_q=-0.25)
-        out = iq_imbalance(x, cfg)
+        out = iq_chain(x, dc_offset_i=0.5, dc_offset_q=-0.25)
         assert np.allclose(out.samples, x.samples + (0.5 - 0.25j), atol=1e-15)
 
     def test_zero_input_gives_constant_offset_frame(self):
-        cfg = ImpairmentConfig(dc_offset_i=0.3, dc_offset_q=0.7)
-        out = iq_imbalance(frame(np.zeros(5000)), cfg)
+        out = iq_chain(frame(np.zeros(5000)), dc_offset_i=0.3, dc_offset_q=0.7)
         assert np.allclose(out.samples, 0.3 + 0.7j, atol=1e-15)
         assert np.mean(out.samples) == pytest.approx(0.3 + 0.7j, abs=1e-6)
 
     def test_split_phase_formula(self):
-        cfg = ImpairmentConfig(
+        x = rand_frame(500, 12)
+        out = iq_chain(
+            x,
             iq_amplitude_imbalance_db=1.0,
             iq_phase_imbalance_deg=4.0,
             dc_offset_i=0.1,
             dc_offset_q=-0.2,
         )
-        x = rand_frame(500, 12)
-        out = iq_imbalance(x, cfg)
         g = 10 ** (1.0 / 20)
         t = np.deg2rad(4.0)
         re, im = x.samples.real, x.samples.imag

@@ -153,44 +153,46 @@ class TestNaturalBinaryMapping:
 
 class TestRrcTaps:
     def test_tap_count(self):
-        assert rrc_taps(0.2, SPS, SPAN).size == SPAN * SPS + 1
+        assert rrc_taps(CFG).size == SPAN * SPS + 1
 
     def test_even_symmetry(self):
-        h = rrc_taps(0.2, SPS, SPAN)
+        h = rrc_taps(CFG)
         assert np.allclose(h, h[::-1], atol=1e-15)
 
     def test_unit_energy(self):
-        h = rrc_taps(0.2, SPS, SPAN)
+        h = rrc_taps(CFG)
         assert np.sum(h**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_independent_synthesis(self):
-        h = rrc_taps(0.2, SPS, SPAN)
+        h = rrc_taps(CFG)
         ref = oracles.rrc_reference_taps(0.2, SPS, SPAN)
         assert np.allclose(h, ref, atol=1e-12)
 
     def test_singularity_taps_are_finite(self):
-        # t = +-1/(4*0.2) = +-1.25 symbol periods lies exactly on the grid
-        h = rrc_taps(0.2, 8, SPAN)
+        # rolloff 0.2 at 8 sps: t = +-1/(4*0.2) = +-1.25 symbol periods lies
+        # exactly on the grid
+        assert (CFG.rolloff, SPS) == (0.2, 8)
+        h = rrc_taps(CFG)
         assert np.isfinite(h).all()
 
     def test_cascade_isi_below_1e3(self):
-        isi = oracles.cascade_isi_profile(rrc_taps(0.2, SPS, SPAN), SPS)
+        isi = oracles.cascade_isi_profile(rrc_taps(CFG), SPS)
         assert isi.max() <= 1e-3
 
     def test_rejects_zero_rolloff(self):
         with pytest.raises(ParameterError):
-            rrc_taps(0.0, SPS, SPAN)
+            ModemConfig(rolloff=0.0)
 
     def test_rejects_odd_span(self):
         with pytest.raises(ParameterError):
-            rrc_taps(0.2, SPS, 9)
+            ModemConfig(filter_span_symbols=9)
 
 
 class TestShapingCascade:
     def test_impulse_response_is_tap_sequence(self):
         sym = ComplexFrame(np.array([1.0 + 0j]), CFG.symbol_rate_hz)
         out = tx_shape(sym, CFG)
-        h = rrc_taps(CFG.rolloff, SPS, SPAN)
+        h = rrc_taps(CFG)
         assert np.allclose(out.samples[: h.size], h, atol=1e-15)
         assert not out.samples[h.size :].any()  # zero-stuffing remainder
 
@@ -208,7 +210,7 @@ class TestShapingCascade:
         y = rx_match(tx_shape(s, CFG), CFG)
         err = np.abs(y.samples[SPAN : SPAN + len(s)] - s.samples)
 
-        isi = oracles.cascade_isi_profile(rrc_taps(0.2, SPS, SPAN), SPS)
+        isi = oracles.cascade_isi_profile(rrc_taps(CFG), SPS)
         worst_case = 2.0 * isi.sum() * 3.0 * np.sqrt(2.0)  # both lag signs, outer symbol
         assert err.max() <= worst_case
 
@@ -240,7 +242,7 @@ class TestShapingCascade:
 
     def test_rx_dc_gain(self):
         """Filter DC gain equals the tap sum (~ tap_sum^2 / sqrt(sps))."""
-        h = rrc_taps(CFG.rolloff, SPS, SPAN)
+        h = rrc_taps(CFG)
         n = 4000
         dc = ComplexFrame(np.full(n, 2.0 + 0j), CFG.sample_rate_hz)
         y = rx_match(dc, CFG)
@@ -272,7 +274,7 @@ class TestPolyphaseOracles:
         s = rng.standard_normal(53) + 1j * rng.standard_normal(53)
         up = np.zeros(s.size * sps, dtype=complex)
         up[::sps] = s
-        expected = np.convolve(up, rrc_taps(cfg.rolloff, sps, span))
+        expected = np.convolve(up, rrc_taps(cfg))
         out = tx_shape(ComplexFrame(s, cfg.symbol_rate_hz), cfg).samples
         assert out.shape == expected.shape
         assert np.allclose(out, expected, rtol=0, atol=1e-12)
@@ -281,7 +283,7 @@ class TestPolyphaseOracles:
     @pytest.mark.parametrize("span", [2, 10, 30])
     def test_rx_match_equals_decimated_convolution(self, sps, span):
         cfg = ModemConfig(samples_per_symbol=sps, filter_span_symbols=span)
-        h = rrc_taps(cfg.rolloff, sps, span)
+        h = rrc_taps(cfg)
         rng = np.random.default_rng(sps * 100 + span)
         # every input length modulo sps, starting just past the group delay
         for n in range(span * sps + 1, span * sps + 2 * sps + 2):

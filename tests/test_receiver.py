@@ -10,7 +10,6 @@ from scipy import signal
 
 import oracles
 from vsatlink import (
-    AgcConfig,
     AutomaticGainControl,
     ComplexFrame,
     DcOffsetCompensator,
@@ -25,12 +24,15 @@ from vsatlink import (
 from vsatlink.frames import BLOCK_SAMPLES
 from vsatlink.pipeline import simulate
 from vsatlink.receiver import (
+    AGC_MAX_GAIN_DB,
+    AGC_STEP_SIZE,
     DC_FORGETTING_FACTOR,
     ONE_POLE_ROW_SAMPLES,
     _OnePole,
 )
 
 FS = 50_000.0
+P_REF = 10.0  # the mean symbol power of the M=16, d=2 grid
 
 
 def frame(samples, fs=FS):
@@ -107,16 +109,9 @@ class TestOnePole:
         assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert pole.last == pytest.approx(ref[-1], rel=1e-13)
 
-    def test_unit_step_size_agc_follows_the_last_sample(self):
-        # step_size 1: p[n] = |x[n]|^2, so sample n is scaled by sqrt(P_ref / |x[n-1]|^2)
-        cfg = AgcConfig(reference_power=4.0, step_size=1.0)
-        x = rand_frame(5000, 12)
-        loop = AutomaticGainControl(cfg)
-        y = loop.process(x)
-        p_prev = np.concatenate(([cfg.reference_power], np.abs(x.samples[:-1]) ** 2))
-        expected = x.samples * np.sqrt(cfg.reference_power / p_prev)
-        assert np.allclose(y.samples, expected, rtol=1e-12, atol=0)
-        assert loop.gain == pytest.approx(np.sqrt(4.0 / abs(x.samples[-1]) ** 2), rel=1e-12)
+
+def _new(block):
+    return block(P_REF) if block is AutomaticGainControl else block()
 
 
 def _streamed(block, x, cuts):
@@ -137,8 +132,8 @@ class TestStreamingIsExact:
     ], ids=["row-boundary", "inside-row", "one-sample"])
     def test_split(self, make, cuts):
         x = rand_frame(self.N, 13, scale=0.4)
-        whole = make().process(x).samples
-        assert np.array_equal(_streamed(make(), x, cuts), whole)
+        whole = _new(make).process(x).samples
+        assert np.array_equal(_streamed(_new(make), x, cuts), whole)
 
     @given(
         n=st.integers(1, 3 * ONE_POLE_ROW_SAMPLES),
@@ -149,73 +144,79 @@ class TestStreamingIsExact:
     def test_random_splits(self, n, cuts, agc_block):
         make = AutomaticGainControl if agc_block else DcOffsetCompensator
         x = rand_frame(n, n, scale=0.4)
-        one = make()
+        one = _new(make)
         whole = one.process(x).samples
-        split = make()
+        split = _new(make)
         assert np.array_equal(_streamed(split, x, sorted(c for c in cuts if c < n)), whole)
         state = (one.gain, split.gain) if agc_block else (one.estimate, split.estimate)
         assert state[0] == state[1]
 
 
 class TestAgc:
+    def test_matches_a_per_sample_loop(self):
+        # sample n is scaled by sqrt(P_ref / p[n-1]), then p[n] takes |x[n]|^2
+        x = rand_frame(5000, 12)
+        loop = AutomaticGainControl(4.0)
+        y = loop.process(x)
+        g_max2 = 10 ** (AGC_MAX_GAIN_DB / 10)
+        p, expected = 4.0, []
+        for v in x.samples:
+            expected.append(v * np.sqrt(4.0 / min(max(p, 4.0 / g_max2), 4.0 * g_max2)))
+            p = (1 - AGC_STEP_SIZE) * p + AGC_STEP_SIZE * abs(v) ** 2
+        assert np.allclose(y.samples, expected, rtol=1e-12, atol=0)
+        assert loop.gain == pytest.approx(np.sqrt(4.0 / p), rel=1e-12)
+
     def test_input_at_reference_keeps_unity_gain(self):
-        cfg = AgcConfig(reference_power=2.0)
         x = frame(np.full(2000, np.sqrt(2.0) + 0j))
-        y = AutomaticGainControl(cfg).process(x)
+        y = AutomaticGainControl(2.0).process(x)
         assert np.allclose(y.samples, x.samples, rtol=1e-12)
 
     def test_converges_from_low_input(self):
-        cfg = AgcConfig(reference_power=10.0, step_size=0.01)
         x = frame(np.full(8000, np.sqrt(0.1) + 0j))  # 0.01x reference power
-        y = AutomaticGainControl(cfg).process(x)
+        y = AutomaticGainControl(P_REF).process(x)
         steady = np.mean(np.abs(y.samples[5000:]) ** 2)
         assert steady == pytest.approx(10.0, rel=0.05)
 
     @pytest.mark.parametrize("alpha2", [1e-4, 1e-2, 1e2, 1e4])
     def test_scale_invariant_steady_state(self, alpha2):
-        cfg = AgcConfig(reference_power=10.0)
         x = frame(np.full(60_000, np.sqrt(10.0 * alpha2) + 0j))
-        y = AutomaticGainControl(cfg).process(x)
+        y = AutomaticGainControl(P_REF).process(x)
         steady = np.mean(np.abs(y.samples[-5000:]) ** 2)
         assert steady == pytest.approx(10.0, rel=0.05)
 
     def test_all_zero_input(self):
-        cfg = AgcConfig(max_gain_db=60.0)
-        loop = AutomaticGainControl(cfg)
+        loop = AutomaticGainControl(P_REF)
         y = loop.process(frame(np.zeros(2000)))
         assert not y.samples.any()
         assert loop.gain == pytest.approx(10 ** (60 / 20))
 
-    def test_invalid_config(self):
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_reference_rejected(self, bad):
         with pytest.raises(ParameterError):
-            AgcConfig(reference_power=0.0)
-        with pytest.raises(ParameterError):
-            AgcConfig(step_size=0.0)
+            AutomaticGainControl(bad)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_config_rejected(self, bad):
-        # the AGC output is not re-checked, so its config must be finite
+    def test_non_finite_reference_rejected(self, bad):
+        # the AGC output is not re-checked, so its reference must be finite
         with pytest.raises(ParameterError):
-            AgcConfig(reference_power=bad)
-        with pytest.raises(ParameterError):
-            AgcConfig(max_gain_db=bad)
+            AutomaticGainControl(bad)
 
     def test_streaming_matches_one_shot(self):
         x = rand_frame(3000, 4, scale=0.3)
-        loop = AutomaticGainControl()
+        loop = AutomaticGainControl(P_REF)
         a = loop.process(frame(x.samples[:1000]))
         b = loop.process(frame(x.samples[1000:]))
-        whole = AutomaticGainControl().process(x)
+        whole = AutomaticGainControl(P_REF).process(x)
         assert np.array_equal(np.concatenate([a.samples, b.samples]), whole.samples)
 
     def test_streaming_across_block_boundaries_is_exact(self):
         # longer than BLOCK_SAMPLES and split off a block boundary
         assert 200_000 > BLOCK_SAMPLES and 70_001 % BLOCK_SAMPLES != 0
         x = rand_frame(200_000, 5, scale=0.3)
-        loop = AutomaticGainControl()
+        loop = AutomaticGainControl(P_REF)
         a = loop.process(frame(x.samples[:70_001]))
         b = loop.process(frame(x.samples[70_001:]))
-        whole = AutomaticGainControl()
+        whole = AutomaticGainControl(P_REF)
         y = whole.process(x)
         assert np.array_equal(np.concatenate([a.samples, b.samples]), y.samples)
         assert loop.gain == whole.gain
@@ -225,13 +226,12 @@ class TestAgc:
         # constant input power q: p[n-1] = q + (P_ref - q)*(1-mu)**n, and the
         # gain on sample n is sqrt(P_ref / p[n-1]) within the clamp; 1e-8
         # drives the gain into the 60 dB clamp
-        cfg = AgcConfig(reference_power=10.0, step_size=0.01, max_gain_db=60.0)
         n = np.arange(3000)
-        loop = AutomaticGainControl(cfg)
+        loop = AutomaticGainControl(P_REF)
         y = loop.process(frame(np.full(n.size, np.sqrt(q) + 0j)))
-        p_prev = q + (cfg.reference_power - q) * (1 - cfg.step_size) ** np.append(n, n.size)
-        g_max = 10 ** (cfg.max_gain_db / 20)
-        expected = np.minimum(np.sqrt(cfg.reference_power / p_prev), g_max)
+        p_prev = q + (P_REF - q) * (1 - AGC_STEP_SIZE) ** np.append(n, n.size)
+        g_max = 10 ** (AGC_MAX_GAIN_DB / 20)
+        expected = np.minimum(np.sqrt(P_REF / p_prev), g_max)
         assert np.allclose(y.samples.real / np.sqrt(q), expected[:-1], rtol=1e-9, atol=0)
         assert not y.samples.imag.any()
         assert loop.gain == pytest.approx(expected[-1], rel=1e-9)

@@ -28,6 +28,7 @@ from vsatlink.pipeline import (
     simulate,
 )
 from vsatlink.scenario import (
+    MAX_TOTAL_BITS,
     ScenarioConfig,
     builtin_scenario_names,
     builtin_scenario_path,
@@ -187,6 +188,12 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="total_bits"):
             scenario_from_dict(minimal_doc(total_bits=5000))
 
+    def test_maximum_bits(self):
+        assert scenario_from_dict(minimal_doc(total_bits=MAX_TOTAL_BITS)).total_bits \
+            == MAX_TOTAL_BITS
+        with pytest.raises(ConfigError, match=f"total_bits: must be <= {MAX_TOTAL_BITS}"):
+            scenario_from_dict(minimal_doc(total_bits=MAX_TOTAL_BITS + 1))
+
     def test_minimum_bits_enforced_on_override_too(self, awgn_scenario):
         from vsatlink.pipeline import simulate
 
@@ -282,6 +289,16 @@ class TestSweepHelpers:
         assert derive_seed(1, 1) == derive_seed(1, 1)
         assert derive_seed(1, 1) != derive_seed(1, 2)
         assert derive_seed(1, 1) != derive_seed(2, 1)
+
+    def test_seed_sweep_seeds_each_point_from_its_value(self, awgn_scenario):
+        def errors(param, values):
+            return [row["errors"] for row in run_sweep(awgn_scenario, param, values,
+                                                       total_bits=12_000)]
+
+        assert errors("seed", [1.0, 2.0]) != errors("seed", [50.0, 99.0])
+        # a point whose seed is the scenario's runs as in any other sweep
+        assert errors("seed", [awgn_scenario.seed]) == errors(
+            "target_es_n0_db", [awgn_scenario.target_es_n0_db])
 
     def test_parallel_sweep_matches_sequential(self, awgn_scenario):
         seq = run_sweep(awgn_scenario, "target_es_n0_db", [10.0, 14.0],
@@ -556,6 +573,28 @@ class TestCli:
                      "--points", "0"])
         assert code == EXIT_CONFIG
         assert "snapshot_points must be > 0, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "awgn-validation", "--out", "o"],
+        ["sweep", "awgn-validation", "--param", "target_es_n0_db", "--values", "10,12",
+         "--jobs", "2", "--out", "s.csv"],
+    ], ids=["simulate", "sweep"])
+    def test_bits_past_the_bound_fail_before_any_array(self, tmp_path, monkeypatch, capsys,
+                                                       command):
+        import concurrent.futures
+
+        import vsatlink.pipeline as pipeline_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("ran past the total_bits bound")
+
+        monkeypatch.setattr(pipeline_mod, "generate_bits", boom)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
+        monkeypatch.chdir(tmp_path)
+        code = main(command + ["--bits", "1000000000000"])
+        assert code == EXIT_CONFIG
+        assert f"total_bits must be <= {MAX_TOTAL_BITS}, got 1000000000000" \
+            in capsys.readouterr().err
 
     def test_negative_bits_reports_requested_count(self, tmp_path, capsys):
         code = main(["simulate", "awgn-validation", "--out", str(tmp_path / "o"),
