@@ -22,7 +22,10 @@ Two power modes choose only the gain and the noise variance:
   temperature.  With all impairments neutral this mode is an exact identity.
 
 Physical auto-closure and normalized mode therefore differ only in the noise
-variance and in the logged numbers.
+variance and in the logged numbers.  The TWTA, the rotation and the I/Q step
+are skipped when their parameters make them the identity (a linear TWTA, no
+phase or Doppler offset, no imbalance or DC offset); running them could
+change only the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -306,7 +309,13 @@ class SatelliteChannel:
     def run(self, x: ComplexFrame) -> ComplexFrame:
         log = ChannelLog(mode=self.mode)
         p_in = x.mean_power
-        y = saleh_amplify(x, self.saleh)
+        imp = self.impairments
+        # a stage that is the identity could only multiply by 1+0j or add +0,
+        # which changes no nonzero sample; the TWTA's copy keeps x intact
+        if self.saleh == SalehParams.linear():
+            y = _unchecked(ComplexFrame, x.samples.copy(), x.sample_rate_hz, x.start_sample)
+        else:
+            y = saleh_amplify(x, self.saleh)
         p_sig = y.mean_power
 
         if self.mode == "physical":
@@ -333,9 +342,12 @@ class SatelliteChannel:
         # every later step works in place on the TWTA output
         out = y.samples
         out *= gain
-        _rotate(y, out, self.impairments.phase_offset_deg, self.impairments.freq_offset_hz)
+        if imp.phase_offset_deg != 0.0 or imp.freq_offset_hz != 0.0:
+            _rotate(y, out, imp.phase_offset_deg, imp.freq_offset_hz)
         _add_noise(out, log.noise_variance_w, self._rng)
-        _iq_imbalance(out, self.impairments)
+        if (imp.iq_amplitude_imbalance_db, imp.iq_phase_imbalance_deg,
+                imp.dc_offset_i, imp.dc_offset_q) != (0.0, 0.0, 0.0, 0.0):
+            _iq_imbalance(out, imp)
         self.last_log = log
         self.last_input_power_w = p_in
         return y.with_samples(out)  # checked: the gain and offsets may overflow

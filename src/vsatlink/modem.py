@@ -28,6 +28,19 @@ __all__ = [
     "rx_match",
 ]
 
+# The RRC filters run block FFT convolutions of this length at symbol rate,
+# one transform per polyphase branch, so their temporaries stay a few blocks
+# wide whatever the frame length.  It must exceed the largest
+# filter_span_symbols, which every block keeps as overlap.
+FFT_BLOCK_SYMBOLS = 2048
+
+# numpy keeps the plan of each transform length for the life of the process.
+# Made here, while the heap is small, the filters' one plan cannot land
+# between waveform-sized arrays, where it kept glibc from reusing their space
+# (repeated 1e6-bit kptcl-cband runs in one process peaked 27 MB higher in 2
+# of 8 checkout directories without this line).
+np.fft.fft(np.zeros(FFT_BLOCK_SYMBOLS, dtype=np.complex128))
+
 
 @dataclass(frozen=True)
 class ModemConfig:
@@ -194,6 +207,13 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     symbols land directly on the constellation grid.  The filter tail
     (span * sps samples) is retained; alignment is owned by the analysis
     stage.
+
+    Computed by block FFT convolution (overlap-add) in polyphase form:
+    output phase ``p`` (samples ``p, p + sps, ...``) is the symbol stream
+    convolved with the taps ``h[p::sps]``, so the stuffed zeros are never
+    transformed.  Each block of ``FFT_BLOCK_SYMBOLS - span`` symbols takes
+    one forward transform and ``sps`` inverse ones, all at symbol rate.  The
+    ``sps - 1`` trailing positions that no tap reaches are exactly 0.
     """
     if not np.isclose(symbols.sample_rate_hz, cfg.symbol_rate_hz, rtol=1e-9):
         raise ParameterError(
@@ -201,14 +221,23 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
             f"got {symbols.sample_rate_hz} Hz"
         )
     sps = cfg.samples_per_symbol
+    span = cfg.filter_span_symbols
     h = rrc_taps(cfg)
-    # Polyphase interpolation: output phase p (samples p, p+sps, ...) is the
-    # symbol stream convolved with the taps h[p::sps], so the zero-stuffed
-    # inputs are never multiplied.  Positions no phase reaches stay exactly 0.
-    shaped = np.zeros(len(symbols) * sps + h.size - 1, dtype=np.complex128)
-    for p in range(sps):
-        phase = np.convolve(symbols.samples, h[p::sps])
-        shaped[p::sps][: phase.size] = phase
+    k = FFT_BLOCK_SYMBOLS
+    # row p: the spectrum of phase p's taps h[p::sps] (zero-padded to span + 1)
+    hp = np.fft.fft(np.pad(h, (0, sps - 1)).reshape(-1, sps).T, k)
+    s = symbols.samples
+    shaped = np.zeros((len(s) + span) * sps, dtype=np.complex128)
+    rows = shaped.reshape(-1, sps)  # row j holds samples j*sps .. j*sps + sps - 1
+    spec = np.empty((sps, k), dtype=np.complex128)  # the work arrays are reused
+    y = np.empty((sps, k), dtype=np.complex128)
+    for start in range(0, len(s), k - span):
+        block = s[start : start + k - span]
+        np.multiply(hp, np.fft.fft(block, k), out=spec)
+        np.fft.ifft(spec, axis=1, out=y)
+        m = block.size + span  # m symbols shape into (m + span) * sps samples
+        rows[start : start + m] += y[:, :m].T
+    shaped[(len(s) - 1) * sps + h.size :] = 0.0
     return _unchecked(ComplexFrame, shaped, cfg.sample_rate_hz)
 
 
@@ -219,6 +248,15 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     delay is ``filter_span_symbols`` symbols, so the first valid output
     symbol sits at index ``filter_span_symbols`` (head retained, trimmed
     centrally by the analysis stage).
+
+    Only the kept outputs ``y[k] = (x * h)[k * sps]`` are computed, as
+    ``y[k] = sum_q sum_m h[q + sps*m] * x[sps*(k - m) - q]``: branch ``q``
+    convolves every ``sps``-th input sample with the taps ``h[q::sps]``.  The
+    convolutions are block FFTs at symbol rate (overlap-save): each segment
+    of ``FFT_BLOCK_SYMBOLS`` symbols starts ``span`` symbols before its
+    first kept output, the ``sps`` branch spectra are summed, and one
+    inverse transform per segment yields ``FFT_BLOCK_SYMBOLS - span``
+    symbols.
     """
     sps = cfg.samples_per_symbol
     if not np.isclose(waveform.sample_rate_hz, cfg.sample_rate_hz, rtol=1e-9):
@@ -226,22 +264,32 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
             f"rx_match expects {cfg.sample_rate_hz} Hz input, "
             f"got {waveform.sample_rate_hz} Hz"
         )
-    group_delay_samples = cfg.filter_span_symbols * sps
+    span = cfg.filter_span_symbols
+    group_delay_samples = span * sps
     if len(waveform) <= group_delay_samples:
         raise InsufficientDataError(
             f"need more than {group_delay_samples} samples "
             f"(total group delay), got {len(waveform)}"
         )
     h = rrc_taps(cfg)
+    k = FFT_BLOCK_SYMBOLS
+    # column c: the spectrum of the taps h[q::sps] with q = sps - 1 - c
+    hq = np.fft.fft(np.pad(h, (0, sps - 1)).reshape(-1, sps)[:, ::-1], k, axis=0)
     x = waveform.samples
-    # Polyphase decimation: only the kept outputs y[k] = (x * h)[k * sps] are
-    # computed, as y[k] = sum_p sum_m h[p + sps*m] * x[sps*(k - m) - p].  Phase
-    # p = 0 reads x[0::sps]; phase p > 0 reads x[sps-p::sps], one symbol late.
-    out = np.zeros((len(x) + h.size - 2) // sps + 1, dtype=np.complex128)
-    for p in range(sps):
-        start, lag = (0, 0) if p == 0 else (sps - p, 1)
-        phase = np.convolve(x[start::sps], h[p::sps])
-        out[lag : lag + phase.size] += phase
+    out = np.empty((len(x) + h.size - 2) // sps + 1, dtype=np.complex128)
+    seg = np.zeros(k * sps, dtype=np.complex128)  # the work arrays are reused
+    spec = np.empty((k, sps), dtype=np.complex128)
+    for first in range(0, out.size, k - span):
+        # row j of seg is x[(first - span + j) * sps - q] at column sps - 1 - q
+        lo = (first - span) * sps - (sps - 1)
+        src = x[max(lo, 0) : lo + seg.size]
+        head = max(-lo, 0)
+        seg[head : head + src.size] = src
+        seg[head + src.size :] = 0.0
+        np.fft.fft(seg.reshape(k, sps), axis=0, out=spec)
+        spec *= hq
+        kept = np.fft.ifft(spec.sum(axis=1))[span : span + out.size - first]
+        out[first : first + kept.size] = kept
     return _unchecked(ComplexFrame, out, cfg.symbol_rate_hz)
 
 

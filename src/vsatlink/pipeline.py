@@ -108,16 +108,8 @@ def simulate(
     cfg = scenario.modem
     if snapshot_points <= 0:
         raise ParameterError(f"snapshot_points must be > 0, got {snapshot_points}")
-    requested_bits = int(total_bits if total_bits is not None else scenario.total_bits)
-    _check_max_bits(requested_bits)
+    n_bits = _run_bits(scenario, total_bits)
     master = int(seed if seed is not None else scenario.seed)
-    n_bits = requested_bits - requested_bits % cfg.bits_per_symbol
-    if n_bits < MIN_BER_RUN_BITS:
-        trimmed = f" ({n_bits} in whole symbols)" if n_bits != requested_bits else ""
-        raise ParameterError(
-            f"BER-reporting runs need >= {MIN_BER_RUN_BITS} bits, "
-            f"got {requested_bits}{trimmed}"
-        )
 
     bits_seed = derive_seed(master, _STREAM_BITS)
     noise_seed = (
@@ -239,9 +231,20 @@ def simulate(
     )
 
 
-def _check_max_bits(total_bits: int) -> None:
-    if total_bits > MAX_TOTAL_BITS:
-        raise ParameterError(f"total_bits must be <= {MAX_TOTAL_BITS}, got {total_bits}")
+def _run_bits(scenario: ScenarioConfig, total_bits: Optional[int]) -> int:
+    """The bits a run of ``scenario`` simulates: ``total_bits`` (else the
+    scenario's) trimmed to whole symbols, checked against both bounds."""
+    requested = int(total_bits if total_bits is not None else scenario.total_bits)
+    if requested > MAX_TOTAL_BITS:
+        raise ParameterError(f"total_bits must be <= {MAX_TOTAL_BITS}, got {requested}")
+    n_bits = requested - requested % scenario.modem.bits_per_symbol
+    if n_bits < MIN_BER_RUN_BITS:
+        trimmed = f" ({n_bits} in whole symbols)" if n_bits != requested else ""
+        raise ParameterError(
+            f"total_bits: BER-reporting runs need >= {MIN_BER_RUN_BITS} bits, "
+            f"got {requested}{trimmed}"
+        )
+    return n_bits
 
 
 def _spectrum(x: ComplexFrame, segment_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,8 +335,6 @@ def run_sweep(
         raise ParameterError("sweep produced no values")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    if total_bits is not None:
-        _check_max_bits(total_bits)
     from .scenario import scenario_from_dict
 
     doc = scenario_to_dict(scenario)
@@ -341,6 +342,7 @@ def run_sweep(
     for value in values:  # build (and so validate) every point before any run
         _set_scalar(doc, param, value)
         points.append(scenario_from_dict(doc))
+        _run_bits(points[-1], total_bits)  # bits_per_symbol may differ per point
     seeds = [derive_seed(p.seed, _SWEEP_BASE + i) for i, p in enumerate(points)]
     args = [(p, v, s, total_bits) for p, v, s in zip(points, values, seeds)]
     workers = min(jobs, len(args))

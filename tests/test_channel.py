@@ -24,6 +24,7 @@ from vsatlink import (
     saleh_amplify,
     tx_shape,
 )
+from vsatlink.channel import _add_noise, _iq_imbalance
 
 FS = 50_000.0
 PAPER_SALEH = SalehParams()
@@ -293,6 +294,20 @@ class TestFullChain:
         ).run(x)
         err = np.max(np.abs(out.samples - x.samples))
         assert err <= 1e-9 * np.max(np.abs(x.samples))
+
+    def test_identity_stages_equal_the_full_computation(self):
+        # run() skips a linear TWTA, a zero rotation and a neutral I/Q stage;
+        # running all of them on the same noisy frame gives the same array
+        x = rand_frame(5000, 21)
+        imp = ImpairmentConfig(seed=31)
+        out = SatelliteChannel(LinkGains(), SalehParams.linear(), imp, mode="normalized",
+                               target_es_n0_db=10.0).run(x)
+        y = saleh_amplify(x, SalehParams.linear())
+        full = phase_freq_offset(y.with_samples(y.samples * np.sqrt(x.mean_power / y.mean_power)),
+                                 0.0, 0.0).samples
+        _add_noise(full, 10.0 / 10.0, np.random.default_rng(31))  # Es / (Es/N0)
+        _iq_imbalance(full, imp)
+        assert np.array_equal(out.samples, full)
 
     def test_physical_net_gain_is_db_sum(self):
         cfg, x = _tx_waveform(8000, 4)

@@ -145,6 +145,8 @@ _IMPAIRMENTS = ImpairmentConfig(phase_offset_deg=15.0, freq_offset_hz=2.0,
     (lambda x: phase_freq_offset(x, 15.0, 2.0), _WAVE),
     (lambda x: phase_freq_correct(x, 15.0, 2.0), _WAVE),
     (lambda x: SatelliteChannel(LinkGains(), SalehParams(), _IMPAIRMENTS).run(x), _WAVE),
+    (lambda x: SatelliteChannel(LinkGains(), SalehParams.linear(), ImpairmentConfig(),
+                                mode="normalized", target_es_n0_db=10.0).run(x), _WAVE),
     (lambda x: DcOffsetCompensator().process(x), _WAVE),
     (lambda x: AutomaticGainControl(10.0).process(x), _WAVE),
     (lambda x: tx_shape(x, _CFG), _SYMBOLS),
@@ -153,8 +155,9 @@ _IMPAIRMENTS = ImpairmentConfig(phase_offset_deg=15.0, freq_offset_hz=2.0,
     (lambda x: qam_demodulate(x, _CFG), _SYMBOLS),
     (lambda x: estimate_psd(x, 256), _WAVE),
 ], ids=["saleh_amplify", "phase_freq_offset", "phase_freq_correct", "SatelliteChannel.run",
-        "DcOffsetCompensator.process", "AutomaticGainControl.process", "tx_shape", "rx_match",
-        "qam_modulate", "qam_demodulate", "estimate_psd"])
+        "SatelliteChannel.run-identity", "DcOffsetCompensator.process",
+        "AutomaticGainControl.process", "tx_shape", "rx_match", "qam_modulate",
+        "qam_demodulate", "estimate_psd"])
 def test_public_stage_leaves_its_input_unchanged(stage, x):
     # a library caller may reuse its frame after handing it to a stage
     data = x.bits if isinstance(x, BitFrame) else x.samples

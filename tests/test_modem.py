@@ -21,10 +21,15 @@ from vsatlink import (
     rx_match,
     tx_shape,
 )
+from vsatlink.modem import FFT_BLOCK_SYMBOLS
 
 CFG = ModemConfig()
 SPS = CFG.samples_per_symbol
 SPAN = CFG.filter_span_symbols
+# symbols (outputs for rx_match) per FFT block at the default span, and
+# lengths on either side of one, two and three block edges
+BLOCK = FFT_BLOCK_SYMBOLS - SPAN
+BLOCK_EDGES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7]
 
 
 class TestGenerateBits:
@@ -292,6 +297,50 @@ class TestPolyphaseOracles:
             out = rx_match(ComplexFrame(x, cfg.sample_rate_hz), cfg).samples
             assert out.shape == expected.shape
             assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _check_tx(cfg, n, seed):
+        h = rrc_taps(cfg)
+        sps = cfg.samples_per_symbol
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        up = np.zeros(s.size * sps, dtype=complex)
+        up[::sps] = s
+        expected = np.convolve(up, h)
+        out = tx_shape(ComplexFrame(s, cfg.symbol_rate_hz), cfg).samples
+        assert out.shape == expected.shape
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+        assert not out[(n - 1) * sps + h.size :].any()  # no tap reaches these
+
+    @staticmethod
+    def _check_rx(cfg, n, seed):
+        """Both ends of the input lengths that give ``n`` output symbols."""
+        h = rrc_taps(cfg)
+        sps = cfg.samples_per_symbol
+        span = cfg.filter_span_symbols
+        rng = np.random.default_rng(seed)
+        for length in ((n - span - 1) * sps + 1, (n - span) * sps):
+            x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+            expected = np.convolve(x, h)[::sps]
+            out = rx_match(ComplexFrame(x, cfg.sample_rate_hz), cfg).samples
+            assert out.shape == expected.shape == (n,)
+            assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sps", [2, 8, 64])
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_tx_shape_across_fft_blocks(self, sps, n):
+        self._check_tx(ModemConfig(samples_per_symbol=sps), n, sps + n)
+
+    @pytest.mark.parametrize("sps", [2, 8, 64])
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_rx_match_across_fft_blocks(self, sps, n):
+        self._check_rx(ModemConfig(samples_per_symbol=sps), n, sps + n)
+
+    @pytest.mark.parametrize("sps", [2, 8])
+    def test_longest_span_at_a_short_length(self, sps):
+        cfg = ModemConfig(samples_per_symbol=sps, filter_span_symbols=256)
+        self._check_tx(cfg, 53, sps)
+        self._check_rx(cfg, 2 * 256 + 53, sps)  # inputs ~53 symbols past the group delay
 
 
 def test_symbol_and_sample_rates():

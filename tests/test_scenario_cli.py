@@ -280,6 +280,24 @@ class TestSweepHelpers:
         with pytest.raises(Exception, match="not a scalar"):
             run_sweep(awgn_scenario, "compensation.dc", [1.0], total_bits=10_000)
 
+    @pytest.mark.parametrize("param, values, bits", [
+        ("target_es_n0_db", [6.0, 8.0], 500),
+        ("modem.m_ary", [4.0, 16.0, 64.0], 10_001),  # only 64-QAM trims below 10 000
+    ], ids=["every-point", "one-point"])
+    def test_too_few_bits_fail_before_any_worker(self, awgn_scenario, monkeypatch,
+                                                 param, values, bits):
+        import concurrent.futures
+
+        import vsatlink.pipeline as pipeline_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("ran a point below the total_bits bound")
+
+        monkeypatch.setattr(pipeline_mod, "generate_bits", boom)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
+        with pytest.raises(ParameterError, match="total_bits"):
+            run_sweep(awgn_scenario, param, values, total_bits=bits, jobs=2)
+
     def test_unknown_key_rejected(self, awgn_scenario):
         with pytest.raises(Exception, match="no such key"):
             run_sweep(awgn_scenario, "impairments.nope", [1.0], total_bits=10_000)
