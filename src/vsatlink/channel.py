@@ -246,6 +246,9 @@ def _iq_imbalance(samples: np.ndarray, cfg: ImpairmentConfig) -> None:
         I' = Re(x) cos(t/2) + Im(x) g sin(t/2) + dc_i
         Q' = Re(x) sin(t/2) + Im(x) g cos(t/2) + dc_q
     """
+    if (cfg.iq_amplitude_imbalance_db, cfg.iq_phase_imbalance_deg,
+            cfg.dc_offset_i, cfg.dc_offset_q) == (0.0, 0.0, 0.0, 0.0):
+        return
     g = _db_to_amplitude(cfg.iq_amplitude_imbalance_db)
     theta = np.deg2rad(cfg.iq_phase_imbalance_deg)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -314,9 +317,10 @@ class SatelliteChannel:
         # which changes no nonzero sample; the TWTA's copy keeps x intact
         if self.saleh == SalehParams.linear():
             y = _unchecked(ComplexFrame, x.samples.copy(), x.sample_rate_hz, x.start_sample)
+            p_sig = p_in
         else:
             y = saleh_amplify(x, self.saleh)
-        p_sig = y.mean_power
+            p_sig = y.mean_power
 
         if self.mode == "physical":
             transponder_db = self.gains.transponder_amp_gain_db
@@ -345,9 +349,7 @@ class SatelliteChannel:
         if imp.phase_offset_deg != 0.0 or imp.freq_offset_hz != 0.0:
             _rotate(y, out, imp.phase_offset_deg, imp.freq_offset_hz)
         _add_noise(out, log.noise_variance_w, self._rng)
-        if (imp.iq_amplitude_imbalance_db, imp.iq_phase_imbalance_deg,
-                imp.dc_offset_i, imp.dc_offset_q) != (0.0, 0.0, 0.0, 0.0):
-            _iq_imbalance(out, imp)
+        _iq_imbalance(out, imp)
         self.last_log = log
         self.last_input_power_w = p_in
         return y.with_samples(out)  # checked: the gain and offsets may overflow
