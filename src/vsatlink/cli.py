@@ -22,7 +22,14 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, PipelineError, VsatLinkError
 from .linkbudget import combined_cn_db, format_report
-from .pipeline import parse_sweep_values, run_linkbudget, run_sweep, simulate
+from .pipeline import (
+    MAX_SWEEP_POINTS,
+    SNAPSHOT_POINTS_DEFAULT,
+    parse_sweep_values,
+    run_linkbudget,
+    run_sweep,
+    simulate,
+)
 from .scenario import load_scenario
 
 EXIT_OK = 0
@@ -131,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--bits", type=int, default=None, help="override total_bits")
     p_sim.add_argument("--seed", type=int, default=None, help="override master seed")
-    p_sim.add_argument("--points", type=int, default=1024,
-                       help="constellation snapshot size (default 1024)")
+    p_sim.add_argument("--points", type=int, default=SNAPSHOT_POINTS_DEFAULT,
+                       help=f"constellation snapshot size (default {SNAPSHOT_POINTS_DEFAULT})")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="sweep one scalar key, one BER row per value")
@@ -140,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True,
                          help="dotted scalar key, e.g. target_es_n0_db")
     p_sweep.add_argument("--values", required=True,
-                         help="start:stop:step (at most 10000 points) or v1,v2,...")
+                         help=f"start:stop:step (at most {MAX_SWEEP_POINTS} points) or v1,v2,...")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--bits", type=int, default=None, help="override total_bits per point")
     p_sweep.add_argument("--jobs", type=int, default=1,

@@ -28,10 +28,10 @@ __all__ = [
     "rx_match",
 ]
 
-# The RRC filters run block FFT convolutions of this length at symbol rate,
-# one transform per polyphase branch, so their temporaries stay a few blocks
+# Both RRC filters run overlap-save convolutions (_overlap_save) over segments
+# of this many symbol-rate rows, so their temporaries stay a few segments
 # wide whatever the frame length.  It must exceed the largest
-# filter_span_symbols, which every block keeps as overlap.
+# filter_span_symbols, which every segment keeps as overlap.
 FFT_BLOCK_SYMBOLS = 2048
 
 # numpy keeps the plan of each transform length for the life of the process.
@@ -200,6 +200,38 @@ def rrc_taps(cfg: ModemConfig) -> np.ndarray:
     return h / np.sqrt(np.sum(h**2))
 
 
+def _overlap_save(x: np.ndarray, taps: np.ndarray, width: int, shift: int,
+                  n_out: int) -> np.ndarray:
+    """Polyphase FIR at symbol rate by block FFT convolution (overlap-save).
+
+    Row ``j`` of the input is ``x[j*width - shift : (j+1)*width - shift]``
+    (reads outside ``x`` are 0).  Returns ``out[j, o] = sum_m sum_i
+    row[j - m][i] * taps[o, m, i]`` for ``j < n_out``.  Each segment of
+    ``FFT_BLOCK_SYMBOLS`` rows starts ``span`` rows before its first output;
+    it takes one forward transform down its columns, sums the products with
+    the tap spectra over ``i``, takes one inverse transform per output
+    branch ``o`` and keeps its last ``FFT_BLOCK_SYMBOLS - span`` rows.
+    """
+    k = FFT_BLOCK_SYMBOLS
+    span = taps.shape[1] - 1
+    hf = np.fft.fft(taps, k, axis=1)
+    out = np.empty((n_out, len(taps)), dtype=np.complex128)
+    # both reused by every segment
+    seg = np.zeros(k * width, dtype=np.complex128)
+    prod = np.empty(hf.shape, dtype=np.complex128)
+    for first in range(0, n_out, k - span):
+        lo = (first - span) * width - shift
+        src = x[max(lo, 0) : lo + seg.size]
+        head = max(-lo, 0)
+        seg[head : head + src.size] = src
+        seg[head + src.size :] = 0.0
+        np.multiply(np.fft.fft(seg.reshape(k, width), axis=0), hf, out=prod)
+        # summing one input branch would only copy the products, at ~10% of tx_shape
+        y = np.fft.ifft(prod.sum(axis=2) if width > 1 else prod[..., 0], axis=1)
+        out[first : first + k - span] = y[:, span : span + n_out - first].T
+    return out
+
+
 def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     """Zero-stuff by ``samples_per_symbol`` and shape with the RRC filter.
 
@@ -208,13 +240,6 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     symbols land directly on the constellation grid.  The filter tail
     (span * sps samples) is retained; alignment is owned by the analysis
     stage.
-
-    Computed by block FFT convolution (overlap-add) in polyphase form:
-    output phase ``p`` (samples ``p, p + sps, ...``) is the symbol stream
-    convolved with the taps ``h[p::sps]``, so the stuffed zeros are never
-    transformed.  Each block of ``FFT_BLOCK_SYMBOLS - span`` symbols takes
-    one forward transform and ``sps`` inverse ones, all at symbol rate.  The
-    ``sps - 1`` trailing positions that no tap reaches are exactly 0.
     """
     if not np.isclose(symbols.sample_rate_hz, cfg.symbol_rate_hz, rtol=1e-9):
         raise ParameterError(
@@ -222,20 +247,12 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
             f"got {symbols.sample_rate_hz} Hz"
         )
     sps = cfg.samples_per_symbol
-    span = cfg.filter_span_symbols
     h = rrc_taps(cfg)
-    k = FFT_BLOCK_SYMBOLS
-    # row p: the spectrum of phase p's taps h[p::sps] (zero-padded to span + 1)
-    hp = np.fft.fft(np.pad(h, (0, sps - 1)).reshape(-1, sps).T, k)
     s = symbols.samples
-    shaped = np.zeros((len(s) + span) * sps, dtype=np.complex128)
-    rows = shaped.reshape(-1, sps)  # row j holds samples j*sps .. j*sps + sps - 1
-    for start in range(0, len(s), k - span):
-        block = s[start : start + k - span]
-        y = np.fft.ifft(hp * np.fft.fft(block, k), axis=1)
-        m = block.size + span  # m symbols shape into (m + span) * sps samples
-        rows[start : start + m] += y[:, :m].T
-    shaped[(len(s) - 1) * sps + h.size :] = 0.0
+    # output row j holds samples j*sps + p, phase p shaped by the taps h[p::sps]
+    taps = np.pad(h, (0, sps - 1)).reshape(-1, sps).T[:, :, None]
+    shaped = _overlap_save(s, taps, 1, 0, len(s) + cfg.filter_span_symbols).reshape(-1)
+    shaped[(len(s) - 1) * sps + h.size :] = 0.0  # the sps - 1 positions no tap reaches
     return _unchecked(ComplexFrame, shaped, cfg.sample_rate_hz)
 
 
@@ -245,16 +262,8 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     Decimation phase is chosen at the cascade peak; the total Tx+Rx group
     delay is ``filter_span_symbols`` symbols, so the first valid output
     symbol sits at index ``filter_span_symbols`` (head retained, trimmed
-    centrally by the analysis stage).
-
-    Only the kept outputs ``y[k] = (x * h)[k * sps]`` are computed, as
-    ``y[k] = sum_q sum_m h[q + sps*m] * x[sps*(k - m) - q]``: branch ``q``
-    convolves every ``sps``-th input sample with the taps ``h[q::sps]``.  The
-    convolutions are block FFTs at symbol rate (overlap-save): each segment
-    of ``FFT_BLOCK_SYMBOLS`` symbols starts ``span`` symbols before its
-    first kept output, the ``sps`` branch spectra are summed, and one
-    inverse transform per segment yields ``FFT_BLOCK_SYMBOLS - span``
-    symbols.
+    centrally by the analysis stage).  Only the kept outputs
+    ``(x * h)[k * sps]`` are computed.
     """
     sps = cfg.samples_per_symbol
     if not np.isclose(waveform.sample_rate_hz, cfg.sample_rate_hz, rtol=1e-9):
@@ -262,32 +271,18 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
             f"rx_match expects {cfg.sample_rate_hz} Hz input, "
             f"got {waveform.sample_rate_hz} Hz"
         )
-    span = cfg.filter_span_symbols
-    group_delay_samples = span * sps
+    group_delay_samples = cfg.filter_span_symbols * sps
     if len(waveform) <= group_delay_samples:
         raise InsufficientDataError(
             f"need more than {group_delay_samples} samples "
             f"(total group delay), got {len(waveform)}"
         )
     h = rrc_taps(cfg)
-    k = FFT_BLOCK_SYMBOLS
-    # column c: the spectrum of the taps h[q::sps] with q = sps - 1 - c
-    hq = np.fft.fft(np.pad(h, (0, sps - 1)).reshape(-1, sps)[:, ::-1], k, axis=0)
     x = waveform.samples
-    out = np.empty((len(x) + h.size - 2) // sps + 1, dtype=np.complex128)
-    seg = np.zeros(k * sps, dtype=np.complex128)  # reused by every segment
-    for first in range(0, out.size, k - span):
-        # row j of seg is x[(first - span + j) * sps - q] at column sps - 1 - q
-        lo = (first - span) * sps - (sps - 1)
-        src = x[max(lo, 0) : lo + seg.size]
-        head = max(-lo, 0)
-        seg[head : head + src.size] = src
-        seg[head + src.size :] = 0.0
-        spec = np.fft.fft(seg.reshape(k, sps), axis=0)
-        spec *= hq
-        kept = np.fft.ifft(spec.sum(axis=1))[span : span + out.size - first]
-        out[first : first + kept.size] = kept
-    return _unchecked(ComplexFrame, out, cfg.symbol_rate_hz)
+    # row k holds x[k*sps - sps + 1 .. k*sps]; its column c meets h[sps - 1 - c :: sps]
+    taps = np.pad(h, (0, sps - 1)).reshape(-1, sps)[None, :, ::-1]
+    out = _overlap_save(x, taps, sps, sps - 1, (len(x) + h.size - 2) // sps + 1)
+    return _unchecked(ComplexFrame, out.reshape(-1), cfg.symbol_rate_hz)
 
 
 def pipeline_delay_symbols(cfg: ModemConfig) -> int:

@@ -32,7 +32,7 @@ from .modem import (
     tx_shape,
 )
 from .receiver import AutomaticGainControl, DcOffsetCompensator, phase_freq_correct
-from .scenario import MAX_TOTAL_BITS, MIN_BER_RUN_BITS, ScenarioConfig, scenario_to_dict
+from .scenario import ScenarioConfig, run_bits, scenario_to_dict
 
 __all__ = [
     "derive_seed",
@@ -108,7 +108,8 @@ def simulate(
     cfg = scenario.modem
     if snapshot_points <= 0:
         raise ParameterError(f"snapshot_points must be > 0, got {snapshot_points}")
-    n_bits = _run_bits(scenario, total_bits)
+    requested = scenario.total_bits if total_bits is None else int(total_bits)
+    n_bits = run_bits(requested, cfg.bits_per_symbol)
     master = int(seed if seed is not None else scenario.seed)
 
     bits_seed = derive_seed(master, _STREAM_BITS)
@@ -231,22 +232,6 @@ def simulate(
     )
 
 
-def _run_bits(scenario: ScenarioConfig, total_bits: Optional[int]) -> int:
-    """The bits a run of ``scenario`` simulates: ``total_bits`` (else the
-    scenario's) trimmed to whole symbols, checked against both bounds."""
-    requested = int(total_bits if total_bits is not None else scenario.total_bits)
-    if requested > MAX_TOTAL_BITS:
-        raise ParameterError(f"total_bits must be <= {MAX_TOTAL_BITS}, got {requested}")
-    n_bits = requested - requested % scenario.modem.bits_per_symbol
-    if n_bits < MIN_BER_RUN_BITS:
-        trimmed = f" ({n_bits} in whole symbols)" if n_bits != requested else ""
-        raise ParameterError(
-            f"total_bits: BER-reporting runs need >= {MIN_BER_RUN_BITS} bits, "
-            f"got {requested}{trimmed}"
-        )
-    return n_bits
-
-
 def _spectrum(x: ComplexFrame, segment_len: int) -> tuple[np.ndarray, np.ndarray]:
     spec = estimate_psd(x, segment_len)
     return spec.frequencies_hz, spec.psd_w_per_hz
@@ -335,6 +320,8 @@ def run_sweep(
         raise ParameterError("sweep produced no values")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    if param == "total_bits" and total_bits is not None:
+        raise ParameterError("total_bits: swept, so it cannot also be overridden")
     from .scenario import scenario_from_dict
 
     doc = scenario_to_dict(scenario)
@@ -342,7 +329,8 @@ def run_sweep(
     for value in values:  # build (and so validate) every point before any run
         _set_scalar(doc, param, value)
         points.append(scenario_from_dict(doc))
-        _run_bits(points[-1], total_bits)  # bits_per_symbol may differ per point
+        if total_bits is not None:  # bits_per_symbol may differ per point
+            run_bits(int(total_bits), points[-1].modem.bits_per_symbol)
     seeds = [derive_seed(p.seed, _SWEEP_BASE + i) for i, p in enumerate(points)]
     args = [(p, v, s, total_bits) for p, v, s in zip(points, values, seeds)]
     workers = min(jobs, len(args))

@@ -43,6 +43,21 @@ MIN_BER_RUN_BITS = 10_000
 MAX_TOTAL_BITS = 10**8
 
 
+def run_bits(total_bits: int, bits_per_symbol: int) -> int:
+    """The bits a run of ``total_bits`` simulates: the count in whole symbols.
+
+    Raises :class:`ParameterError` naming ``total_bits`` when the request
+    exceeds ``MAX_TOTAL_BITS`` or the trimmed count falls below
+    ``MIN_BER_RUN_BITS``.
+    """
+    n_bits = total_bits - total_bits % bits_per_symbol
+    if n_bits < MIN_BER_RUN_BITS or total_bits > MAX_TOTAL_BITS:
+        bound = f"<= {MAX_TOTAL_BITS}" if total_bits > MAX_TOTAL_BITS else f">= {MIN_BER_RUN_BITS}"
+        trimmed = f" ({n_bits} in whole symbols)" if n_bits != total_bits else ""
+        raise ParameterError(f"total_bits: must be {bound}, got {total_bits}{trimmed}")
+    return n_bits
+
+
 @dataclass(frozen=True)
 class CompensationFlags:
     dc: bool = True
@@ -67,14 +82,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in ("physical", "normalized"):
             raise ConfigError(f"mode: must be 'physical' or 'normalized', got {self.mode!r}")
-        if self.total_bits < MIN_BER_RUN_BITS:
-            raise ConfigError(
-                f"total_bits: BER runs need >= {MIN_BER_RUN_BITS} bits, got {self.total_bits}"
-            )
-        if self.total_bits > MAX_TOTAL_BITS:
-            raise ConfigError(
-                f"total_bits: must be <= {MAX_TOTAL_BITS}, got {self.total_bits}"
-            )
+        run_bits(self.total_bits, self.modem.bits_per_symbol)
         if self.mode == "normalized" and self.target_es_n0_db is None:
             raise ConfigError("target_es_n0_db: required when mode is 'normalized'")
         if self.target_es_n0_db is not None and not abs(self.target_es_n0_db) <= MAX_ABS_DB:

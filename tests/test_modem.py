@@ -30,6 +30,9 @@ SPAN = CFG.filter_span_symbols
 # lengths on either side of one, two and three block edges
 BLOCK = FFT_BLOCK_SYMBOLS - SPAN
 BLOCK_EDGES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7]
+# tx_shape's blocks count output rows, n + SPAN for n symbols: symbol counts
+# whose rows fall on either side of one and two block edges
+TX_BLOCK_EDGES = [BLOCK - SPAN - 1, BLOCK - SPAN, BLOCK - SPAN + 1, 2 * BLOCK - SPAN + 1]
 
 
 class TestGenerateBits:
@@ -327,7 +330,7 @@ class TestPolyphaseOracles:
             assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("sps", [2, 8, 64])
-    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    @pytest.mark.parametrize("n", BLOCK_EDGES + TX_BLOCK_EDGES)
     def test_tx_shape_across_fft_blocks(self, sps, n):
         self._check_tx(ModemConfig(samples_per_symbol=sps), n, sps + n)
 

@@ -65,6 +65,20 @@ def awgn_copy(tmp_path, key, value) -> Path:
     return path
 
 
+@pytest.fixture
+def no_point_runs(monkeypatch):
+    """Make generating bits or starting a sweep pool fail the test."""
+    import concurrent.futures
+
+    import vsatlink.pipeline as pipeline_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a point ran or a pool started")
+
+    monkeypatch.setattr(pipeline_mod, "generate_bits", boom)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
+
+
 def _leaf_paths(node, path=()):
     """Key paths of the scalar leaves of a scenario document."""
     if isinstance(node, dict):
@@ -284,19 +298,17 @@ class TestSweepHelpers:
         ("target_es_n0_db", [6.0, 8.0], 500),
         ("modem.m_ary", [4.0, 16.0, 64.0], 10_001),  # only 64-QAM trims below 10 000
     ], ids=["every-point", "one-point"])
-    def test_too_few_bits_fail_before_any_worker(self, awgn_scenario, monkeypatch,
+    def test_too_few_bits_fail_before_any_worker(self, awgn_scenario, no_point_runs,
                                                  param, values, bits):
-        import concurrent.futures
-
-        import vsatlink.pipeline as pipeline_mod
-
-        def boom(*args, **kwargs):
-            raise AssertionError("ran a point below the total_bits bound")
-
-        monkeypatch.setattr(pipeline_mod, "generate_bits", boom)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
         with pytest.raises(ParameterError, match="total_bits"):
             run_sweep(awgn_scenario, param, values, total_bits=bits, jobs=2)
+
+    def test_swept_and_overridden_bits_fail_before_any_worker(self, awgn_scenario,
+                                                              no_point_runs):
+        # the override would replace every swept value
+        with pytest.raises(ParameterError, match="total_bits"):
+            run_sweep(awgn_scenario, "total_bits", [20_000.0, 40_000.0], total_bits=12_000,
+                      jobs=2)
 
     def test_unknown_key_rejected(self, awgn_scenario):
         with pytest.raises(Exception, match="no such key"):
@@ -598,21 +610,21 @@ class TestCli:
          "--jobs", "2", "--out", "s.csv"],
     ], ids=["simulate", "sweep"])
     def test_bits_past_the_bound_fail_before_any_array(self, tmp_path, monkeypatch, capsys,
-                                                       command):
-        import concurrent.futures
-
-        import vsatlink.pipeline as pipeline_mod
-
-        def boom(*args, **kwargs):
-            raise AssertionError("ran past the total_bits bound")
-
-        monkeypatch.setattr(pipeline_mod, "generate_bits", boom)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
+                                                       no_point_runs, command):
         monkeypatch.chdir(tmp_path)
         code = main(command + ["--bits", "1000000000000"])
         assert code == EXIT_CONFIG
-        assert f"total_bits must be <= {MAX_TOTAL_BITS}, got 1000000000000" \
+        assert f"total_bits: must be <= {MAX_TOTAL_BITS}, got 1000000000000" \
             in capsys.readouterr().err
+
+    def test_bits_sweep_with_bits_override_is_config_error(self, tmp_path, capsys,
+                                                           no_point_runs):
+        out = tmp_path / "t.csv"
+        code = main(["sweep", "awgn-validation", "--param", "total_bits",
+                     "--values", "20000,40000", "--bits", "12000", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "total_bits" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_bits_reports_requested_count(self, tmp_path, capsys):
         code = main(["simulate", "awgn-validation", "--out", str(tmp_path / "o"),
