@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .pipeline import (
     run_sweep,
     simulate,
 )
-from .scenario import load_scenario
+from .scenario import ScenarioConfig, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,6 +64,12 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _scenario(config: str, **overrides) -> ScenarioConfig:
+    """The scenario ``config`` with each override that was given set in it."""
+    given = {key: value for key, value in overrides.items() if value is not None}
+    return replace(load_scenario(config), **given)
+
+
 def _cmd_linkbudget(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     reports = run_linkbudget(scenario)
@@ -79,13 +86,8 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.config)
-    result = simulate(
-        scenario,
-        total_bits=args.bits,
-        seed=args.seed,
-        snapshot_points=args.points,
-    )
+    scenario = _scenario(args.config, total_bits=args.bits, seed=args.seed)
+    result = simulate(scenario, snapshot_points=args.points)
     out = Path(args.out)
     _atomic_write(out / "ber.json", _json_text(result.ber.as_dict()))
     _atomic_write(out / "run_log.json", _json_text(result.run_log))
@@ -110,9 +112,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.config)
+    if args.param == "total_bits" and args.bits is not None:
+        raise ConfigError("total_bits: swept, so --bits cannot also set it")
+    scenario = _scenario(args.config, total_bits=args.bits)
     values = parse_sweep_values(args.values)
-    rows = run_sweep(scenario, args.param, values, total_bits=args.bits, jobs=args.jobs)
+    rows = run_sweep(scenario, args.param, values, jobs=args.jobs)
     text_rows = [(r["swept_value"], r["ber"], r["errors"], r["bits"]) for r in rows]
     _atomic_write(Path(args.out), _csv_text("swept_value,ber,errors,bits", text_rows))
     for r in rows:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -99,8 +98,6 @@ def _stage(name: str):
 
 def simulate(
     scenario: ScenarioConfig,
-    total_bits: Optional[int] = None,
-    seed: Optional[int] = None,
     snapshot_points: int = SNAPSHOT_POINTS_DEFAULT,
     with_spectra: bool = True,
 ) -> SimulationResult:
@@ -108,19 +105,13 @@ def simulate(
     cfg = scenario.modem
     if snapshot_points <= 0:
         raise ParameterError(f"snapshot_points must be > 0, got {snapshot_points}")
-    requested = scenario.total_bits if total_bits is None else int(total_bits)
-    n_bits = run_bits(requested, cfg.bits_per_symbol)
-    master = int(seed if seed is not None else scenario.seed)
+    n_bits = run_bits(scenario.total_bits, cfg.bits_per_symbol)
 
-    bits_seed = derive_seed(master, _STREAM_BITS)
-    noise_seed = (
-        scenario.impairments.seed
-        if scenario.impairments.seed != 0
-        else derive_seed(master, _STREAM_NOISE)
-    )
+    bits_seed = derive_seed(scenario.seed, _STREAM_BITS)
     impairments = scenario.impairments
-    if impairments.seed != noise_seed:
-        impairments = replace(impairments, seed=noise_seed)
+    if impairments.seed == 0:  # 0: derive the noise stream from the master seed
+        impairments = replace(impairments, seed=derive_seed(scenario.seed, _STREAM_NOISE))
+    noise_seed = impairments.seed
 
     with _stage("modem.generate_bits"):
         tx_bits = generate_bits(n_bits, bits_seed)
@@ -207,7 +198,7 @@ def simulate(
         "scenario": scenario_to_dict(scenario),
         "effective": {
             "total_bits": n_bits,
-            "master_seed": master,
+            "master_seed": scenario.seed,
             "bits_seed": bits_seed,
             "noise_seed": noise_seed,
             "bits_per_symbol": cfg.bits_per_symbol,
@@ -292,9 +283,8 @@ def _set_scalar(data: dict, dotted: str, value: float) -> None:
     node[leaf] = value
 
 
-def _sweep_point(point: ScenarioConfig, value: float, seed: int,
-                 total_bits: Optional[int]) -> dict:
-    result = simulate(point, total_bits=total_bits, seed=seed, with_spectra=False)
+def _sweep_point(point: ScenarioConfig, value: float) -> dict:
+    result = simulate(point, with_spectra=False)
     return {
         "swept_value": value,
         "ber": result.ber.ber,
@@ -307,7 +297,6 @@ def run_sweep(
     scenario: ScenarioConfig,
     param: str,
     values: list[float],
-    total_bits: Optional[int] = None,
     jobs: int = 1,
 ) -> list[dict]:
     """One pipeline run per value; point i is seeded from its own ``seed``.
@@ -320,23 +309,18 @@ def run_sweep(
         raise ParameterError("sweep produced no values")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    if param == "total_bits" and total_bits is not None:
-        raise ParameterError("total_bits: swept, so it cannot also be overridden")
     from .scenario import scenario_from_dict
 
     doc = scenario_to_dict(scenario)
     points = []
-    for value in values:  # build (and so validate) every point before any run
+    for i, value in enumerate(values):  # build (and so check) every point before any run
         _set_scalar(doc, param, value)
-        points.append(scenario_from_dict(doc))
-        if total_bits is not None:  # bits_per_symbol may differ per point
-            run_bits(int(total_bits), points[-1].modem.bits_per_symbol)
-    seeds = [derive_seed(p.seed, _SWEEP_BASE + i) for i, p in enumerate(points)]
-    args = [(p, v, s, total_bits) for p, v, s in zip(points, values, seeds)]
-    workers = min(jobs, len(args))
+        point = scenario_from_dict(doc)
+        points.append(replace(point, seed=derive_seed(point.seed, _SWEEP_BASE + i)))
+    workers = min(jobs, len(points))
     if workers == 1:
-        return [_sweep_point(*a) for a in args]
+        return [_sweep_point(p, v) for p, v in zip(points, values)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_point, *zip(*args)))
+        return list(pool.map(_sweep_point, points, values))

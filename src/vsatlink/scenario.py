@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from importlib import resources
@@ -82,9 +83,17 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in ("physical", "normalized"):
             raise ConfigError(f"mode: must be 'physical' or 'normalized', got {self.mode!r}")
+        # stored as int: a numpy integer is not JSON and overflows the 64-bit seed mix
+        for key in ("total_bits", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key}: must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         run_bits(self.total_bits, self.modem.bits_per_symbol)
         if self.mode == "normalized" and self.target_es_n0_db is None:
             raise ConfigError("target_es_n0_db: required when mode is 'normalized'")
+        if self.mode == "physical" and self.target_es_n0_db is not None:
+            raise ConfigError("target_es_n0_db: must be null when mode is 'physical'")
         if self.target_es_n0_db is not None and not abs(self.target_es_n0_db) <= MAX_ABS_DB:
             raise ConfigError(
                 f"target_es_n0_db: must be in [{-MAX_ABS_DB:g}, {MAX_ABS_DB:g}], "
@@ -178,9 +187,11 @@ def load_scenario(source: str | Path) -> ScenarioConfig:
                 f"(builtins: {', '.join(names)})"
             )
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario: {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"scenario: cannot read {path}: {exc}") from exc
     return scenario_from_dict(raw)
 
 

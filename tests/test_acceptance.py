@@ -130,7 +130,7 @@ def _phase_only_scenario(reference_scenario, tilt_deg=None):
 @pytest.fixture(scope="module")
 def phase_only_ber(reference_scenario):
     sc = _phase_only_scenario(reference_scenario)
-    return simulate(sc, total_bits=100_000, with_spectra=False).ber.ber
+    return simulate(replace(sc, total_bits=100_000), with_spectra=False).ber.ber
 
 
 def test_criterion_3a_phase_impairment_bracket(phase_only_ber):
@@ -150,7 +150,7 @@ def test_criterion_3b_phase_impairment_rotation_oracle(neutral_reference_scenari
     # rule decides its value.
     for tilt in (15.0, 20.0, 30.0):
         sc = _phase_only_scenario(neutral_reference_scenario, tilt)
-        measured = simulate(sc, total_bits=100_000, with_spectra=False).ber.ber
+        measured = simulate(replace(sc, total_bits=100_000), with_spectra=False).ber.ber
         oracle = oracles.rotation_ber(tilt)
         ok &= abs(measured - oracle) <= 0.02
         rows.append(f"{tilt:g} deg: {measured:.4f} vs {oracle:.4f}")
@@ -166,7 +166,7 @@ def test_criterion_3b_phase_impairment_rotation_oracle(neutral_reference_scenari
 def test_criterion_4_frequency_impairment(reference_scenario):
     comp = replace(reference_scenario.compensation, dc=False, agc=False, phase_freq=False)
     sc = replace(reference_scenario, compensation=comp)
-    ber = simulate(sc, total_bits=100_000, with_spectra=False).ber.ber
+    ber = simulate(replace(sc, total_bits=100_000), with_spectra=False).ber.ber
     uniform = oracles.uniform_rotation_average_ber(1440)
     ok = abs(ber - uniform) <= 0.01
     check(
@@ -191,7 +191,7 @@ def test_criterion_6_awgn_validation(awgn_scenario):
     ok = True
     for db in (10.0, 12.0, 14.0, 16.0):
         sc = replace(awgn_scenario, target_es_n0_db=db)
-        result = simulate(sc, total_bits=200_000, with_spectra=False)
+        result = simulate(replace(sc, total_bits=200_000), with_spectra=False)
         theory = theoretical_qam_ber(db, 16)
         measured = result.ber.ber
         if result.ber.bit_errors >= 50:
@@ -306,7 +306,7 @@ class TestFigureReproduction:
 
     def test_exact_phase_rotation(self, neutral_reference_scenario):
         sc = _phase_only_scenario(neutral_reference_scenario)
-        result = simulate(sc, total_bits=40_000, with_spectra=False)
+        result = simulate(replace(sc, total_bits=40_000), with_spectra=False)
         pts = result.constellation_rx_precorrection
         z = pts[:, 0] + 1j * pts[:, 1]
         grid = np.array([complex(i, q) for i in (-3, -1, 1, 3) for q in (-3, -1, 1, 3)])
@@ -323,7 +323,8 @@ class TestFigureReproduction:
         comp = replace(neutral_reference_scenario.compensation,
                        dc=False, agc=False, phase_freq=False)
         sc = replace(neutral_reference_scenario, impairments=imp, compensation=comp)
-        result = simulate(sc, total_bits=100_000, snapshot_points=8000, with_spectra=False)
+        result = simulate(replace(sc, total_bits=100_000), snapshot_points=8000,
+                          with_spectra=False)
         pts = result.constellation_rx_precorrection
         z = pts[:, 0] + 1j * pts[:, 1]
         radii = np.array([np.sqrt(2), np.sqrt(10), np.sqrt(18)])
@@ -341,7 +342,7 @@ class TestFigureReproduction:
             mode="normalized",
             target_es_n0_db=18.0,
         )
-        result = simulate(sc, total_bits=80_000, snapshot_points=4096, with_spectra=False)
+        result = simulate(replace(sc, total_bits=80_000), snapshot_points=4096, with_spectra=False)
         pts = result.constellation_rx_postcorrection
         z = pts[:, 0] + 1j * pts[:, 1]
         lattice = [complex(i, q) for i in (-3, -1, 1, 3) for q in (-3, -1, 1, 3)]
@@ -356,7 +357,7 @@ class TestFigureReproduction:
         assert ok
 
     def test_noise_floor_only_in_rx_spectrum(self, awgn_scenario):
-        result = simulate(awgn_scenario, total_bits=200_000)
+        result = simulate(replace(awgn_scenario, total_bits=200_000))
         cfg = awgn_scenario.modem
         rs = cfg.symbol_rate_hz
         f_tx, p_tx = result.spectrum_tx

@@ -7,6 +7,8 @@ none for a different result).  The figures were recorded at 1e5 bits with
 each scenario's default seed.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ def _psd_integral(spectrum) -> float:
 
 @pytest.fixture(scope="module", params=sorted(GOLDEN))
 def golden_run(request):
-    result = simulate(load_scenario(request.param), total_bits=100_000)
+    result = simulate(replace(load_scenario(request.param), total_bits=100_000))
     return GOLDEN[request.param], result
 
 

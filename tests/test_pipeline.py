@@ -26,7 +26,7 @@ class TestEndToEnd:
             modem=ModemConfig(m_ary=4),
             target_es_n0_db=10.0,
         )
-        result = simulate(sc, total_bits=100_000, with_spectra=False)
+        result = simulate(replace(sc, total_bits=100_000), with_spectra=False)
         theory = theoretical_qam_ber(10.0, 4)
         assert result.ber.bit_errors > 50
         assert 0.5 <= result.ber.ber / theory <= 2.0
@@ -38,7 +38,7 @@ class TestEndToEnd:
             saleh=SalehParams.linear(),
             impairments=replace(reference_scenario.impairments, noise_temperature_k=0.0),
         )
-        result = simulate(sc, total_bits=40_000, with_spectra=False)
+        result = simulate(replace(sc, total_bits=40_000), with_spectra=False)
         assert result.ber.bit_errors == 0
 
     def test_noiseless_linear_link_exact_without_agc(self, reference_scenario):
@@ -48,7 +48,7 @@ class TestEndToEnd:
             impairments=replace(reference_scenario.impairments, noise_temperature_k=0.0),
             compensation=replace(reference_scenario.compensation, agc=False),
         )
-        result = simulate(sc, total_bits=40_000, with_spectra=False)
+        result = simulate(replace(sc, total_bits=40_000), with_spectra=False)
         assert result.ber.bit_errors == 0
 
     def test_pre_and_post_correction_views_differ(self, reference_scenario):
@@ -60,7 +60,7 @@ class TestEndToEnd:
             reference_scenario, impairments=imp, saleh=SalehParams.linear(),
             compensation=comp,
         )
-        result = simulate(sc, total_bits=40_000, with_spectra=False)
+        result = simulate(replace(sc, total_bits=40_000), with_spectra=False)
         pre = result.constellation_rx_precorrection
         post = result.constellation_rx_postcorrection
         z_pre = pre[:, 0] + 1j * pre[:, 1]
@@ -76,7 +76,7 @@ class TestEndToEnd:
         # with compensation off both snapshots filter the same waveform; the
         # pre-correction one reads only the snapshot window, so every row
         # (the last ones included) shows whether that window is long enough
-        result = simulate(awgn_scenario, total_bits=40_000, snapshot_points=500,
+        result = simulate(replace(awgn_scenario, total_bits=40_000), snapshot_points=500,
                           with_spectra=False)
         pre = result.constellation_rx_precorrection
         post = result.constellation_rx_postcorrection
@@ -84,12 +84,12 @@ class TestEndToEnd:
         assert np.allclose(pre, post, rtol=1e-12, atol=1e-12)
 
     def test_different_seeds_differ(self, awgn_scenario):
-        a = simulate(awgn_scenario, total_bits=40_000, seed=1, with_spectra=False)
-        b = simulate(awgn_scenario, total_bits=40_000, seed=2, with_spectra=False)
+        a = simulate(replace(awgn_scenario, total_bits=40_000, seed=1), with_spectra=False)
+        b = simulate(replace(awgn_scenario, total_bits=40_000, seed=2), with_spectra=False)
         assert a.ber.as_dict() != b.ber.as_dict()
 
     def test_run_log_reports_channel_state(self, reference_scenario):
-        result = simulate(reference_scenario, total_bits=20_000, with_spectra=False)
+        result = simulate(replace(reference_scenario, total_bits=20_000), with_spectra=False)
         chan = result.run_log["effective"]["channel"]
         assert chan["mode"] == "physical"
         assert chan["transponder_amp_gain_db"] == pytest.approx(256.5, abs=2.0)
@@ -106,7 +106,7 @@ class TestMemory:
         wave_bytes = tx_shape(qam_modulate(generate_bits(bits, 0), cfg), cfg).samples.nbytes
         tracemalloc.start()
         try:
-            simulate(reference_scenario, total_bits=bits)
+            simulate(replace(reference_scenario, total_bits=bits))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

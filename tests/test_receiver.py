@@ -264,8 +264,8 @@ class TestPhaseFreqCorrection:
 
 class TestReceiverChain:
     def test_full_receiver_deterministic(self, reference_scenario):
-        a = simulate(reference_scenario, total_bits=20_000, with_spectra=False)
-        b = simulate(reference_scenario, total_bits=20_000, with_spectra=False)
+        a = simulate(replace(reference_scenario, total_bits=20_000), with_spectra=False)
+        b = simulate(replace(reference_scenario, total_bits=20_000), with_spectra=False)
         assert a.ber.as_dict() == b.ber.as_dict()
         assert np.array_equal(
             a.constellation_rx_postcorrection, b.constellation_rx_postcorrection
@@ -279,7 +279,7 @@ class TestReceiverChain:
         "amplifier variant re-centers exactly (see acceptance figure tests).",
     )
     def test_compensated_clusters_within_015d(self, reference_scenario):
-        result = simulate(reference_scenario, total_bits=60_000, with_spectra=False)
+        result = simulate(replace(reference_scenario, total_bits=60_000), with_spectra=False)
         pts = result.constellation_rx_postcorrection
         received = pts[:, 0] + 1j * pts[:, 1]
         lattice = [complex(i, q) for i in (-3, -1, 1, 3) for q in (-3, -1, 1, 3)]
@@ -292,11 +292,11 @@ class TestReceiverChain:
         # the pipeline applies DC -> AGC -> phase/freq -> matched filter;
         # with everything enabled the compensated BER sits near zero while
         # the uncompensated one is dominated by the spinning constellation
-        on = simulate(reference_scenario, total_bits=20_000, with_spectra=False)
+        on = simulate(replace(reference_scenario, total_bits=20_000), with_spectra=False)
         comp_off = replace(
             reference_scenario,
             compensation=replace(reference_scenario.compensation, phase_freq=False),
         )
-        off = simulate(comp_off, total_bits=20_000, with_spectra=False)
+        off = simulate(replace(comp_off, total_bits=20_000), with_spectra=False)
         assert on.ber.ber < 0.01
         assert off.ber.ber > 0.3

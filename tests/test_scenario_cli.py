@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import is_dataclass
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -212,7 +212,23 @@ class TestScenarioValidation:
         from vsatlink.pipeline import simulate
 
         with pytest.raises(Exception, match="10000"):
-            simulate(awgn_scenario, total_bits=500, with_spectra=False)
+            simulate(replace(awgn_scenario, total_bits=500), with_spectra=False)
+
+    @pytest.mark.parametrize("key, value", [
+        ("total_bits", 12_000.9), ("seed", 2.7), ("seed", True),
+    ])
+    def test_non_integral_override_names_key(self, awgn_scenario, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: must be an integer, got {value}"):
+            replace(awgn_scenario, **{key: value})
+
+    def test_numpy_integer_override_runs_as_that_integer(self, awgn_scenario):
+        logs = []
+        for bits, seed in ((np.int64(12_000), np.int64(3)), (12_000, 3)):
+            result = simulate(replace(awgn_scenario, total_bits=bits, seed=seed),
+                              with_spectra=False)
+            assert result.ber.bits_compared == 12_000
+            logs.append(json.dumps(result.run_log))
+        assert logs[0] == logs[1]
 
     def test_constraint_violation_names_section(self):
         doc = minimal_doc()
@@ -243,7 +259,7 @@ class TestScenarioValidation:
             sc = scenario_from_dict(doc)
         except ConfigError:
             return
-        simulate(sc, total_bits=10_000, with_spectra=False)
+        simulate(replace(sc, total_bits=10_000), with_spectra=False)
         if sc.budget_legs:  # what `vsatlink linkbudget` computes
             reports = run_linkbudget(sc)
             if len(reports) == 2:
@@ -292,27 +308,21 @@ class TestSweepHelpers:
 
     def test_non_scalar_key_rejected(self, awgn_scenario):
         with pytest.raises(Exception, match="not a scalar"):
-            run_sweep(awgn_scenario, "compensation.dc", [1.0], total_bits=10_000)
+            run_sweep(replace(awgn_scenario, total_bits=10_000), "compensation.dc", [1.0])
 
-    @pytest.mark.parametrize("param, values, bits", [
-        ("target_es_n0_db", [6.0, 8.0], 500),
-        ("modem.m_ary", [4.0, 16.0, 64.0], 10_001),  # only 64-QAM trims below 10 000
+    @pytest.mark.parametrize("param, values, bits, error", [
+        ("target_es_n0_db", [6.0, 8.0], 500, ParameterError),
+        # only 64-QAM trims below 10 000, so building that point fails
+        ("modem.m_ary", [4.0, 16.0, 64.0], 10_001, ConfigError),
     ], ids=["every-point", "one-point"])
     def test_too_few_bits_fail_before_any_worker(self, awgn_scenario, no_point_runs,
-                                                 param, values, bits):
-        with pytest.raises(ParameterError, match="total_bits"):
-            run_sweep(awgn_scenario, param, values, total_bits=bits, jobs=2)
-
-    def test_swept_and_overridden_bits_fail_before_any_worker(self, awgn_scenario,
-                                                              no_point_runs):
-        # the override would replace every swept value
-        with pytest.raises(ParameterError, match="total_bits"):
-            run_sweep(awgn_scenario, "total_bits", [20_000.0, 40_000.0], total_bits=12_000,
-                      jobs=2)
+                                                 param, values, bits, error):
+        with pytest.raises(error, match="total_bits"):
+            run_sweep(replace(awgn_scenario, total_bits=bits), param, values, jobs=2)
 
     def test_unknown_key_rejected(self, awgn_scenario):
         with pytest.raises(Exception, match="no such key"):
-            run_sweep(awgn_scenario, "impairments.nope", [1.0], total_bits=10_000)
+            run_sweep(replace(awgn_scenario, total_bits=10_000), "impairments.nope", [1.0])
 
     def test_seed_mix_is_stable(self):
         # frozen values guard the documented splitmix64 derivation
@@ -322,8 +332,8 @@ class TestSweepHelpers:
 
     def test_seed_sweep_seeds_each_point_from_its_value(self, awgn_scenario):
         def errors(param, values):
-            return [row["errors"] for row in run_sweep(awgn_scenario, param, values,
-                                                       total_bits=12_000)]
+            sc = replace(awgn_scenario, total_bits=12_000)
+            return [row["errors"] for row in run_sweep(sc, param, values)]
 
         assert errors("seed", [1.0, 2.0]) != errors("seed", [50.0, 99.0])
         # a point whose seed is the scenario's runs as in any other sweep
@@ -331,10 +341,9 @@ class TestSweepHelpers:
             "target_es_n0_db", [awgn_scenario.target_es_n0_db])
 
     def test_parallel_sweep_matches_sequential(self, awgn_scenario):
-        seq = run_sweep(awgn_scenario, "target_es_n0_db", [10.0, 14.0],
-                        total_bits=20_000, jobs=1)
-        par = run_sweep(awgn_scenario, "target_es_n0_db", [10.0, 14.0],
-                        total_bits=20_000, jobs=2)
+        sc = replace(awgn_scenario, total_bits=20_000)
+        seq = run_sweep(sc, "target_es_n0_db", [10.0, 14.0], jobs=1)
+        par = run_sweep(sc, "target_es_n0_db", [10.0, 14.0], jobs=2)
         assert seq == par
 
     def test_pool_never_exceeds_point_count(self, awgn_scenario, monkeypatch):
@@ -357,10 +366,11 @@ class TestSweepHelpers:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         values = [10.0, 12.0, 14.0]
-        rows = run_sweep(awgn_scenario, "target_es_n0_db", values, total_bits=10_000, jobs=64)
+        sc = replace(awgn_scenario, total_bits=10_000)
+        rows = run_sweep(sc, "target_es_n0_db", values, jobs=64)
         assert workers == [3]
         assert [row["swept_value"] for row in rows] == values
-        run_sweep(awgn_scenario, "target_es_n0_db", [10.0], total_bits=10_000, jobs=64)
+        run_sweep(sc, "target_es_n0_db", [10.0], jobs=64)
         assert workers == [3]  # one point runs in process
 
 
@@ -435,13 +445,18 @@ class TestCli:
 
     def test_run_log_reconstructs_scenario(self, tmp_path):
         cfg = tmp_path / "sc.json"
-        cfg.write_text(json.dumps(minimal_doc()))
+        cfg.write_text(json.dumps(minimal_doc(total_bits=200_000)))
         out = tmp_path / "run"
-        main(["simulate", str(cfg), "--out", str(out), "--bits", "40000"])
+        main(["simulate", str(cfg), "--out", str(out), "--bits", "40000", "--seed", "5"])
         log = json.loads((out / "run_log.json").read_text())
         rebuilt = scenario_from_dict(log["scenario"])
         assert rebuilt.mode == "normalized"
         assert rebuilt.target_es_n0_db == 14.0
+        assert (rebuilt.total_bits, rebuilt.seed) == (40_000, 5)  # the overrides ran
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(log["scenario"]))
+        assert main(["simulate", str(replay), "--out", str(tmp_path / "again")]) == EXIT_OK
+        assert (tmp_path / "again" / "ber.json").read_bytes() == (out / "ber.json").read_bytes()
         eff = log["effective"]
         for key in (
             "total_bits", "master_seed", "bits_seed", "noise_seed",
@@ -626,6 +641,36 @@ class TestCli:
         assert "total_bits" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_es_n0_target_in_physical_mode_is_config_error(self, tmp_path, capsys,
+                                                           no_point_runs):
+        doc = json.loads(builtin_scenario_path("kptcl-cband").read_text())
+        doc["target_es_n0_db"] = 10.0  # physical noise is kTB, so this would be ignored
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: target_es_n0_db: " in capsys.readouterr().err
+
+    def test_es_n0_sweep_of_physical_scenario_fails_while_points_are_built(
+            self, tmp_path, capsys, no_point_runs):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "kptcl-cband", "--param", "target_es_n0_db", "--values", "0,40",
+                     "--bits", "20000", "--jobs", "2", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "config error: target_es_n0_db: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"\xff\xfe{}"),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_scenario_is_config_error(self, tmp_path, capsys, make):
+        cfg = tmp_path / "x.json"
+        make(cfg)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: scenario: cannot read {cfg}: " in err
+        assert "Traceback" not in err
+
     def test_negative_bits_reports_requested_count(self, tmp_path, capsys):
         code = main(["simulate", "awgn-validation", "--out", str(tmp_path / "o"),
                      "--bits", "-5"])
@@ -654,7 +699,7 @@ class TestPipelineErrorWrapping:
 
         monkeypatch.setattr(pipeline_mod, "qam_modulate", boom)
         with pytest.raises(PipelineError, match=r"\[modem\.qam_modulate\]"):
-            pipeline_mod.simulate(awgn_scenario, total_bits=12_000, with_spectra=False)
+            pipeline_mod.simulate(replace(awgn_scenario, total_bits=12_000), with_spectra=False)
 
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
     def test_interrupt_and_exit_are_not_wrapped(self, awgn_scenario, monkeypatch, exc):
@@ -665,4 +710,4 @@ class TestPipelineErrorWrapping:
 
         monkeypatch.setattr(pipeline_mod, "tx_shape", interrupt)
         with pytest.raises(exc):
-            pipeline_mod.simulate(awgn_scenario, total_bits=12_000, with_spectra=False)
+            pipeline_mod.simulate(replace(awgn_scenario, total_bits=12_000), with_spectra=False)
