@@ -27,8 +27,13 @@ __all__ = [
 ]
 
 # Welch segments transformed per FFT call; bounds the scratch memory of
-# estimate_psd to this many segments whatever the frame length.
-PSD_BLOCK_SEGMENTS = 64
+# estimate_psd to this many segments whatever the frame length.  simulate
+# runs the PSDs on a worker thread beside the chain, so this scratch adds to
+# the chain's own peak: at 16 a 2e5-bit kptcl-cband run peaks at 2.79
+# waveforms, at 64 at 3.15, over the 3 that test_pipeline.TestMemory allows.
+# The value groups the power sum, so changing it moves the PSD by ~1e-15
+# relative.
+PSD_BLOCK_SEGMENTS = 16
 
 
 @dataclass(frozen=True)

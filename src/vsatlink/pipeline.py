@@ -101,7 +101,25 @@ def simulate(
     snapshot_points: int = SNAPSHOT_POINTS_DEFAULT,
     with_spectra: bool = True,
 ) -> SimulationResult:
-    """Run the full pipeline once and collect BER plus figure artifacts."""
+    """Run the full pipeline once and collect BER plus figure artifacts.
+
+    With ``with_spectra`` the two Welch PSDs run on one worker thread while
+    the chain goes on (numpy's FFTs and ufuncs release the GIL); the thread
+    is shut down before this returns or raises.  Without, no thread starts.
+    """
+    if not with_spectra:
+        return _simulate(scenario, snapshot_points, None)
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        return _simulate(scenario, snapshot_points, pool)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> SimulationResult:
+    """The run of :func:`simulate`; ``pool`` computes the spectra, or is None."""
     cfg = scenario.modem
     if snapshot_points <= 0:
         raise ParameterError(f"snapshot_points must be > 0, got {snapshot_points}")
@@ -128,19 +146,27 @@ def simulate(
         target_es_n0_db=scenario.target_es_n0_db,
         reference_symbol_power=cfg.mean_symbol_power,
     )
+    # The spectra are computed on the worker while the chain goes on.  No
+    # stage writes a frame it is handed (the channel, DC, AGC, de-rotation
+    # and rx_match each return a new array), so the worker reads each frame
+    # as it was submitted.
+    seg = min(SPECTRUM_SEGMENT_LEN, len(tx_wave))
+    spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
+    if pool is not None:
+        psd = pool.submit(_spectrum, tx_wave, seg)
     with _stage("channel.run"):
         rx_wave = channel.run(tx_wave)
     chan_log = channel.last_log
     tx_power = channel.last_input_power_w
 
     # Each waveform-sized frame is dropped once its last reader is done, so
-    # at its peak the run holds two of them plus smaller arrays.
-    seg = min(SPECTRUM_SEGMENT_LEN, len(tx_wave))
-    spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
-    if with_spectra:
-        with _stage("analysis.spectra"):
-            spectrum_tx = _spectrum(tx_wave, seg)
+    # at its peak the run holds two of them plus smaller arrays.  The worker
+    # reads tx_wave until its PSD is done, so that PSD is collected before
+    # the receiver makes a new waveform.
     del tx_wave
+    if pool is not None:
+        with _stage("analysis.spectra"):
+            spectrum_tx = psd.result()
 
     # AGC drives total power to its reference; the corrections here are
     # data-aided, so the reference is the known signal power plus the known
@@ -156,9 +182,8 @@ def simulate(
         if comp.agc:
             loop = AutomaticGainControl(agc_reference)
             rx_wave = loop.process(rx_wave)
-    if with_spectra:
-        with _stage("analysis.spectra"):
-            spectrum_rx = _spectrum(rx_wave, seg)
+    if pool is not None:
+        psd = pool.submit(_spectrum, rx_wave, seg)
     with _stage("receiver.phase_freq_correct"):
         if comp.phase_freq:
             corrected = phase_freq_correct(
@@ -193,6 +218,9 @@ def simulate(
         cons_post = constellation_snapshot(
             post_symbols.with_samples(post_symbols.samples[shown]), snapshot_points
         )
+    if pool is not None:
+        with _stage("analysis.spectra"):
+            spectrum_rx = psd.result()
     run_log = {
         "vsatlink_version": __version__,
         "scenario": scenario_to_dict(scenario),

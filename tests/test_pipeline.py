@@ -1,22 +1,29 @@
 """Integration tests across the whole modem->channel->receiver stack."""
 
 import json
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import vsatlink.pipeline as pipeline_mod
 from vsatlink import (
     ModemConfig,
     SalehParams,
+    estimate_psd,
     generate_bits,
+    load_scenario,
     qam_modulate,
     theoretical_qam_ber,
     tx_shape,
 )
-from vsatlink.cli import EXIT_OK, main
-from vsatlink.pipeline import run_linkbudget, simulate
+from vsatlink.cli import EXIT_OK, EXIT_PIPELINE, main
+from vsatlink.errors import PipelineError
+from vsatlink.pipeline import SPECTRUM_SEGMENT_LEN, run_linkbudget, simulate
 
 
 class TestEndToEnd:
@@ -97,20 +104,118 @@ class TestEndToEnd:
 
 
 class TestMemory:
-    def test_peak_is_under_three_waveforms(self, reference_scenario):
+    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    def test_peak_is_under_three_waveforms(self, name):
         # the sample chain works block-wise in place and each waveform is
-        # dropped after its last reader: two waveforms and a few smaller
-        # arrays are alive at the peak
+        # dropped after its last reader: two waveforms, a few smaller arrays
+        # and the spectrum worker's scratch are alive at the peak
+        self._assert_peak_under_three_waveforms(load_scenario(name))
+
+    def test_peak_holds_while_the_spectrum_worker_lags(self, reference_scenario, monkeypatch):
+        # the transmit PSD is collected before the receiver makes a new
+        # waveform, so a late worker cannot keep a third one alive
+        def slow_psd(*args):
+            time.sleep(0.2)
+            return estimate_psd(*args)
+
+        monkeypatch.setattr(pipeline_mod, "estimate_psd", slow_psd)
+        self._assert_peak_under_three_waveforms(reference_scenario)
+
+    @staticmethod
+    def _assert_peak_under_three_waveforms(scenario):
         bits = 200_000
-        cfg = reference_scenario.modem
+        cfg = scenario.modem
         wave_bytes = tx_shape(qam_modulate(generate_bits(bits, 0), cfg), cfg).samples.nbytes
         tracemalloc.start()
         try:
-            simulate(replace(reference_scenario, total_bits=bits))
+            simulate(replace(scenario, total_bits=bits))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 3 * wave_bytes, peak / wave_bytes
+
+
+class TestSpectrumWorker:
+    """The two Welch PSDs run on one worker thread that ends with the run."""
+
+    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    def test_tx_spectrum_equals_serial_estimate(self, name, monkeypatch):
+        shaped = []
+
+        def keep_tx_shape(*args):
+            shaped.append(tx_shape(*args))
+            return shaped[-1]
+
+        monkeypatch.setattr(pipeline_mod, "tx_shape", keep_tx_shape)
+        result = simulate(replace(load_scenario(name), total_bits=20_000))
+        (wave,) = shaped
+        serial = estimate_psd(wave, min(SPECTRUM_SEGMENT_LEN, len(wave)))
+        assert np.array_equal(result.spectrum_tx[0], serial.frequencies_hz)
+        assert np.array_equal(result.spectrum_tx[1], serial.psd_w_per_hz)
+
+    def test_two_runs_give_identical_spectra(self, reference_scenario):
+        # the second run switches threads every microsecond, so the worker
+        # interleaves with every stage it overlaps
+        sc = replace(reference_scenario, total_bits=20_000)
+        a = simulate(sc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = simulate(sc)
+        finally:
+            sys.setswitchinterval(interval)
+        for x, y in ((a.spectrum_tx, b.spectrum_tx), (a.spectrum_rx, b.spectrum_rx)):
+            assert np.array_equal(x[0], y[0])
+            assert np.array_equal(x[1], y[1])
+        assert np.array_equal(a.constellation_rx_postcorrection, b.constellation_rx_postcorrection)
+
+    def test_only_a_run_with_spectra_starts_a_thread(self, awgn_scenario, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        sc = replace(awgn_scenario, total_bits=20_000)
+        result = simulate(sc, with_spectra=False)
+        assert started == []
+        assert result.spectrum_tx[1].size == result.spectrum_rx[1].size == 0
+        simulate(sc)
+        assert len(started) == 1
+
+    def test_thread_ends_with_a_run(self, reference_scenario):
+        before = threading.active_count()
+        simulate(replace(reference_scenario, total_bits=20_000))
+        assert threading.active_count() == before
+
+    def test_failing_stage_is_named_and_thread_ends(self, reference_scenario, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("synthetic")
+
+        monkeypatch.setattr(pipeline_mod, "rx_match", boom)
+        before = threading.active_count()
+        with pytest.raises(PipelineError) as info:
+            simulate(replace(reference_scenario, total_bits=20_000))
+        assert info.value.stage == "modem.rx_match"
+        assert threading.active_count() == before
+
+    def test_failing_spectrum_is_named_and_thread_ends(
+        self, reference_scenario, monkeypatch, tmp_path
+    ):
+        def boom(*args):
+            raise ValueError("synthetic")
+
+        monkeypatch.setattr(pipeline_mod, "estimate_psd", boom)
+        before = threading.active_count()
+        with pytest.raises(PipelineError) as info:
+            simulate(replace(reference_scenario, total_bits=20_000))
+        assert info.value.stage == "analysis.spectra"
+        assert threading.active_count() == before
+        argv = ["simulate", "kptcl-cband", "--bits", "20000", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_PIPELINE
+        assert threading.active_count() == before
 
 
 class TestLinkbudgetJson:
