@@ -53,6 +53,17 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _output_path(text: str, option: str, directory: bool = False) -> Path:
+    """``text`` as a path ``option`` can write: a directory with ``directory``,
+    else a file.  Checked before the run, so a bad path costs no simulation."""
+    path = Path(text)
+    base = next(p for p in (path, *path.parents) if p.exists())
+    want_dir = directory or base != path
+    if base.is_dir() != want_dir:
+        raise ConfigError(f"{option}: {base} is {'not ' if want_dir else ''}a directory")
+    return path
+
+
 def _csv_text(header: str, rows) -> str:
     lines = [header]
     for row in rows:
@@ -71,6 +82,7 @@ def _scenario(config: str, **overrides) -> ScenarioConfig:
 
 
 def _cmd_linkbudget(args: argparse.Namespace) -> int:
+    json_path = args.json and _output_path(args.json, "--json")
     scenario = load_scenario(args.config)
     reports = run_linkbudget(scenario)
     for report in reports:
@@ -79,16 +91,16 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
     if len(reports) == 2:
         total = combined_cn_db(reports[0].cn_db, reports[1].cn_db)
         print(f"Combined C/N (both legs): {total:10.2f} dB")
-    if args.json:
+    if json_path:
         payload = [report.__dict__ for report in reports]
-        _atomic_write(Path(args.json), _json_text(payload))
+        _atomic_write(json_path, _json_text(payload))
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    out = _output_path(args.out, "--out", directory=True)
     scenario = _scenario(args.config, total_bits=args.bits, seed=args.seed)
     result = simulate(scenario, snapshot_points=args.points)
-    out = Path(args.out)
     _atomic_write(out / "ber.json", _json_text(result.ber.as_dict()))
     _atomic_write(out / "run_log.json", _json_text(result.run_log))
     for name, cons in (
@@ -114,11 +126,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.param == "total_bits" and args.bits is not None:
         raise ConfigError("total_bits: swept, so --bits cannot also set it")
+    out = _output_path(args.out, "--out")
     scenario = _scenario(args.config, total_bits=args.bits)
     values = parse_sweep_values(args.values)
     rows = run_sweep(scenario, args.param, values, jobs=args.jobs)
     text_rows = [(r["swept_value"], r["ber"], r["errors"], r["bits"]) for r in rows]
-    _atomic_write(Path(args.out), _csv_text("swept_value,ber,errors,bits", text_rows))
+    _atomic_write(out, _csv_text("swept_value,ber,errors,bits", text_rows))
     for r in rows:
         print(f"{args.param} = {r['swept_value']:g}: BER = {r['ber']:.6g} "
               f"({r['errors']}/{r['bits']})")
@@ -149,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep one scalar key, one BER row per value")
     p_sweep.add_argument("config", help="scenario file or builtin name")
     p_sweep.add_argument("--param", required=True,
-                         help="dotted scalar key, e.g. target_es_n0_db")
+                         help="dotted numeric key, e.g. target_es_n0_db or modem.m_ary")
     p_sweep.add_argument("--values", required=True,
                          help=f"start:stop:step (at most {MAX_SWEEP_POINTS} points) or v1,v2,...")
     p_sweep.add_argument("--out", required=True, help="output CSV path")

@@ -31,7 +31,7 @@ from .modem import (
     tx_shape,
 )
 from .receiver import AutomaticGainControl, DcOffsetCompensator, phase_freq_correct
-from .scenario import ScenarioConfig, run_bits, scenario_to_dict
+from .scenario import ScenarioConfig, replace_key, run_bits, scenario_to_dict
 
 __all__ = [
     "derive_seed",
@@ -295,22 +295,6 @@ def parse_sweep_values(spec: str) -> list[float]:
     return values
 
 
-def _set_scalar(data: dict, dotted: str, value: float) -> None:
-    keys = dotted.split(".")
-    node = data
-    for k in keys[:-1]:
-        if not isinstance(node, dict) or k not in node:
-            raise ParameterError(f"sweep key {dotted!r}: no section {k!r}")
-        node = node[k]
-    leaf = keys[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ParameterError(f"sweep key {dotted!r}: no such key")
-    current = node[leaf]
-    if isinstance(current, bool) or not isinstance(current, (int, float, type(None))):
-        raise ParameterError(f"sweep key {dotted!r}: not a scalar numeric key")
-    node[leaf] = value
-
-
 def _sweep_point(point: ScenarioConfig, value: float) -> dict:
     result = simulate(point, with_spectra=False)
     return {
@@ -337,14 +321,9 @@ def run_sweep(
         raise ParameterError("sweep produced no values")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    from .scenario import scenario_from_dict
-
-    doc = scenario_to_dict(scenario)
-    points = []
-    for i, value in enumerate(values):  # build (and so check) every point before any run
-        _set_scalar(doc, param, value)
-        point = scenario_from_dict(doc)
-        points.append(replace(point, seed=derive_seed(point.seed, _SWEEP_BASE + i)))
+    # build (and so check) every point before any run
+    points = [replace_key(scenario, param, value) for value in values]
+    points = [replace(p, seed=derive_seed(p.seed, _SWEEP_BASE + i)) for i, p in enumerate(points)]
     workers = min(jobs, len(points))
     if workers == 1:
         return [_sweep_point(p, v) for p, v in zip(points, values)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -159,6 +159,27 @@ def _build(section: str, cls, data: Any):
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Validate a parsed scenario document and build the typed config."""
     return _build("", ScenarioConfig, data)
+
+
+def replace_key(cfg, key: str, value: Any):
+    """``cfg`` with the ``int``, ``float`` or ``Optional`` number at the dotted ``key``
+    set to ``value``, checked and rebuilt level by level as the loader builds it."""
+    names = key.split(".")
+    nodes = [cfg]
+    for name in names:
+        hint = _field_types(type(nodes[-1])).get(name) if is_dataclass(nodes[-1]) else None
+        if hint is None:
+            raise ConfigError(f"{key}: no such key")
+        nodes.append(getattr(nodes[-1], name))
+    if hint not in (int, float, Optional[int], Optional[float]):
+        raise ConfigError(f"{key}: not a scalar numeric key")
+    value = _value(key, hint, value)
+    for depth in reversed(range(len(names))):
+        try:
+            value = replace(nodes[depth], **{names[depth]: value})
+        except (ParameterError, TypeError) as exc:
+            raise ConfigError(f"{'.'.join(names[:depth]) or 'scenario'}: {exc}") from exc
+    return value
 
 
 def builtin_scenario_names() -> list[str]:

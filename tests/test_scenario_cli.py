@@ -32,6 +32,7 @@ from vsatlink.scenario import (
     ScenarioConfig,
     builtin_scenario_names,
     builtin_scenario_path,
+    replace_key,
     scenario_to_dict,
 )
 
@@ -96,8 +97,9 @@ _BUILTIN_LEAVES = [(name, path) for name, doc in _BUILTIN_DOCS.items()
                    for path in _leaf_paths(doc)]
 
 
-def _is_float_field(path) -> bool:
-    """Whether the scenario leaf at ``path`` is typed ``float`` or ``Optional[float]``."""
+def _leaf_type(path):
+    """The type of the scenario leaf at ``path``, with ``Optional[X]`` read as ``X``;
+    None inside the free-form metadata."""
     hint = ScenarioConfig
     for key in path:
         if isinstance(key, int):  # an item of a tuple[X, ...] field
@@ -105,19 +107,44 @@ def _is_float_field(path) -> bool:
         elif is_dataclass(hint):
             hint = get_type_hints(hint)[key]
         else:  # inside the free-form metadata
-            return False
+            return None
         args = [arg for arg in get_args(hint) if arg is not type(None)]
         if get_origin(hint) is Union and len(args) == 1:
             hint = args[0]
-    return hint is float
+    return hint
 
 
 _FLOAT_FIELDS = sorted({".".join(path) for _, path in _BUILTIN_LEAVES
-                        if "budget_legs" not in path and _is_float_field(path)})
+                        if "budget_legs" not in path and _leaf_type(path) is float})
 _BUDGET_FLOAT_PATHS = [path for name, path in _BUILTIN_LEAVES
                        if name == "kptcl-cband" and "budget_legs" in path
-                       and _is_float_field(path)]
+                       and _leaf_type(path) is float]
+# the keys replace_key (and so a sweep) takes, and every other key of the builtins:
+# flags, strings, sections, the budget_legs tuple and what is in it, metadata
+_NUMBER_LEAVES = [(name, path) for name, path in _BUILTIN_LEAVES
+                  if "budget_legs" not in path and _leaf_type(path) in (int, float)]
+_REFUSED_KEYS = sorted({(name, path[:i]) for name, path in _BUILTIN_LEAVES
+                        for i in range(1, len(path) + 1)} - set(_NUMBER_LEAVES), key=str)
 _EXTREME_FLOATS = [1e300, -1e300, 1e30, -1e30]
+
+
+def _node(doc, path):
+    """What ``doc`` holds at the key ``path``."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _leaf_id(param):
+    return param if isinstance(param, str) else ".".join(map(str, param))
+
+
+def _outcome(build):
+    """The scenario ``build`` returns, as its run-log JSON, or the ConfigError it raises."""
+    try:
+        return json.dumps(scenario_to_dict(build()), sort_keys=True)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
 
 
 def _with_leaf(doc, path, value):
@@ -126,10 +153,7 @@ def _with_leaf(doc, path, value):
     "budget_legs[0].geometry: range_m"."""
     doc = json.loads(json.dumps(doc))
     *sections, leaf = path
-    node = doc
-    for section in sections:
-        node = node[section]
-    node[leaf] = value
+    _node(doc, sections)[leaf] = value
     where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in sections)
     return doc, f"{where.lstrip('.')}: {leaf}"
 
@@ -142,9 +166,7 @@ def builtin_with_one_bad_leaf(draw):
     name, path = draw(st.sampled_from(_BUILTIN_LEAVES))
     doc = json.loads(json.dumps(_BUILTIN_DOCS[name]))
     *parents, leaf = path
-    node = doc
-    for key in parents:
-        node = node[key]
+    node = _node(doc, parents)
     old = node[leaf]
     kinds = [
         st.sampled_from([math.nan, math.inf, -math.inf, None]),
@@ -155,7 +177,7 @@ def builtin_with_one_bad_leaf(draw):
     ]
     if type(old) is int:
         kinds += [st.just(float(old)), st.floats(0.01, 0.99).map(lambda f: old + f)]
-    if _is_float_field(path):
+    if _leaf_type(path) is float:
         kinds.append(st.sampled_from(_EXTREME_FLOATS))
     node[leaf] = draw(st.one_of(kinds))
     return doc
@@ -288,6 +310,28 @@ class TestScenarioValidation:
                 scenario_from_dict(doc)
             assert str(err.value).startswith(f"{key} must be")
 
+    @pytest.mark.parametrize("name, path", _NUMBER_LEAVES, ids=_leaf_id)
+    def test_replace_key_builds_what_the_loader_builds(self, name, path):
+        doc = _BUILTIN_DOCS[name]
+        sc, key, old = scenario_from_dict(doc), ".".join(path), _node(doc, path)
+        edits = [20.0, 7, None, True, math.nan, 1e300]
+        if old is not None:  # gains.transponder_amp_gain_db is null in kptcl-cband
+            edits += [old, float(old), old + 1, -old, 2.5 * old]
+        for value in edits:
+            assert _outcome(lambda: replace_key(sc, key, value)) == _outcome(
+                lambda: scenario_from_dict(_with_leaf(doc, path, value)[0])), value
+        if _leaf_type(path) is int:  # an integral float is stored as the integer
+            assert type(_node(scenario_to_dict(replace_key(sc, key, float(old))), path)) is int
+
+    @pytest.mark.parametrize("name, path", _REFUSED_KEYS, ids=_leaf_id)
+    def test_replace_key_refuses_all_but_number_fields(self, name, path):
+        doc = _BUILTIN_DOCS[name]
+        key = ".".join(map(str, path))
+        for value in (1.0, _node(doc, path)):
+            with pytest.raises(ConfigError) as err:
+                replace_key(scenario_from_dict(doc), key, value)
+            assert str(err.value) in (f"{key}: not a scalar numeric key", f"{key}: no such key")
+
 
 class TestSweepHelpers:
     def test_parse_range(self):
@@ -307,7 +351,7 @@ class TestSweepHelpers:
             parse_sweep_values(f"0:{MAX_SWEEP_POINTS}:1")
 
     def test_non_scalar_key_rejected(self, awgn_scenario):
-        with pytest.raises(Exception, match="not a scalar"):
+        with pytest.raises(ConfigError, match="not a scalar"):
             run_sweep(replace(awgn_scenario, total_bits=10_000), "compensation.dc", [1.0])
 
     @pytest.mark.parametrize("param, values, bits, error", [
@@ -321,8 +365,14 @@ class TestSweepHelpers:
             run_sweep(replace(awgn_scenario, total_bits=bits), param, values, jobs=2)
 
     def test_unknown_key_rejected(self, awgn_scenario):
-        with pytest.raises(Exception, match="no such key"):
+        with pytest.raises(ConfigError, match="no such key"):
             run_sweep(replace(awgn_scenario, total_bits=10_000), "impairments.nope", [1.0])
+
+    def test_metadata_key_rejected_before_any_point_runs(self, awgn_scenario, no_point_runs):
+        # metadata changes nothing in a run, so its points would differ only by seed
+        sc = replace(awgn_scenario, total_bits=10_000, metadata={"rate": 64})
+        with pytest.raises(ConfigError, match="metadata.rate: no such key"):
+            run_sweep(sc, "metadata.rate", [1.0, 2.0, 3.0], jobs=2)
 
     def test_seed_mix_is_stable(self):
         # frozen values guard the documented splitmix64 derivation
@@ -539,6 +589,7 @@ class TestCli:
          "modem.samples_per_symbol: must be an integer, got 4.5"),
         ("target_es_n0_db", "10,nan", "sweep values must be finite, got 'nan'"),
         ("modem.rolloff", "0.2,1.5", "rolloff must be in (0, 1]"),
+        ("compensation.dc", "1,0", "config error: compensation.dc: not a scalar numeric key"),
     ])
     def test_bad_sweep_value_fails_before_simulating(self, tmp_path, monkeypatch, capsys,
                                                      param, values, message):
@@ -631,6 +682,27 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert f"total_bits: must be <= {MAX_TOTAL_BITS}, got 1000000000000" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option, path", [
+        (["simulate", "awgn-validation", "--bits", "20000", "--out", "file"], "--out", "file"),
+        (["sweep", "awgn-validation", "--param", "target_es_n0_db", "--values", "10,12",
+          "--jobs", "2", "--out", "dir"], "--out", "dir"),
+        (["sweep", "awgn-validation", "--param", "target_es_n0_db", "--values", "10,12",
+          "--jobs", "2", "--out", "file/s.csv"], "--out", "file"),
+        (["linkbudget", "kptcl-cband", "--json", "dir"], "--json", "dir"),
+    ], ids=["simulate-out-file", "sweep-out-dir", "sweep-out-under-file", "linkbudget-json-dir"])
+    def test_unwritable_output_path_fails_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                          no_point_runs, command, option, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "dir").mkdir()
+        assert main(command) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {option}: {path} is " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # refused before linkbudget prints its reports
+        assert (tmp_path / "file").read_text() == "kept\n"
+        assert not any((tmp_path / "dir").iterdir())
 
     def test_bits_sweep_with_bits_override_is_config_error(self, tmp_path, capsys,
                                                            no_point_runs):
