@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--bits", type=int, default=None, help="override total_bits per point")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes, at most one per point")
+                         help="threads that run the points, at most one per point")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 

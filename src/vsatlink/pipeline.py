@@ -96,6 +96,18 @@ def _stage(name: str):
         raise PipelineError(name, str(exc)) from exc
 
 
+@contextlib.contextmanager
+def _threads(n: int):
+    """``n`` worker threads that end with the block: queued work is cancelled."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=n)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def simulate(
     scenario: ScenarioConfig,
     snapshot_points: int = SNAPSHOT_POINTS_DEFAULT,
@@ -107,15 +119,8 @@ def simulate(
     the chain goes on (numpy's FFTs and ufuncs release the GIL); the thread
     is shut down before this returns or raises.  Without, no thread starts.
     """
-    if not with_spectra:
-        return _simulate(scenario, snapshot_points, None)
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
+    with _threads(1) if with_spectra else contextlib.nullcontext() as pool:
         return _simulate(scenario, snapshot_points, pool)
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> SimulationResult:
@@ -313,9 +318,9 @@ def run_sweep(
 ) -> list[dict]:
     """One pipeline run per value; point i is seeded from its own ``seed``.
 
-    Points are independent (separately seeded), so with ``jobs > 1`` they run
-    in a process pool of at most one worker per point; rows come back in
-    sweep order and are identical to a sequential run.
+    Points are independent, so they run on ``min(jobs, points)`` threads;
+    rows come back in sweep order, equal to a one-thread run.  A failing
+    point cancels the queued ones and raises its own error.
     """
     if not values:
         raise ParameterError("sweep produced no values")
@@ -324,10 +329,5 @@ def run_sweep(
     # build (and so check) every point before any run
     points = [replace_key(scenario, param, value) for value in values]
     points = [replace(p, seed=derive_seed(p.seed, _SWEEP_BASE + i)) for i, p in enumerate(points)]
-    workers = min(jobs, len(points))
-    if workers == 1:
-        return [_sweep_point(p, v) for p, v in zip(points, values)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _threads(min(jobs, len(points))) as pool:
         return list(pool.map(_sweep_point, points, values))

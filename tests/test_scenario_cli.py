@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import is_dataclass, replace
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -19,6 +21,7 @@ from vsatlink import ConfigError, load_scenario, scenario_from_dict
 from vsatlink.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from vsatlink.errors import ParameterError, PipelineError
 from vsatlink.linkbudget import combined_cn_db
+from vsatlink.modem import generate_bits
 from vsatlink.pipeline import (
     MAX_SWEEP_POINTS,
     derive_seed,
@@ -68,7 +71,7 @@ def awgn_copy(tmp_path, key, value) -> Path:
 
 @pytest.fixture
 def no_point_runs(monkeypatch):
-    """Make generating bits or starting a sweep pool fail the test."""
+    """Make generating bits or starting a thread pool fail the test."""
     import concurrent.futures
 
     import vsatlink.pipeline as pipeline_mod
@@ -77,7 +80,7 @@ def no_point_runs(monkeypatch):
         raise AssertionError("a point ran or a pool started")
 
     monkeypatch.setattr(pipeline_mod, "generate_bits", boom)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", boom)
 
 
 def _leaf_paths(node, path=()):
@@ -395,33 +398,83 @@ class TestSweepHelpers:
         seq = run_sweep(sc, "target_es_n0_db", [10.0, 14.0], jobs=1)
         par = run_sweep(sc, "target_es_n0_db", [10.0, 14.0], jobs=2)
         assert seq == par
+        # the two points' threads switch every microsecond, so they
+        # interleave in every stage
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            switched = run_sweep(sc, "target_es_n0_db", [10.0, 14.0], jobs=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert switched == seq
 
     def test_pool_never_exceeds_point_count(self, awgn_scenario, monkeypatch):
         import concurrent.futures
 
         workers = []
 
-        class InProcessPool:
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 workers.append(max_workers)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         values = [10.0, 12.0, 14.0]
         sc = replace(awgn_scenario, total_bits=10_000)
         rows = run_sweep(sc, "target_es_n0_db", values, jobs=64)
         assert workers == [3]
         assert [row["swept_value"] for row in rows] == values
         run_sweep(sc, "target_es_n0_db", [10.0], jobs=64)
-        assert workers == [3]  # one point runs in process
+        assert workers == [3, 1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_point_raises_its_stage(self, awgn_scenario, tmp_path, monkeypatch, capsys,
+                                            jobs):
+        import vsatlink.pipeline as pipeline_mod
+
+        def boom(*args):
+            raise RuntimeError("synthetic")
+
+        monkeypatch.setattr(pipeline_mod, "rx_match", boom)
+        sc = replace(awgn_scenario, total_bits=10_000)
+        with pytest.raises(PipelineError) as info:
+            run_sweep(sc, "target_es_n0_db", [10.0, 12.0], jobs=jobs)
+        assert info.value.stage == "modem.rx_match"
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "awgn-validation", "--param", "target_es_n0_db", "--values",
+                     "10,12", "--bits", "10000", "--jobs", str(jobs), "--out", str(out)])
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert "[modem.rx_match]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_failing_point_stops_the_sweep_and_leaves_no_thread(self, awgn_scenario,
+                                                                monkeypatch):
+        import vsatlink.pipeline as pipeline_mod
+
+        started = []
+
+        def slow_bits(n, seed):
+            # point i draws 20 000 + 4i bits; point 0 fails, the others are slow
+            started.append(n)
+            if n == 20_000:
+                raise RuntimeError("synthetic")
+            time.sleep(0.2)
+            return generate_bits(n, seed)
+
+        sc = replace(awgn_scenario, total_bits=10_000)
+        before = threading.active_count()
+        run_sweep(sc, "target_es_n0_db", [10.0, 12.0], jobs=2)
+        assert threading.active_count() == before
+        monkeypatch.setattr(pipeline_mod, "generate_bits", slow_bits)
+        values = [20_000.0 + 4 * i for i in range(6)]
+        with pytest.raises(PipelineError) as info:
+            run_sweep(sc, "total_bits", values, jobs=2)
+        assert info.value.stage == "modem.generate_bits"
+        assert 20_000 in started
+        assert len(started) < len(values), started
+        assert threading.active_count() == before
 
 
 class TestCli:
