@@ -35,7 +35,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import ParameterError, PipelineError, check_range
+from .errors import CheckedConfig, ParameterError, PipelineError, ranged
 from .frames import ComplexFrame, _unchecked, block_slices
 
 __all__ = [
@@ -54,11 +54,12 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 # Range limits for the config numbers: wide enough for any real link, narrow
 # enough that every power in the chain (|x|^2, kTB, 10^(dB/10)) stays finite.
 MAX_ABS_DB = 400.0
-MAX_ABS_PHASE_DEG = 360.0
-MAX_ABS_FREQ_OFFSET_HZ = 1e9
 MAX_NOISE_TEMPERATURE_K = 1e9
-MAX_ABS_AMPLITUDE = 1e6  # volts across 1 ohm
 MAX_SALEH_COEFFICIENT = 1e6
+DB_RANGE = (-MAX_ABS_DB, MAX_ABS_DB)
+LOSS_DB_RANGE = (0.0, MAX_ABS_DB)
+PHASE_RANGE_DEG = (-360.0, 360.0)
+AMPLITUDE_RANGE = (-1e6, 1e6)  # volts across 1 ohm
 
 
 def _db_to_amplitude(db: float) -> float:
@@ -66,7 +67,7 @@ def _db_to_amplitude(db: float) -> float:
 
 
 @dataclass(frozen=True)
-class SalehParams:
+class SalehParams(CheckedConfig):
     """TWTA AM/AM and AM/PM coefficients plus dB drive scalings.
 
     AM/AM: A(r) = amam_alpha * r / (1 + amam_beta * r^2)
@@ -75,22 +76,12 @@ class SalehParams:
     scaled by ``output_scale_db``.
     """
 
-    input_scale_db: float = -16.1821
-    amam_alpha: float = 2.1587
-    amam_beta: float = 1.1517
-    ampm_alpha: float = 4.0033
-    ampm_beta: float = 9.1040
-    output_scale_db: float = 32.9118
-
-    def __post_init__(self):
-        for name in ("input_scale_db", "output_scale_db"):
-            check_range(name, getattr(self, name), -MAX_ABS_DB, MAX_ABS_DB)
-        check_range("amam_alpha", self.amam_alpha, 1.0 / MAX_SALEH_COEFFICIENT,
-                    MAX_SALEH_COEFFICIENT)
-        check_range("ampm_alpha", self.ampm_alpha, -MAX_SALEH_COEFFICIENT,
-                    MAX_SALEH_COEFFICIENT)
-        for name in ("amam_beta", "ampm_beta"):
-            check_range(name, getattr(self, name), 0.0, MAX_SALEH_COEFFICIENT)
+    input_scale_db: float = ranged(*DB_RANGE, default=-16.1821)
+    amam_alpha: float = ranged(1 / MAX_SALEH_COEFFICIENT, MAX_SALEH_COEFFICIENT, default=2.1587)
+    amam_beta: float = ranged(0.0, MAX_SALEH_COEFFICIENT, default=1.1517)
+    ampm_alpha: float = ranged(-MAX_SALEH_COEFFICIENT, MAX_SALEH_COEFFICIENT, default=4.0033)
+    ampm_beta: float = ranged(0.0, MAX_SALEH_COEFFICIENT, default=9.1040)
+    output_scale_db: float = ranged(*DB_RANGE, default=32.9118)
 
     @classmethod
     def linear(cls) -> "SalehParams":
@@ -113,53 +104,36 @@ class SalehParams:
 
 
 @dataclass(frozen=True)
-class ImpairmentConfig:
+class ImpairmentConfig(CheckedConfig):
     """Link impairment settings (all transparent at their zero defaults)."""
 
-    phase_offset_deg: float = 0.0
-    freq_offset_hz: float = 0.0
-    noise_temperature_k: float = 0.0
-    iq_amplitude_imbalance_db: float = 0.0
-    iq_phase_imbalance_deg: float = 0.0
-    dc_offset_i: float = 0.0
-    dc_offset_q: float = 0.0
+    phase_offset_deg: float = ranged(*PHASE_RANGE_DEG, default=0.0)
+    freq_offset_hz: float = ranged(-1e9, 1e9, default=0.0)
+    noise_temperature_k: float = ranged(0.0, MAX_NOISE_TEMPERATURE_K, default=0.0)
+    iq_amplitude_imbalance_db: float = ranged(*DB_RANGE, default=0.0)
+    iq_phase_imbalance_deg: float = ranged(*PHASE_RANGE_DEG, default=0.0)
+    dc_offset_i: float = ranged(*AMPLITUDE_RANGE, default=0.0)
+    dc_offset_q: float = ranged(*AMPLITUDE_RANGE, default=0.0)
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("phase_offset_deg", "iq_phase_imbalance_deg"):
-            check_range(name, getattr(self, name), -MAX_ABS_PHASE_DEG, MAX_ABS_PHASE_DEG)
-        check_range("freq_offset_hz", self.freq_offset_hz,
-                    -MAX_ABS_FREQ_OFFSET_HZ, MAX_ABS_FREQ_OFFSET_HZ)
-        check_range("noise_temperature_k", self.noise_temperature_k,
-                    0.0, MAX_NOISE_TEMPERATURE_K)
-        check_range("iq_amplitude_imbalance_db", self.iq_amplitude_imbalance_db,
-                    -MAX_ABS_DB, MAX_ABS_DB)
-        for name in ("dc_offset_i", "dc_offset_q"):
-            check_range(name, getattr(self, name), -MAX_ABS_AMPLITUDE, MAX_ABS_AMPLITUDE)
+        super().__post_init__()
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
-class LinkGains:
+class LinkGains(CheckedConfig):
     """Fixed dB gains and path losses along the transponder chain."""
 
-    tx_dish_gain_db: float = 52.48
-    sat_rx_gain_db: float = 38.2
-    transponder_amp_gain_db: Optional[float] = None  # None -> auto-closure
-    sat_tx_gain_db: float = 31.0
-    rx_dish_gain_db: float = 36.85
-    uplink_loss_db: float = 221.0
-    downlink_loss_db: float = 217.0
-
-    def __post_init__(self):
-        for name in ("uplink_loss_db", "downlink_loss_db"):
-            check_range(name, getattr(self, name), 0.0, MAX_ABS_DB)
-        for name in ("tx_dish_gain_db", "sat_rx_gain_db", "sat_tx_gain_db", "rx_dish_gain_db"):
-            check_range(name, getattr(self, name), -MAX_ABS_DB, MAX_ABS_DB)
-        if self.transponder_amp_gain_db is not None:
-            check_range("transponder_amp_gain_db", self.transponder_amp_gain_db,
-                        -MAX_ABS_DB, MAX_ABS_DB)
+    tx_dish_gain_db: float = ranged(*DB_RANGE, default=52.48)
+    sat_rx_gain_db: float = ranged(*DB_RANGE, default=38.2)
+    # None -> auto-closure
+    transponder_amp_gain_db: Optional[float] = ranged(*DB_RANGE, default=None)
+    sat_tx_gain_db: float = ranged(*DB_RANGE, default=31.0)
+    rx_dish_gain_db: float = ranged(*DB_RANGE, default=36.85)
+    uplink_loss_db: float = ranged(*LOSS_DB_RANGE, default=221.0)
+    downlink_loss_db: float = ranged(*LOSS_DB_RANGE, default=217.0)
 
 
 def saleh_amplify(x: ComplexFrame, p: SalehParams) -> ComplexFrame:

@@ -6,7 +6,7 @@ dimensionless; in physical mode they are read as volts across a 1-ohm
 reference, so ``|x|**2`` is watts.
 
 Frames are checked where outside data enters: the public constructors and
-:meth:`ComplexFrame.with_samples` refuse NaN/Inf samples, a non-positive
+:meth:`ComplexFrame.with_samples` refuse a NaN/Inf sample or rate, a non-positive
 rate and bits other than 0/1.  A stage whose output is 1-D ``complex128``
 samples at a ``float`` rate (or ``int8`` 0/1 bits) by construction builds
 it with :func:`_unchecked` instead, so a waveform is not scanned again at
@@ -82,8 +82,8 @@ class ComplexFrame:
         samples = np.asarray(self.samples, dtype=np.complex128)
         if samples.ndim != 1:
             raise ParameterError("ComplexFrame samples must be 1-D")
-        if not float(self.sample_rate_hz) > 0.0:
-            raise ParameterError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if not 0.0 < float(self.sample_rate_hz) < np.inf:
+            raise ParameterError(f"sample_rate_hz must be in (0, inf), got {self.sample_rate_hz}")
         if samples.size and not np.isfinite(samples).all():
             raise ParameterError("ComplexFrame samples must be finite (no NaN/Inf)")
         self.samples = samples

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .channel import BOLTZMANN_J_PER_K, MAX_ABS_DB, MAX_NOISE_TEMPERATURE_K
-from .errors import ParameterError, check_range
+from .channel import BOLTZMANN_J_PER_K, DB_RANGE, LOSS_DB_RANGE, MAX_NOISE_TEMPERATURE_K
+from .errors import CheckedConfig, ParameterError, ranged
 
 __all__ = [
     "SPEED_OF_LIGHT_M_S",
@@ -44,25 +44,16 @@ NOISE_TEMPERATURE_RANGE_K = (1e-3, MAX_NOISE_TEMPERATURE_K)
 
 
 @dataclass(frozen=True)
-class AntennaSpec:
-    diameter_m: float
-    efficiency: float
-    pointing_loss_db: float = 0.0
-
-    def __post_init__(self):
-        check_range("diameter_m", self.diameter_m, *DIAMETER_RANGE_M)
-        check_range("efficiency", self.efficiency, *EFFICIENCY_RANGE)
-        check_range("pointing_loss_db", self.pointing_loss_db, 0.0, MAX_ABS_DB)
+class AntennaSpec(CheckedConfig):
+    diameter_m: float = ranged(*DIAMETER_RANGE_M)
+    efficiency: float = ranged(*EFFICIENCY_RANGE)
+    pointing_loss_db: float = ranged(*LOSS_DB_RANGE, default=0.0)
 
 
 @dataclass(frozen=True)
-class LinkGeometry:
-    range_m: float
-    frequency_hz: float
-
-    def __post_init__(self):
-        check_range("range_m", self.range_m, *DISTANCE_RANGE_M)
-        check_range("frequency_hz", self.frequency_hz, *FREQUENCY_RANGE_HZ)
+class LinkGeometry(CheckedConfig):
+    range_m: float = ranged(*DISTANCE_RANGE_M)
+    frequency_hz: float = ranged(*FREQUENCY_RANGE_HZ)
 
     @property
     def wavelength_m(self) -> float:
@@ -70,7 +61,7 @@ class LinkGeometry:
 
 
 @dataclass(frozen=True)
-class BudgetLeg:
+class BudgetLeg(CheckedConfig):
     """One direction of the link.
 
     Each antenna side takes exactly one of an explicit gain in dB or an
@@ -78,26 +69,18 @@ class BudgetLeg:
     """
 
     name: str
-    tx_power_w: float
+    tx_power_w: float = ranged(*TX_POWER_RANGE_W)
     geometry: LinkGeometry
-    bandwidth_hz: float
-    system_noise_temperature_k: float
-    tx_antenna_gain_db: Optional[float] = None
+    bandwidth_hz: float = ranged(*BANDWIDTH_RANGE_HZ)
+    system_noise_temperature_k: float = ranged(*NOISE_TEMPERATURE_RANGE_K)
+    tx_antenna_gain_db: Optional[float] = ranged(*DB_RANGE, default=None)
     tx_antenna: Optional[AntennaSpec] = None
-    rx_antenna_gain_db: Optional[float] = None
+    rx_antenna_gain_db: Optional[float] = ranged(*DB_RANGE, default=None)
     rx_antenna: Optional[AntennaSpec] = None
-    loss_override_db: Optional[float] = None
+    loss_override_db: Optional[float] = ranged(*LOSS_DB_RANGE, default=None)
 
     def __post_init__(self):
-        check_range("tx_power_w", self.tx_power_w, *TX_POWER_RANGE_W)
-        check_range("bandwidth_hz", self.bandwidth_hz, *BANDWIDTH_RANGE_HZ)
-        check_range("system_noise_temperature_k", self.system_noise_temperature_k,
-                    *NOISE_TEMPERATURE_RANGE_K)
-        for name in ("tx_antenna_gain_db", "rx_antenna_gain_db"):
-            if getattr(self, name) is not None:
-                check_range(name, getattr(self, name), -MAX_ABS_DB, MAX_ABS_DB)
-        if self.loss_override_db is not None:
-            check_range("loss_override_db", self.loss_override_db, 0.0, MAX_ABS_DB)
+        super().__post_init__()
         if (self.tx_antenna_gain_db is None) == (self.tx_antenna is None):
             raise ParameterError(
                 "provide exactly one of tx_antenna_gain_db or tx_antenna"

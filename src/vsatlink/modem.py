@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FramingError, InsufficientDataError, ParameterError, check_range
+from .errors import CheckedConfig, FramingError, InsufficientDataError, ParameterError, ranged
 from .frames import BitFrame, ComplexFrame, _unchecked
 
 __all__ = [
@@ -44,36 +44,32 @@ np.fft.fft(np.zeros(FFT_BLOCK_SYMBOLS, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
-class ModemConfig:
+class ModemConfig(CheckedConfig):
     """Modulator/filter parameters (defaults are the shipped scenario's)."""
 
-    m_ary: int = 16
-    min_distance: float = 2.0
+    # the upper bounds keep the label table and the RRC taps small
+    m_ary: int = ranged(4, 4096, default=16)
+    # a micro- to a megavolt keeps |s|^2 well inside float64
+    min_distance: float = ranged(1e-6, 1e6, default=2.0)
     gray_coding: bool = True
     rolloff: float = 0.2
-    samples_per_symbol: int = 8
+    samples_per_symbol: int = ranged(2, 64, default=8)
     # 30 symbols keeps the Tx+Rx cascade ISI comfortably below 1e-3 at
     # roll-off 0.2 (3.1e-4 worst lag); shorter truncations leak more at the
     # edge lags (span 10 reaches 4e-3).
-    filter_span_symbols: int = 30
-    bit_sample_time_s: float = 4.0 / 100000.0
+    filter_span_symbols: int = ranged(2, 256, default=30)
+    # 1 bit/s to 1 Tbit/s
+    bit_sample_time_s: float = ranged(1e-12, 1.0, default=4.0 / 100000.0)
 
     def __post_init__(self):
-        # the upper bounds keep the label table and the RRC taps small
-        check_range("m_ary", self.m_ary, 4, 4096)
+        super().__post_init__()
         if self.m_ary not in (4, 16, 64, 256, 1024, 4096):
             raise ParameterError(f"m_ary must be a power of 4, got {self.m_ary}")
         # rolloff 0 is a pure sinc, which never decays enough to truncate
         if not 0.0 < self.rolloff <= 1.0:
             raise ParameterError(f"rolloff must be in (0, 1], got {self.rolloff}")
-        check_range("samples_per_symbol", self.samples_per_symbol, 2, 64)
-        check_range("filter_span_symbols", self.filter_span_symbols, 2, 256)
         if self.filter_span_symbols % 2:
             raise ParameterError("filter_span_symbols must be even")
-        # a micro- to a megavolt keeps |s|^2 well inside float64
-        check_range("min_distance", self.min_distance, 1e-6, 1e6)
-        # 1 bit/s to 1 Tbit/s
-        check_range("bit_sample_time_s", self.bit_sample_time_s, 1e-12, 1.0)
 
     @property
     def bits_per_symbol(self) -> int:

@@ -1,7 +1,7 @@
 """Scenario files: JSON documents whose schema is the config dataclasses.
 
-Each object's allowed keys are its dataclass fields, each value is checked
-against its field's type hint, and a missing key takes the field's default.
+Each object's allowed keys are its dataclass fields, the dataclass checks
+each value (``errors.check_fields``), and a missing key takes its default.
 Unknown keys are errors (they are usually typos in dB fields).
 ``comment``/``comments`` keys are allowed everywhere for value annotations
 and are ignored; a free-form ``metadata`` section is carried into the run
@@ -11,16 +11,13 @@ log untouched.
 from __future__ import annotations
 
 import json
-import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from functools import cache
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Optional, Union, get_args, get_origin
 
 from .channel import MAX_ABS_DB, ImpairmentConfig, LinkGains, SalehParams
-from .errors import ConfigError, ParameterError
+from .errors import CheckedConfig, ConfigError, ParameterError, field_types
 from .linkbudget import BudgetLeg
 from .modem import ModemConfig
 
@@ -34,9 +31,6 @@ __all__ = [
 ]
 
 _ANNOTATION_KEYS = {"comment", "comments"}
-
-# What a JSON value must be for the field types that take it unchanged.
-_PLAIN_TYPES = {bool: "true or false", str: "a string", dict: "an object"}
 
 MIN_BER_RUN_BITS = 10_000
 # 1e8 bits is a 3.2 GB waveform at 8 samples per 16-QAM symbol; a longer run
@@ -60,14 +54,14 @@ def run_bits(total_bits: int, bits_per_symbol: int) -> int:
 
 
 @dataclass(frozen=True)
-class CompensationFlags:
+class CompensationFlags(CheckedConfig):
     dc: bool = True
     agc: bool = True
     phase_freq: bool = True
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(CheckedConfig):
     modem: ModemConfig = field(default_factory=ModemConfig)
     saleh: SalehParams = field(default_factory=SalehParams)
     gains: LinkGains = field(default_factory=LinkGains)
@@ -81,14 +75,9 @@ class ScenarioConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.mode not in ("physical", "normalized"):
             raise ConfigError(f"mode: must be 'physical' or 'normalized', got {self.mode!r}")
-        # stored as int: a numpy integer is not JSON and overflows the 64-bit seed mix
-        for key in ("total_bits", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{key}: must be an integer, got {value!r}")
-            object.__setattr__(self, key, int(value))
         run_bits(self.total_bits, self.modem.bits_per_symbol)
         if self.mode == "normalized" and self.target_es_n0_db is None:
             raise ConfigError("target_es_n0_db: required when mode is 'normalized'")
@@ -101,39 +90,30 @@ class ScenarioConfig:
             )
 
 
-@cache
-def _field_types(cls) -> dict[str, Any]:
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
 def _value(key: str, hint: Any, value: Any) -> Any:
-    """``value`` checked against the type ``hint`` of the field ``key``."""
-    if hint is float:  # stored unchanged, so an int stays an int in the run log
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value)):
-            raise ConfigError(f"{key}: must be a finite number, got {value!r}")
-        return value
-    if hint is int:  # an integral float is taken; anything else is not truncated
-        integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-        if isinstance(value, bool) or not integral:
-            raise ConfigError(f"{key}: must be an integer, got {value!r}")
-        return int(value)
-    if hint in _PLAIN_TYPES:
-        if not isinstance(value, hint):
-            raise ConfigError(f"{key}: must be {_PLAIN_TYPES[hint]}, got {value!r}")
-        return value
-    if is_dataclass(hint):
+    """``value`` for the field ``key`` of type ``hint``, each object in it built
+    as the dataclass that the hint names; the dataclass checks the rest."""
+    args = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is Union:  # Optional[X]
+        (hint,) = args
+    if is_dataclass(hint) and isinstance(value, dict):
         return _build(key, hint, value)
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is tuple:  # tuple[X, ...]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key}: must be a list, got {value!r}")
+    if get_origin(hint) is tuple and isinstance(value, (list, tuple)):  # tuple[X, ...]
         return tuple(_value(f"{key}[{i}]", args[0], item) for i, item in enumerate(value))
-    if origin is Union and type(None) in args:  # Optional[X]
-        (inner,) = [arg for arg in args if arg is not type(None)]
-        return None if value is None else _value(key, inner, value)  # null: "not provided"
-    raise TypeError(f"{key}: no scenario rule for fields of type {hint}")
+    return value
+
+
+def _checked(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its error raised as a :class:`ConfigError`
+    naming the dotted ``section`` ("" at top level) that it builds."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:  # the message starts with the field's key
+        if not section:
+            raise
+        raise ConfigError(f"{section}.{exc}") from exc
+    except (ParameterError, TypeError) as exc:
+        raise ConfigError(f"{section or 'scenario'}: {exc}") from exc
 
 
 def _build(section: str, cls, data: Any):
@@ -141,19 +121,15 @@ def _build(section: str, cls, data: Any):
     where = section or "scenario"
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: must be an object, got {data!r}")
-    types = _field_types(cls)
+    types = field_types(cls)
     unknown = sorted(set(data) - set(types) - _ANNOTATION_KEYS)
     if unknown:
         raise ConfigError(
             f"{where}: unknown key {unknown[0]!r} (allowed: {', '.join(sorted(types))})"
         )
     prefix = f"{section}." if section else ""
-    kwargs = {key: _value(prefix + key, types[key], value)
-              for key, value in data.items() if key in types}
-    try:
-        return cls(**kwargs)
-    except (ParameterError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _checked(section, cls, **{key: _value(prefix + key, types[key], value)
+                                     for key, value in data.items() if key in types})
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -167,18 +143,14 @@ def replace_key(cfg, key: str, value: Any):
     names = key.split(".")
     nodes = [cfg]
     for name in names:
-        hint = _field_types(type(nodes[-1])).get(name) if is_dataclass(nodes[-1]) else None
+        hint = field_types(type(nodes[-1])).get(name) if is_dataclass(nodes[-1]) else None
         if hint is None:
             raise ConfigError(f"{key}: no such key")
         nodes.append(getattr(nodes[-1], name))
     if hint not in (int, float, Optional[int], Optional[float]):
         raise ConfigError(f"{key}: not a scalar numeric key")
-    value = _value(key, hint, value)
     for depth in reversed(range(len(names))):
-        try:
-            value = replace(nodes[depth], **{names[depth]: value})
-        except (ParameterError, TypeError) as exc:
-            raise ConfigError(f"{'.'.join(names[:depth]) or 'scenario'}: {exc}") from exc
+        value = _checked(".".join(names[:depth]), replace, nodes[depth], **{names[depth]: value})
     return value
 
 

@@ -1,5 +1,7 @@
 """Container invariants for bit and sample frames."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,9 @@ class TestComplexFrame:
         assert f.start_sample == 0
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ParameterError):
-            ComplexFrame(np.array([1j]), 0.0)
+        for rate in (0.0, math.inf, math.nan):  # an infinite rate would rotate by 0 rad
+            with pytest.raises(ParameterError):
+                ComplexFrame(np.array([1j]), rate)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ParameterError):

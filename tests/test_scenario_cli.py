@@ -7,9 +7,9 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vsatlink
-from vsatlink import ConfigError, load_scenario, scenario_from_dict
+from vsatlink import ConfigError, SalehParams, load_scenario, scenario_from_dict
 from vsatlink.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from vsatlink.errors import ParameterError, PipelineError
 from vsatlink.linkbudget import combined_cn_db
@@ -32,6 +32,7 @@ from vsatlink.pipeline import (
 )
 from vsatlink.scenario import (
     MAX_TOTAL_BITS,
+    CompensationFlags,
     ScenarioConfig,
     builtin_scenario_names,
     builtin_scenario_path,
@@ -128,7 +129,8 @@ _NUMBER_LEAVES = [(name, path) for name, path in _BUILTIN_LEAVES
                   if "budget_legs" not in path and _leaf_type(path) in (int, float)]
 _REFUSED_KEYS = sorted({(name, path[:i]) for name, path in _BUILTIN_LEAVES
                         for i in range(1, len(path) + 1)} - set(_NUMBER_LEAVES), key=str)
-_EXTREME_FLOATS = [1e300, -1e300, 1e30, -1e30]
+# the last is an integer past the float range, which a JSON file can hold
+_EXTREME_FLOATS = [1e300, -1e300, 1e30, -1e30, 10**400]
 
 
 def _node(doc, path):
@@ -148,6 +150,38 @@ def _outcome(build):
         return json.dumps(scenario_to_dict(build()), sort_keys=True)
     except ConfigError as exc:
         return f"ConfigError: {exc}"
+
+
+def _replace_leaf(node, path, value):
+    """``node`` with the leaf at the key ``path`` set by ``dataclasses.replace``
+    on its section, and each enclosing section rebuilt the same way."""
+    head, *rest = path
+    return replace(node, **{head: _replace_leaf(getattr(node, head), rest, value)
+                            if rest else value})
+
+
+def _config_fields(cls, prefix=""):
+    """(dotted key, field, type hint) of each field of the dataclass ``cls`` and
+    of the dataclasses its fields hold, items of a tuple and optional ones too."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        key, hint = prefix + f.name, hints[f.name]
+        yield key, f, hint
+        for inner in (hint, *get_args(hint)):
+            if is_dataclass(inner):
+                yield from _config_fields(inner, f"{key}.")
+
+
+# the number fields whose rule is not one range, so they declare none
+_OWN_RULE_FIELDS = {"modem.rolloff", "impairments.seed", "total_bits", "seed", "target_es_n0_db"}
+
+# an edit of the wrong type in a section, each refused when the config is made
+_MISTYPED_EDITS = {
+    "nested-integer": lambda sc: replace(sc, modem=replace(sc.modem, samples_per_symbol=8.5)),
+    "string-coefficient": lambda sc: replace(sc, saleh=SalehParams(amam_alpha="2")),
+    "integer-flag": lambda sc: replace(sc, compensation=CompensationFlags(dc=1)),
+    "dict-section": lambda sc: replace(sc, modem={"m_ary": 4}),
+}
 
 
 def _with_leaf(doc, path, value):
@@ -321,10 +355,36 @@ class TestScenarioValidation:
         if old is not None:  # gains.transponder_amp_gain_db is null in kptcl-cband
             edits += [old, float(old), old + 1, -old, 2.5 * old]
         for value in edits:
-            assert _outcome(lambda: replace_key(sc, key, value)) == _outcome(
-                lambda: scenario_from_dict(_with_leaf(doc, path, value)[0])), value
+            loaded = _outcome(lambda: scenario_from_dict(_with_leaf(doc, path, value)[0]))
+            assert _outcome(lambda: replace_key(sc, key, value)) == loaded, value
+            try:  # this path names no dotted key, so only refusal is compared, not messages
+                replaced = json.dumps(scenario_to_dict(_replace_leaf(sc, path, value)),
+                                      sort_keys=True)
+            except (ConfigError, ParameterError):
+                replaced = "refused"
+            assert replaced == ("refused" if loaded.startswith("ConfigError") else loaded), value
         if _leaf_type(path) is int:  # an integral float is stored as the integer
             assert type(_node(scenario_to_dict(replace_key(sc, key, float(old))), path)) is int
+
+    @pytest.mark.parametrize("edit", _MISTYPED_EDITS.values(), ids=list(_MISTYPED_EDITS))
+    def test_mistyped_edit_is_refused_before_any_stage(self, awgn_scenario, no_point_runs,
+                                                       edit):
+        with pytest.raises((ConfigError, ParameterError)):
+            simulate(edit(awgn_scenario), with_spectra=False)
+
+    def test_numbers_are_stored_as_python_numbers(self, awgn_scenario):
+        for m_ary in (np.int64(16), 16.0):
+            stored = replace(awgn_scenario.modem, m_ary=m_ary).m_ary
+            assert (type(stored), stored) == (int, 16)
+        scenario = replace(awgn_scenario, target_es_n0_db=np.float32(12.0))
+        assert type(scenario.target_es_n0_db) is float
+        json.dumps(scenario_to_dict(scenario))  # what the run log holds
+
+    def test_every_number_field_declares_a_range(self):
+        numbers = (int, float, Optional[int], Optional[float])
+        unranged = {key for key, f, hint in _config_fields(ScenarioConfig)
+                    if hint in numbers and "range" not in f.metadata}
+        assert unranged == _OWN_RULE_FIELDS
 
     @pytest.mark.parametrize("name, path", _REFUSED_KEYS, ids=_leaf_id)
     def test_replace_key_refuses_all_but_number_fields(self, name, path):
