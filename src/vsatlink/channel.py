@@ -7,7 +7,7 @@ the seven dB terms of the link (Tx dish gain, uplink path loss, satellite Rx
 gain, transponder amplifier gain, satellite Tx gain, downlink path loss, Rx
 dish gain) collapse into that one gain and commute with the rotation.
 
-Two power modes choose only the gain and the noise variance:
+Two power modes choose the gain and noise in :meth:`SatelliteChannel.plan`:
 
 * ``physical`` - the gain is the literal dB sum; noise is kTB from the
   receiver noise temperature.  If the transponder amplifier gain is left
@@ -234,15 +234,24 @@ def _iq_imbalance(samples: np.ndarray, cfg: ImpairmentConfig) -> None:
         blk.real, blk.imag = i_out, q_out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelLog:
-    """Effective parameters of one channel run (for the run log)."""
+    """The gain and noise plan of one channel run, as the run log records it."""
 
     mode: str
+    input_power_w: float  # mean |x|^2 of the channel input
+    twta_output_power_w: float  # mean |x|^2 after the TWTA
     transponder_amp_gain_db: float = 0.0
     normalization_factor: float = 1.0
     noise_variance_w: float = 0.0
     net_fixed_gain_db: float = 0.0
+
+    @property
+    def gain(self) -> float:
+        """The one scalar amplitude gain applied after the TWTA."""
+        if self.mode == "normalized":
+            return self.normalization_factor
+        return _db_to_amplitude(self.net_fixed_gain_db)
 
 
 class SatelliteChannel:
@@ -267,64 +276,57 @@ class SatelliteChannel:
         self.mode = mode
         self.target_es_n0_db = target_es_n0_db
         self.reference_symbol_power = float(reference_symbol_power)
+        self._linear_twta = saleh == SalehParams.linear()
         self._rng = np.random.default_rng(impairments.seed)
-        self.last_log: Optional[ChannelLog] = None
-        self.last_input_power_w: Optional[float] = None  # mean |x|^2 of the last input
 
-    def _fixed_gain_db(self, transponder_db: float) -> float:
+    def plan(self, p_in: float, p_sig: float, sample_rate_hz: float) -> ChannelLog:
+        """The plan for input power ``p_in`` and TWTA output power ``p_sig``: reads
+        only the constructor's config, and is the one place the power modes differ."""
+        if self.mode == "normalized":
+            factor = np.sqrt(p_in / p_sig) if p_in > 0.0 and p_sig > 0.0 else 1.0
+            noise = 0.0 if self.target_es_n0_db is None else (
+                self.reference_symbol_power / 10.0 ** (self.target_es_n0_db / 10.0))
+            return ChannelLog(self.mode, p_in, p_sig, normalization_factor=float(factor),
+                              noise_variance_w=noise)
         g = self.gains
-        return (
-            g.tx_dish_gain_db
-            - g.uplink_loss_db
-            + g.sat_rx_gain_db
-            + transponder_db
-            + g.sat_tx_gain_db
-            - g.downlink_loss_db
-            + g.rx_dish_gain_db
+
+        def net_db(transponder_db):  # in link order: another order moves the last bit
+            return (g.tx_dish_gain_db - g.uplink_loss_db + g.sat_rx_gain_db + transponder_db
+                    + g.sat_tx_gain_db - g.downlink_loss_db + g.rx_dish_gain_db)
+
+        transponder_db = g.transponder_amp_gain_db
+        if transponder_db is None:  # auto-closure against the TWTA output
+            if p_in <= 0.0 or p_sig <= 0.0:
+                raise PipelineError(
+                    "channel", "cannot auto-close transponder gain on a zero-power signal"
+                )
+            transponder_db = 10.0 * np.log10(p_in / p_sig) - net_db(0.0)
+        return ChannelLog(
+            self.mode, p_in, p_sig,
+            transponder_amp_gain_db=float(transponder_db),
+            noise_variance_w=_ktb_variance(self.impairments.noise_temperature_k, sample_rate_hz),
+            net_fixed_gain_db=float(net_db(transponder_db)),
         )
 
-    def run(self, x: ComplexFrame) -> ComplexFrame:
-        log = ChannelLog(mode=self.mode)
+    def run(self, x: ComplexFrame) -> tuple[ComplexFrame, ChannelLog]:
+        """The channel output for ``x`` and the plan it applied; ``x`` is unchanged."""
         p_in = x.mean_power
         imp = self.impairments
         # a stage that is the identity could only multiply by 1+0j or add +0,
         # which changes no nonzero sample; the TWTA's copy keeps x intact
-        if self.saleh == SalehParams.linear():
+        if self._linear_twta:
             y = _unchecked(ComplexFrame, x.samples.copy(), x.sample_rate_hz, x.start_sample)
             p_sig = p_in
         else:
             y = saleh_amplify(x, self.saleh)
             p_sig = y.mean_power
-
-        if self.mode == "physical":
-            transponder_db = self.gains.transponder_amp_gain_db
-            if transponder_db is None:  # auto-closure against the TWTA output
-                if p_in <= 0.0 or p_sig <= 0.0:
-                    raise PipelineError(
-                        "channel", "cannot auto-close transponder gain on a zero-power signal"
-                    )
-                transponder_db = 10.0 * np.log10(p_in / p_sig) - self._fixed_gain_db(0.0)
-            log.transponder_amp_gain_db = float(transponder_db)
-            log.net_fixed_gain_db = float(self._fixed_gain_db(transponder_db))
-            gain = _db_to_amplitude(log.net_fixed_gain_db)
-            log.noise_variance_w = _ktb_variance(
-                self.impairments.noise_temperature_k, y.sample_rate_hz
-            )
-        else:
-            gain = np.sqrt(p_in / p_sig) if p_in > 0.0 and p_sig > 0.0 else 1.0
-            log.normalization_factor = float(gain)
-            if self.target_es_n0_db is not None:
-                es_n0 = 10.0 ** (self.target_es_n0_db / 10.0)
-                log.noise_variance_w = self.reference_symbol_power / es_n0
+        plan = self.plan(p_in, p_sig, y.sample_rate_hz)
 
         # every later step works in place on the TWTA output
         out = y.samples
-        out *= gain
+        out *= plan.gain
         if imp.phase_offset_deg != 0.0 or imp.freq_offset_hz != 0.0:
             _rotate(y, out, imp.phase_offset_deg, imp.freq_offset_hz)
-        _add_noise(out, log.noise_variance_w, self._rng)
+        _add_noise(out, plan.noise_variance_w, self._rng)
         _iq_imbalance(out, imp)
-        self.last_log = log
-        self.last_input_power_w = p_in
-        return y.with_samples(out)  # checked: the gain and offsets may overflow
-
+        return y.with_samples(out), plan  # checked: the gain and offsets may overflow

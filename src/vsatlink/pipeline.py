@@ -143,14 +143,6 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
     with _stage("modem.tx_shape"):
         tx_wave = tx_shape(symbols, cfg)
 
-    channel = SatelliteChannel(
-        scenario.gains,
-        scenario.saleh,
-        impairments,
-        mode=scenario.mode,  # type: ignore[arg-type]
-        target_es_n0_db=scenario.target_es_n0_db,
-        reference_symbol_power=cfg.mean_symbol_power,
-    )
     # The spectra are computed on the worker while the chain goes on.  No
     # stage writes a frame it is handed (the channel, DC, AGC, de-rotation
     # and rx_match each return a new array), so the worker reads each frame
@@ -160,9 +152,14 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
     if pool is not None:
         psd = pool.submit(_spectrum, tx_wave, seg)
     with _stage("channel.run"):
-        rx_wave = channel.run(tx_wave)
-    chan_log = channel.last_log
-    tx_power = channel.last_input_power_w
+        rx_wave, plan = SatelliteChannel(
+            scenario.gains,
+            scenario.saleh,
+            impairments,
+            mode=scenario.mode,  # type: ignore[arg-type]
+            target_es_n0_db=scenario.target_es_n0_db,
+            reference_symbol_power=cfg.mean_symbol_power,
+        ).run(tx_wave)
 
     # Each waveform-sized frame is dropped once its last reader is done, so
     # at its peak the run holds two of them plus smaller arrays.  The worker
@@ -177,7 +174,7 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
     # data-aided, so the reference is the known signal power plus the known
     # injected noise power - otherwise the noise share would shrink the
     # recovered constellation below the decision grid.
-    agc_reference = tx_power + chan_log.noise_variance_w
+    agc_reference = plan.input_power_w + plan.noise_variance_w
 
     comp = scenario.compensation
     with _stage("receiver.dc_offset_remove"):
@@ -237,11 +234,11 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
             "bits_per_symbol": cfg.bits_per_symbol,
             "symbol_rate_hz": cfg.symbol_rate_hz,
             "sample_rate_hz": cfg.sample_rate_hz,
-            "tx_waveform_power_w": tx_power,
+            "tx_waveform_power_w": plan.input_power_w,
             "agc_reference_power": agc_reference,
             "alignment_delay_bits": delay_bits,
             "snapshot_skip_symbols": skip,
-            "channel": asdict(chan_log),
+            "channel": asdict(plan),
         },
         "ber": report.as_dict(),
     }

@@ -34,8 +34,11 @@ _ANNOTATION_KEYS = {"comment", "comments"}
 
 MIN_BER_RUN_BITS = 10_000
 # 1e8 bits is a 3.2 GB waveform at 8 samples per 16-QAM symbol; a longer run
-# is refused before any array exists, not by the allocator mid-run
+# is refused before any array exists, not by the allocator mid-run.  Memory
+# follows the samples, so they have their own cap (2e8, that same waveform);
+# the bits keep theirs, as generate_bits draws 8 bytes per bit.
 MAX_TOTAL_BITS = 10**8
+MAX_WAVEFORM_SAMPLES = 2 * 10**8
 
 
 def run_bits(total_bits: int, bits_per_symbol: int) -> int:
@@ -78,7 +81,14 @@ class ScenarioConfig(CheckedConfig):
         super().__post_init__()
         if self.mode not in ("physical", "normalized"):
             raise ConfigError(f"mode: must be 'physical' or 'normalized', got {self.mode!r}")
-        run_bits(self.total_bits, self.modem.bits_per_symbol)
+        n_bits = run_bits(self.total_bits, self.modem.bits_per_symbol)
+        samples = n_bits // self.modem.bits_per_symbol * self.modem.samples_per_symbol
+        if samples > MAX_WAVEFORM_SAMPLES:
+            raise ConfigError(
+                f"total_bits: {self.total_bits} bits at modem.samples_per_symbol "
+                f"{self.modem.samples_per_symbol} are {samples} waveform samples; "
+                f"must be <= {MAX_WAVEFORM_SAMPLES}"
+            )
         if self.mode == "normalized" and self.target_es_n0_db is None:
             raise ConfigError("target_es_n0_db: required when mode is 'normalized'")
         if self.mode == "physical" and self.target_es_n0_db is not None:

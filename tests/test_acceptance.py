@@ -260,7 +260,7 @@ def test_criterion_9_inverse_composition_identities():
     out = SatelliteChannel(
         LinkGains(), SalehParams.linear(), ImpairmentConfig(),
         mode="normalized", reference_symbol_power=cfg.mean_symbol_power,
-    ).run(x)
+    ).run(x)[0]
     chain_err = np.max(np.abs(out.samples - x.samples)) / np.max(np.abs(x.samples))
 
     # and the demodulated bits reproduce the source exactly

@@ -1,6 +1,6 @@
 """Channel tests: TWTA model, gains, rotation, noise, I/Q skew, full chain."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,9 +15,11 @@ from vsatlink import (
     LinkGains,
     ModemConfig,
     ParameterError,
+    PipelineError,
     SalehParams,
     SatelliteChannel,
     generate_bits,
+    load_scenario,
     phase_freq_correct,
     phase_freq_offset,
     qam_modulate,
@@ -25,6 +27,7 @@ from vsatlink import (
     tx_shape,
 )
 from vsatlink.channel import _add_noise
+from vsatlink.pipeline import simulate
 
 FS = 50_000.0
 PAPER_SALEH = SalehParams()
@@ -111,7 +114,7 @@ def gain_chain(x, **gains):
     chan = SatelliteChannel(
         replace(ZERO_GAINS, **gains), SalehParams.linear(), ImpairmentConfig(), mode="physical"
     )
-    return chan.run(x)
+    return chan.run(x)[0]
 
 
 class TestGains:
@@ -199,7 +202,7 @@ class TestThermalNoise:
     def test_zero_kelvin_identity(self):
         x = rand_frame(100, 8)
         unity = LinkGains(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert np.array_equal(_noise_channel(0.0, 1, unity).run(x).samples, x.samples)
+        assert np.array_equal(_noise_channel(0.0, 1, unity).run(x)[0].samples, x.samples)
 
     def test_variance_formula(self):
         # kTB at 45 K, 50 kHz: 1.380649e-23 * 45 * 5e4 = 3.1065e-17 W
@@ -209,15 +212,15 @@ class TestThermalNoise:
     def test_empirical_variance_within_2_percent(self):
         n = 10**6
         x = frame(np.zeros(n))
-        out = _noise_channel(45.0, 99).run(x)
+        out = _noise_channel(45.0, 99).run(x)[0]
         sigma2 = BOLTZMANN_J_PER_K * 45.0 * FS
         measured = np.mean(np.abs(out.samples) ** 2)
         assert measured == pytest.approx(sigma2, rel=0.02)
 
     def test_reproducible_per_seed(self):
         x = rand_frame(1000, 9)
-        a = _noise_channel(45.0, 1234).run(x)
-        b = _noise_channel(45.0, 1234).run(x)
+        a = _noise_channel(45.0, 1234).run(x)[0]
+        b = _noise_channel(45.0, 1234).run(x)[0]
         assert np.array_equal(a.samples, b.samples)
 
     def test_negative_temperature_rejected(self):
@@ -230,7 +233,7 @@ class TestThermalNoise:
         std = np.sqrt(BOLTZMANN_J_PER_K * 45.0 * FS / 2.0)
         g = np.random.default_rng(5)
         expected = std * (g.standard_normal(n) + 1j * g.standard_normal(n))
-        assert np.array_equal(_noise_channel(45.0, 5).run(x).samples, expected)
+        assert np.array_equal(_noise_channel(45.0, 5).run(x)[0].samples, expected)
 
 
 def iq_chain(x, **impairments):
@@ -238,7 +241,7 @@ def iq_chain(x, **impairments):
     I/Q imbalance and DC offsets act."""
     return SatelliteChannel(
         LinkGains(), SalehParams.linear(), ImpairmentConfig(**impairments), mode="normalized"
-    ).run(x)
+    ).run(x)[0]
 
 
 class TestIqImbalance:
@@ -291,7 +294,7 @@ class TestFullChain:
             ImpairmentConfig(),
             mode="normalized",
             reference_symbol_power=cfg.mean_symbol_power,
-        ).run(x)
+        ).run(x)[0]
         err = np.max(np.abs(out.samples - x.samples))
         assert err <= 1e-9 * np.max(np.abs(x.samples))
 
@@ -301,7 +304,7 @@ class TestFullChain:
         x = rand_frame(5000, 21)
         imp = ImpairmentConfig(seed=31)
         out = SatelliteChannel(LinkGains(), SalehParams.linear(), imp, mode="normalized",
-                               target_es_n0_db=10.0).run(x)
+                               target_es_n0_db=10.0).run(x)[0]
         y = saleh_amplify(x, SalehParams.linear())
         full = phase_freq_offset(y.with_samples(y.samples * np.sqrt(x.mean_power / y.mean_power)),
                                  0.0, 0.0).samples
@@ -317,7 +320,7 @@ class TestFullChain:
         gains = LinkGains(transponder_amp_gain_db=100.0)
         out = SatelliteChannel(
             gains, SalehParams.linear(), ImpairmentConfig(), mode="physical"
-        ).run(x)
+        ).run(x)[0]
         net_db = (
             gains.tx_dish_gain_db
             - gains.uplink_loss_db
@@ -335,10 +338,10 @@ class TestFullChain:
         chan = SatelliteChannel(
             LinkGains(), SalehParams(), ImpairmentConfig(), mode="physical"
         )
-        out = chan.run(x)
+        out, plan = chan.run(x)
         # noise at 0 K and neutral I/Q: pre-noise power == output power
         assert out.mean_power == pytest.approx(x.mean_power, rel=1e-9)
-        assert chan.last_log.transponder_amp_gain_db == pytest.approx(256.5, abs=2.0)
+        assert plan.transponder_amp_gain_db == pytest.approx(256.5, abs=2.0)
 
     def test_auto_closure_cancels_the_db_terms(self):
         # Under auto-closure the seven dB terms collapse to sqrt(p_in/p_sig),
@@ -346,23 +349,23 @@ class TestFullChain:
         # normalized mode without noise give the same waveform.
         cfg, x = _tx_waveform(8000, 11)
         imp = ImpairmentConfig(phase_offset_deg=15.0, noise_temperature_k=0.0)
-        published = SatelliteChannel(LinkGains(), PAPER_SALEH, imp, mode="physical").run(x)
+        published = SatelliteChannel(LinkGains(), PAPER_SALEH, imp, mode="physical").run(x)[0]
         computed = SatelliteChannel(
             LinkGains(uplink_loss_db=200.64, rx_dish_gain_db=36.98), PAPER_SALEH, imp,
             mode="physical",
-        ).run(x)
-        normalized = SatelliteChannel(LinkGains(), PAPER_SALEH, imp, mode="normalized").run(x)
+        ).run(x)[0]
+        normalized = SatelliteChannel(LinkGains(), PAPER_SALEH, imp, mode="normalized").run(x)[0]
         np.testing.assert_allclose(computed.samples, published.samples, rtol=1e-12)
         np.testing.assert_allclose(normalized.samples, published.samples, rtol=1e-12)
 
     def test_input_power_is_kept(self):
-        # simulate reads the transmit power from the run instead of
+        # simulate reads the transmit power from the returned plan instead of
         # computing the same mean |x|^2 again
         _, x = _tx_waveform(4000, 9)
         chan = SatelliteChannel(LinkGains(), SalehParams(), ImpairmentConfig())
-        assert chan.last_input_power_w is None
-        chan.run(x)
-        assert chan.last_input_power_w == x.mean_power
+        _, plan = chan.run(x)
+        assert plan.input_power_w == x.mean_power
+        assert plan.twta_output_power_w == saleh_amplify(x, SalehParams()).mean_power
 
     def test_phase_only_chain_is_exact_rotation(self):
         cfg, x = _tx_waveform(8000, 6)
@@ -370,7 +373,7 @@ class TestFullChain:
         out = SatelliteChannel(
             LinkGains(), SalehParams.linear(), imp,
             mode="normalized", reference_symbol_power=cfg.mean_symbol_power,
-        ).run(x)
+        ).run(x)[0]
         expected = x.samples * np.exp(1j * np.deg2rad(15.0))
         assert np.allclose(out.samples, expected, rtol=1e-12, atol=1e-12)
 
@@ -380,7 +383,7 @@ class TestFullChain:
         _, x = _tx_waveform(16_000, 8)
         x = ComplexFrame(x.samples, x.sample_rate_hz, start_sample=123_457)
         imp = ImpairmentConfig(phase_offset_deg=15.0, freq_offset_hz=2.0)
-        out = SatelliteChannel(LinkGains(), SalehParams.linear(), imp, mode="normalized").run(x)
+        out = SatelliteChannel(LinkGains(), SalehParams.linear(), imp, mode="normalized").run(x)[0]
         back = phase_freq_correct(out, imp.phase_offset_deg, imp.freq_offset_hz)
         peak = np.max(np.abs(x.samples))
         assert np.max(np.abs(back.samples - x.samples)) <= 1e-12 * peak
@@ -389,13 +392,64 @@ class TestFullChain:
         cfg, x = _tx_waveform(4000, 7)
         imp = ImpairmentConfig(noise_temperature_k=45.0, seed=77)
         gains = LinkGains(transponder_amp_gain_db=0.0)
-        a = SatelliteChannel(gains, SalehParams.linear(), imp).run(x)
-        b = SatelliteChannel(gains, SalehParams.linear(), imp).run(x)
+        a = SatelliteChannel(gains, SalehParams.linear(), imp).run(x)[0]
+        b = SatelliteChannel(gains, SalehParams.linear(), imp).run(x)[0]
         assert np.array_equal(a.samples, b.samples)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ParameterError):
             SatelliteChannel(LinkGains(), SalehParams(), ImpairmentConfig(), mode="other")
+
+
+def _scenario_channel(scenario):
+    """The channel ``simulate`` builds for ``scenario``."""
+    return SatelliteChannel(
+        scenario.gains, scenario.saleh, scenario.impairments, mode=scenario.mode,
+        target_es_n0_db=scenario.target_es_n0_db,
+        reference_symbol_power=scenario.modem.mean_symbol_power,
+    )
+
+
+class TestPlan:
+    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    def test_plan_of_the_logged_powers_is_the_logged_plan(self, name):
+        scenario = replace(load_scenario(name), total_bits=20_000)
+        effective = simulate(scenario, with_spectra=False).run_log["effective"]
+        logged = effective["channel"]
+        plan = _scenario_channel(scenario).plan(
+            logged["input_power_w"], logged["twta_output_power_w"], effective["sample_rate_hz"]
+        )
+        assert asdict(plan) == logged
+        assert effective["tx_waveform_power_w"] == logged["input_power_w"]
+
+    @given(p_in=st.floats(1e-30, 1e30), p_sig=st.floats(1e-30, 1e30))
+    @settings(max_examples=200, deadline=None)
+    def test_auto_closure_and_normalized_plans_agree_in_gain(self, reference_scenario,
+                                                             p_in, p_sig):
+        # the dB round trip of auto-closure against sqrt(p_in/p_sig) directly
+        normalized_scenario = replace(reference_scenario, mode="normalized", target_es_n0_db=10.0)
+        physical = _scenario_channel(reference_scenario).plan(p_in, p_sig, FS)
+        normalized = _scenario_channel(normalized_scenario).plan(p_in, p_sig, FS)
+        assert reference_scenario.gains.transponder_amp_gain_db is None
+        assert physical.gain == pytest.approx(normalized.gain, rel=1e-13, abs=0.0)
+
+    def test_plan_reads_no_state_of_a_run(self, reference_scenario):
+        chan = _scenario_channel(reference_scenario)
+        _, x = _tx_waveform(4000, 9)
+        before = chan.plan(2.0, 3.0, FS)
+        _, applied = chan.run(x)
+        assert chan.plan(2.0, 3.0, FS) == before
+        fs = x.sample_rate_hz
+        assert chan.plan(applied.input_power_w, applied.twta_output_power_w, fs) == applied
+
+    @pytest.mark.parametrize("p_in, p_sig", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+    def test_auto_closure_on_zero_power_is_a_pipeline_error(self, p_in, p_sig):
+        chan = SatelliteChannel(LinkGains(), SalehParams(), ImpairmentConfig())
+        with pytest.raises(PipelineError, match="zero-power") as err:
+            chan.plan(p_in, p_sig, FS)
+        assert err.value.stage == "channel"
+        with pytest.raises(PipelineError, match="zero-power"):
+            chan.run(frame(np.zeros(16)))
 
 
 class TestBlockSize:
@@ -410,7 +464,7 @@ class TestBlockSize:
         )
         chan = SatelliteChannel(scenario.gains, scenario.saleh, imp, mode="physical")
         return {
-            "channel": chan.run(x).samples,
+            "channel": chan.run(x)[0].samples,
             "saleh": saleh_amplify(x, scenario.saleh).samples,
             "correct": phase_freq_correct(x, imp.phase_offset_deg, imp.freq_offset_hz).samples,
         }

@@ -124,7 +124,7 @@ class TestUncheckedStages:
             phase_freq_offset(x, 10.0, 3.0),
             phase_freq_correct(x, 10.0, 3.0),
             SatelliteChannel(LinkGains(), SalehParams.linear(), impairments,
-                             mode="normalized").run(x),
+                             mode="normalized").run(x)[0],
             DcOffsetCompensator().process(x),
             AutomaticGainControl(10.0).process(x),
         ]

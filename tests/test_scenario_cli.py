@@ -13,7 +13,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vsatlink
@@ -32,6 +32,8 @@ from vsatlink.pipeline import (
 )
 from vsatlink.scenario import (
     MAX_TOTAL_BITS,
+    MAX_WAVEFORM_SAMPLES,
+    MIN_BER_RUN_BITS,
     CompensationFlags,
     ScenarioConfig,
     builtin_scenario_names,
@@ -193,6 +195,38 @@ def _with_leaf(doc, path, value):
     _node(doc, sections)[leaf] = value
     where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in sections)
     return doc, f"{where.lstrip('.')}: {leaf}"
+
+
+# (dotted key, (low, high), type hint) of each number field that declares a range,
+# outside the budget legs, which no simulation reads
+_RANGED_FIELDS = [(key, f.metadata["range"], hint)
+                  for key, f, hint in _config_fields(ScenarioConfig)
+                  if "range" in f.metadata and not key.startswith("budget_legs")]
+
+
+def _in_range(low, high, hint):
+    """A number in ``[low, high]``: an endpoint, a log-uniform magnitude (of
+    either sign where the range has both) or a uniform draw."""
+    if hint in (int, Optional[int]):
+        return st.one_of(st.sampled_from([low, high]), st.integers(low, high))
+    top = math.log10(max(abs(low), abs(high)))
+    magnitude = st.floats(top - 12, top).map(lambda e: 10.0 ** e)
+    signed = st.tuples(st.sampled_from([1.0, -1.0] if low < 0 else [1.0]), magnitude)
+    return st.one_of(
+        st.sampled_from([low, high]),
+        signed.map(lambda sm: min(max(sm[0] * sm[1], low), high)),
+        st.floats(low, high),
+    )
+
+
+@st.composite
+def builtin_with_ranged_edits(draw):
+    """A builtin scenario name and one to four (dotted key, value) edits, each
+    value drawn from the range its field declares."""
+    name = draw(st.sampled_from(sorted(_BUILTIN_DOCS)))
+    keys = draw(st.lists(st.sampled_from(_RANGED_FIELDS), min_size=1, max_size=4,
+                         unique_by=lambda leaf: leaf[0]))
+    return name, [(key, draw(_in_range(*bounds, hint))) for key, bounds, hint in keys]
 
 
 @st.composite
@@ -379,6 +413,43 @@ class TestScenarioValidation:
         scenario = replace(awgn_scenario, target_es_n0_db=np.float32(12.0))
         assert type(scenario.target_es_n0_db) is float
         json.dumps(scenario_to_dict(scenario))  # what the run log holds
+
+    @given(case=builtin_with_ranged_edits())
+    # the explicit transponder gains beside the builtin's auto-closed one
+    @example(case=("kptcl-cband", [("gains.transponder_amp_gain_db", 400.0)]))
+    @example(case=("kptcl-cband", [("gains.transponder_amp_gain_db", -400.0)]))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_accepted_scenario_runs_and_replays(self, case):
+        # what the config classes accept, anywhere in the declared ranges and
+        # in either power mode, must run: a refusal belongs at the boundary
+        name, edits = case
+        scenario = replace(load_scenario(name), total_bits=MIN_BER_RUN_BITS)
+        try:
+            for key, value in edits:
+                scenario = replace_key(scenario, key, value)
+        except ConfigError:
+            return  # a rule that is not one range, such as a power-of-4 m_ary
+        result = simulate(scenario)
+        # the run log's scenario, through JSON, replays the run
+        assert scenario_from_dict(json.loads(json.dumps(result.run_log["scenario"]))) == scenario
+
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_builtins_are_accepted_at_the_bit_cap(self, name):
+        scenario = replace(load_scenario(name), total_bits=MAX_TOTAL_BITS)
+        symbols = MAX_TOTAL_BITS // scenario.modem.bits_per_symbol
+        assert symbols * scenario.modem.samples_per_symbol == MAX_WAVEFORM_SAMPLES
+
+    def test_waveform_past_the_sample_cap_is_refused(self, awgn_scenario):
+        modem = replace(awgn_scenario.modem, m_ary=4, samples_per_symbol=64)
+        with pytest.raises(ConfigError) as err:
+            replace(awgn_scenario, modem=modem, total_bits=MAX_TOTAL_BITS)
+        message = str(err.value)
+        assert message.startswith("total_bits: ")
+        assert "modem.samples_per_symbol" in message
+        # the same bits at the samples per symbol that fit are taken
+        replace(awgn_scenario, modem=replace(modem, samples_per_symbol=4),
+                total_bits=MAX_TOTAL_BITS)
 
     def test_every_number_field_declares_a_range(self):
         numbers = (int, float, Optional[int], Optional[float])
@@ -795,6 +866,19 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert f"total_bits: must be <= {MAX_TOTAL_BITS}, got 1000000000000" \
             in capsys.readouterr().err
+
+    def test_waveform_past_the_sample_cap_fails_at_load(self, tmp_path, capsys, no_point_runs):
+        # 1e8 QPSK bits at 64 samples per symbol: 3.2e9 samples, 51 GB a waveform
+        doc = json.loads(builtin_scenario_path("awgn-validation").read_text())
+        doc["modem"].update(m_ary=4, samples_per_symbol=64)
+        doc["total_bits"] = MAX_TOTAL_BITS
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: total_bits: " in err
+        assert "modem.samples_per_symbol 64" in err and "3200000000" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, option, path", [
         (["simulate", "awgn-validation", "--bits", "20000", "--out", "file"], "--out", "file"),
