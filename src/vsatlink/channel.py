@@ -26,6 +26,15 @@ variance and in the logged numbers.  The TWTA, the rotation and the I/Q step
 are skipped when their parameters make them the identity (a linear TWTA, no
 phase or Doppler offset, no imbalance or DC offset); running them could
 change only the sign of an exact zero.
+
+The rotation's phasor comes from a table, not from cos/sin per sample:
+sample n gets ``anchor[n // L] * step[n % L]`` with L =
+:data:`ROTATION_ROW_SAMPLES`, the rows counted on the global sample clock.
+It depends on n alone, so it is exact under any split into frames or
+blocks.  The first sample of every row, and every phase-only rotation, is
+``exp(1j*theta)`` bit for bit; the other samples are within a few
+``np.spacing(theta)`` of it (2.2 ulp at theta = 503 rad, the end of a 1e6-bit
+run of the 2 Hz link).  The receiver's inverse is the exact conjugate.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
+from . import frames
 from .errors import CheckedConfig, ParameterError, PipelineError, ranged
 from .frames import ComplexFrame, _unchecked, block_slices
 
@@ -60,6 +70,11 @@ DB_RANGE = (-MAX_ABS_DB, MAX_ABS_DB)
 LOSS_DB_RANGE = (0.0, MAX_ABS_DB)
 PHASE_RANGE_DEG = (-360.0, 360.0)
 AMPLITUDE_RANGE = (-1e6, 1e6)  # volts across 1 ohm
+
+# Row length of the rotation's phasor table (see _rotate).  The rows are
+# anchored at global sample 0, so the table does not depend on
+# frames.BLOCK_SAMPLES or on how a stream is split into frames.
+ROTATION_ROW_SAMPLES = 4096
 
 
 def _db_to_amplitude(db: float) -> float:
@@ -168,7 +183,17 @@ def _unit_phasor(theta: np.ndarray) -> np.ndarray:
 
 def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> ComplexFrame:
     """Rotate sample n by ``phase + 2*pi*f*n/fs``, n counted on the frame's
-    global clock (``x.start_sample`` is the index of its first sample)."""
+    global clock (``x.start_sample`` is the index of its first sample).
+
+    The phasor of sample n is ``anchor[n // L] * step[n % L]`` from a table of
+    :data:`ROTATION_ROW_SAMPLES` = L steps and one anchor per row (see
+    :func:`_rotate`).  It depends on n alone, so any split of a stream into
+    frames gives the same bits.  Every row's first sample and every
+    phase-only rotation equal ``exp(1j*theta) * x`` bit for bit; the other
+    samples are within a few ``np.spacing(theta)`` of it, the rounding that
+    ``theta`` itself carries.  ``(-phase, -f)`` gives the exact conjugate
+    phasor.
+    """
     out = np.empty_like(x.samples)
     _rotate(x, out, phase_deg, freq_hz)
     return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
@@ -176,20 +201,45 @@ def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Comp
 
 def _rotate(x: ComplexFrame, dst: np.ndarray, phase_deg: float, freq_hz: float) -> None:
     """Write :func:`phase_freq_offset` of ``x`` into ``dst`` (which may be
-    ``x.samples``)."""
+    ``x.samples``).
+
+    The global clock is cut into rows of L = :data:`ROTATION_ROW_SAMPLES`
+    samples, anchored at sample 0.  Row r's anchor is
+    ``exp(1j*(2*pi*f*r*L/fs + phase))``, theta evaluated as for any sample,
+    and ``step[k] = exp(1j*2*pi*f*k/fs)``; sample n gets
+    ``anchor[n // L] * step[n % L]``.  ``step[0]`` is exactly ``1+0j``, so the
+    anchor samples keep their bits, and a zero frequency makes every step
+    ``1+0j``.  Negating phase and frequency negates every angle exactly,
+    which conjugates both tables and so their products.  cos and sin run on
+    L angles plus one per row; the rest is two block-sized buffers.
+    """
     src = x.samples
+    fs = x.sample_rate_hz
     phase_rad = np.deg2rad(phase_deg)
     omega = 2.0 * np.pi * float(freq_hz)
+    width = ROTATION_ROW_SAMPLES
+    start = x.start_sample
+    first_row = start // width
+    rows = np.arange(first_row, (start + src.size - 1) // width + 1)
+    anchors = _unit_phasor(omega * (rows * width) / fs + phase_rad)
+    step = _unit_phasor(omega * np.arange(width) / fs)
+    size = min(src.size, frames.BLOCK_SAMPLES)  # the longest slice block_slices yields
+    phasor, product = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
     for sl in block_slices(src.size):
-        n = np.arange(x.start_sample + sl.start, x.start_sample + sl.stop)
-        theta = omega * n / x.sample_rate_hz + phase_rad
+        lo, hi = start + sl.start, start + sl.stop
+        for row in range(lo // width, (hi - 1) // width + 1):
+            n0 = row * width
+            a, b = max(lo, n0), min(hi, n0 + width)
+            np.multiply(anchors[row - first_row], step[a - n0 : b - n0], out=phasor[a - lo : b - lo])
         # numpy's SIMD complex multiply rounds the imaginary part of a*b
         # and b*a differently.  The whole-frame x*exp(1j*theta) runs as
         # phasor*x (numpy writes the product into the exp temporary), so
         # the phasor comes first.  A one-sample product written over an
         # input takes a scalar loop that rounds differently again, so the
-        # product goes to a fresh array before it is copied into dst.
-        dst[sl] = np.multiply(_unit_phasor(theta), src[sl])
+        # product goes to a buffer of its own before it is copied into dst.
+        m = sl.stop - sl.start
+        np.multiply(phasor[:m], src[sl], out=product[:m])
+        dst[sl] = product[:m]
 
 
 def _ktb_variance(temperature_k: float, bandwidth_hz: float) -> float:

@@ -2,8 +2,9 @@
 
 Everything here is a pure function of its inputs.  The speed of light is
 fixed at 3e8 m/s to match the source figures (affects the 4th significant
-digit of the path loss).  Pointing loss is reported as its own budget line
-rather than folded into the aperture gain.
+digit of the path loss).  The transmit and receive pointing losses are
+reported as budget lines of their own rather than folded into the aperture
+gains.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ class LinkBudgetReport:
     path_loss_override_db: Optional[float]
     path_loss_db: float  # the value actually used
     rx_gain_db: float
+    rx_pointing_loss_db: float
     rx_power_dbw: float
     noise_power_dbw: float
     cn_db: float
@@ -134,7 +136,8 @@ def noise_power_dbw(temperature_k: float, bandwidth_hz: float) -> float:
 def compute_budget(leg: BudgetLeg) -> LinkBudgetReport:
     """Evaluate the power balance for one leg.
 
-    EIRP = Pt(dBW) + Gt - pointing loss; Pr = EIRP - Lp + Gr; C/N = Pr - N.
+    EIRP = Pt(dBW) + Gt - Tx pointing loss; Pr = EIRP - Lp + Gr - Rx pointing
+    loss; C/N = Pr - N.  A side given as an explicit gain has no pointing loss.
     The computed free-space loss is always reported; an override replaces it
     in the balance when set.
     """
@@ -153,10 +156,12 @@ def compute_budget(leg: BudgetLeg) -> LinkBudgetReport:
 
     if leg.rx_antenna is not None:
         gr = antenna_gain_db(leg.rx_antenna, f)
+        rx_pointing = leg.rx_antenna.pointing_loss_db
     else:
         gr = float(leg.rx_antenna_gain_db)
+        rx_pointing = 0.0
 
-    pr = eirp - loss_used + gr
+    pr = eirp - loss_used + gr - rx_pointing
     n = noise_power_dbw(leg.system_noise_temperature_k, leg.bandwidth_hz)
     return LinkBudgetReport(
         name=leg.name,
@@ -168,6 +173,7 @@ def compute_budget(leg: BudgetLeg) -> LinkBudgetReport:
         path_loss_override_db=leg.loss_override_db,
         path_loss_db=loss_used,
         rx_gain_db=gr,
+        rx_pointing_loss_db=rx_pointing,
         rx_power_dbw=pr,
         noise_power_dbw=n,
         cn_db=pr - n,
@@ -197,6 +203,7 @@ def format_report(report: LinkBudgetReport) -> str:
         rows.append(("Path loss (override; used)", f"{report.path_loss_override_db:10.2f} dB"))
     rows += [
         ("Rx antenna gain", f"{report.rx_gain_db:10.2f} dB"),
+        ("Rx pointing loss", f"{report.rx_pointing_loss_db:10.2f} dB"),
         ("Rx power", f"{report.rx_power_dbw:10.2f} dBW"),
         ("Noise power", f"{report.noise_power_dbw:10.2f} dBW"),
         ("C/N", f"{report.cn_db:10.2f} dB"),

@@ -26,8 +26,9 @@ from vsatlink import (
     saleh_amplify,
     tx_shape,
 )
-from vsatlink.channel import _add_noise
+from vsatlink.channel import ROTATION_ROW_SAMPLES, _add_noise
 from vsatlink.pipeline import simulate
+from vsatlink.scenario import MAX_WAVEFORM_SAMPLES
 
 FS = 50_000.0
 PAPER_SALEH = SalehParams()
@@ -186,6 +187,48 @@ class TestPhaseFreqOffset:
         b = phase_freq_offset(ComplexFrame(x.samples[400:], FS, start_sample=400), 10.0, 3.0)
         whole = phase_freq_offset(x, 10.0, 3.0)
         assert np.array_equal(np.concatenate([a.samples, b.samples]), whole.samples)
+
+
+def _per_sample_rotation(x, phase_deg, freq_hz):
+    """``exp(1j*theta) * x`` with theta evaluated for every sample."""
+    n = np.arange(x.start_sample, x.start_sample + len(x))
+    theta = 2.0 * np.pi * freq_hz * n / x.sample_rate_hz + np.deg2rad(phase_deg)
+    return theta, np.exp(1j * theta) * x.samples
+
+
+class TestRotationTable:
+    """The rotation phasor comes from a row-anchored table, not from cos/sin
+    per sample; these pin it to the per-sample formula."""
+
+    def test_row_anchor_samples_equal_the_per_sample_formula(self):
+        x = rand_frame(3 * ROTATION_ROW_SAMPLES + 500, 14)
+        x = ComplexFrame(x.samples, FS, start_sample=123_457)
+        out = phase_freq_offset(x, 15.0, 2.0).samples
+        _, expected = _per_sample_rotation(x, 15.0, 2.0)
+        anchors = (np.arange(len(x)) + x.start_sample) % ROTATION_ROW_SAMPLES == 0
+        assert anchors.sum() == 3
+        assert np.array_equal(out[anchors], expected[anchors])
+
+    def test_within_a_few_ulp_of_theta_at_the_waveform_cap(self):
+        n = 2 * ROTATION_ROW_SAMPLES + 300
+        x = rand_frame(n, 15)
+        x = ComplexFrame(x.samples, FS, start_sample=MAX_WAVEFORM_SAMPLES - n)
+        out = phase_freq_offset(x, 15.0, 2.0).samples
+        theta, expected = _per_sample_rotation(x, 15.0, 2.0)
+        err = np.abs(out - expected) / np.abs(x.samples)
+        assert err.max() <= 4 * np.spacing(theta.max())  # ~7.3e-12 at 5e4 rad
+
+    def test_inverse_is_the_exact_conjugate(self):
+        x = ComplexFrame(np.ones(2 * ROTATION_ROW_SAMPLES + 9, dtype=complex), FS,
+                         start_sample=77_777)
+        forward = phase_freq_offset(x, 15.0, 2.0).samples
+        assert np.array_equal(phase_freq_offset(x, -15.0, -2.0).samples, np.conj(forward))
+
+    def test_phase_only_rotation_is_the_per_sample_formula(self):
+        x = rand_frame(ROTATION_ROW_SAMPLES + 300, 16)
+        x = ComplexFrame(x.samples, FS, start_sample=5_000)
+        _, expected = _per_sample_rotation(x, 15.0, 0.0)
+        assert np.array_equal(phase_freq_offset(x, 15.0, 0.0).samples, expected)
 
 
 def _noise_channel(temperature_k, seed, gains=LinkGains(transponder_amp_gain_db=0.0)):

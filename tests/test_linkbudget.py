@@ -158,6 +158,20 @@ class TestComputeBudget:
         assert report.pointing_loss_db == 0.5
         assert report.eirp_dbw == pytest.approx(10 * math.log10(2) + gt - 0.5, abs=1e-12)
 
+    def test_rx_pointing_loss_lowers_rx_power_and_cn(self):
+        def report(loss_db):
+            spec = AntennaSpec(1.8, 0.63, pointing_loss_db=loss_db)
+            return compute_budget(uplink_leg(rx_antenna_gain_db=None, rx_antenna=spec))
+
+        aligned, off = report(0.0), report(0.5)
+        assert (aligned.rx_pointing_loss_db, off.rx_pointing_loss_db) == (0.0, 0.5)
+        assert off.rx_gain_db == aligned.rx_gain_db  # gain excludes pointing
+        assert off.eirp_dbw == aligned.eirp_dbw
+        assert aligned.rx_power_dbw - off.rx_power_dbw == pytest.approx(0.5, abs=1e-12)
+        assert aligned.cn_db - off.cn_db == pytest.approx(0.5, abs=1e-12)
+        assert "Rx pointing loss" in format_report(off) and "0.50 dB" in format_report(off)
+        assert compute_budget(uplink_leg()).rx_pointing_loss_db == 0.0  # explicit gain
+
     @given(
         pt=st.floats(0.1, 1000.0),
         gt=st.floats(0.0, 70.0),
