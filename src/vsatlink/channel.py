@@ -35,18 +35,25 @@ blocks.  The first sample of every row, and every phase-only rotation, is
 ``exp(1j*theta)`` bit for bit; the other samples are within a few
 ``np.spacing(theta)`` of it (2.2 ulp at theta = 503 rad, the end of a 1e6-bit
 run of the 2 Hz link).  The receiver's inverse is the exact conjugate.
+
+The noise comes first: a run draws it into the output buffer before the
+signal exists (it depends on the noise seed and variance alone), then adds
+``rotate(gain * TWTA(x))`` into it block by block.  The one addition per
+component has the same operands as ``signal + noise`` taken in stage order;
+IEEE addition commutes, so the output keeps its bits.  Only the I/Q step
+follows the noise, in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Iterator, Literal, Optional
 
 import numpy as np
 
 from . import frames
 from .errors import CheckedConfig, ParameterError, PipelineError, ranged
-from .frames import ComplexFrame, _unchecked, block_slices
+from .frames import ComplexFrame, _check_finite, _unchecked, block_slices
 
 __all__ = [
     "BOLTZMANN_J_PER_K",
@@ -71,7 +78,7 @@ LOSS_DB_RANGE = (0.0, MAX_ABS_DB)
 PHASE_RANGE_DEG = (-360.0, 360.0)
 AMPLITUDE_RANGE = (-1e6, 1e6)  # volts across 1 ohm
 
-# Row length of the rotation's phasor table (see _rotate).  The rows are
+# Row length of the rotation's phasor table (see _phasor_blocks).  The rows are
 # anchored at global sample 0, so the table does not depend on
 # frames.BLOCK_SAMPLES or on how a stream is split into frames.
 ROTATION_ROW_SAMPLES = 4096
@@ -157,20 +164,34 @@ def saleh_amplify(x: ComplexFrame, p: SalehParams) -> ComplexFrame:
     Computed in complex-gain form, x * alpha/(1+beta*r^2) * exp(j*phi(r)),
     which is the same A(r)*exp(j(arg x + phi)) without a polar round trip.
     The output is checked: ``r^2`` overflows for a finite input near 1e154,
-    and the resulting NaN raises :class:`ParameterError` here.
+    and the resulting NaN raises :class:`ParameterError` here.  ``x`` is
+    unchanged; :meth:`SatelliteChannel.amplify` runs the same steps in place.
     """
+    out = x.samples.copy()
+    _saleh_in_place(out, p)
+    return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
+
+
+def _saleh_in_place(samples: np.ndarray, p: SalehParams) -> None:
+    """Overwrite ``samples`` with their :func:`saleh_amplify` output, checked."""
     scale_in = _db_to_amplitude(p.input_scale_db)
     scale_out = _db_to_amplitude(p.output_scale_db)
-    out = np.empty_like(x.samples)
-    for sl in block_slices(len(x)):
-        xs = x.samples[sl] * scale_in
+    for sl in block_slices(samples.size):
+        blk = samples[sl]
+        xs = blk * scale_in
         r2 = xs.real * xs.real + xs.imag * xs.imag
         xs *= p.amam_alpha / (1.0 + p.amam_beta * r2)
-        blk = out[sl]
-        # xs first, into a separate array: see _rotate
-        np.multiply(xs, _unit_phasor(p.ampm_alpha * r2 / (1.0 + p.ampm_beta * r2)), out=blk)
+        # phi(r) = ampm_alpha * r2 / (1 + ampm_beta * r2), written over r2
+        # and with den freed, so the phasor is the one new block beside xs
+        den = p.ampm_beta * r2
+        den += 1.0
+        r2 *= p.ampm_alpha
+        r2 /= den
+        del den
+        # xs first, into an array that is neither operand: see _phasor_blocks
+        np.multiply(xs, _unit_phasor(r2), out=blk)
         blk *= scale_out
-    return x.with_samples(out)
+    _check_finite(samples)
 
 
 def _unit_phasor(theta: np.ndarray) -> np.ndarray:
@@ -187,21 +208,23 @@ def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Comp
 
     The phasor of sample n is ``anchor[n // L] * step[n % L]`` from a table of
     :data:`ROTATION_ROW_SAMPLES` = L steps and one anchor per row (see
-    :func:`_rotate`).  It depends on n alone, so any split of a stream into
-    frames gives the same bits.  Every row's first sample and every
+    :func:`_phasor_blocks`).  It depends on n alone, so any split of a stream
+    into frames gives the same bits.  Every row's first sample and every
     phase-only rotation equal ``exp(1j*theta) * x`` bit for bit; the other
     samples are within a few ``np.spacing(theta)`` of it, the rounding that
     ``theta`` itself carries.  ``(-phase, -f)`` gives the exact conjugate
     phasor.
     """
     out = np.empty_like(x.samples)
-    _rotate(x, out, phase_deg, freq_hz)
+    for sl, phasor in _phasor_blocks(x, phase_deg, freq_hz):
+        np.multiply(phasor, x.samples[sl], out=out[sl])
     return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
 
 
-def _rotate(x: ComplexFrame, dst: np.ndarray, phase_deg: float, freq_hz: float) -> None:
-    """Write :func:`phase_freq_offset` of ``x`` into ``dst`` (which may be
-    ``x.samples``).
+def _phasor_blocks(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Iterator[tuple]:
+    """``(sl, phasor)`` for each :func:`~vsatlink.frames.block_slices` block of
+    ``x``: the rotation of :func:`phase_freq_offset` for ``x.samples[sl]``, in
+    one buffer that the next block overwrites.
 
     The global clock is cut into rows of L = :data:`ROTATION_ROW_SAMPLES`
     samples, anchored at sample 0.  Row r's anchor is
@@ -211,35 +234,56 @@ def _rotate(x: ComplexFrame, dst: np.ndarray, phase_deg: float, freq_hz: float) 
     anchor samples keep their bits, and a zero frequency makes every step
     ``1+0j``.  Negating phase and frequency negates every angle exactly,
     which conjugates both tables and so their products.  cos and sin run on
-    L angles plus one per row; the rest is two block-sized buffers.
+    L angles plus one per row.
+
+    numpy's SIMD complex multiply rounds the imaginary part of a*b and b*a
+    differently.  The whole-frame x*exp(1j*theta) runs as phasor*x (numpy
+    writes the product into the exp temporary), so callers put the phasor
+    first.  A one-sample product written over one of its operands takes a
+    scalar loop that rounds differently again, so they write it elsewhere.
     """
-    src = x.samples
     fs = x.sample_rate_hz
     phase_rad = np.deg2rad(phase_deg)
     omega = 2.0 * np.pi * float(freq_hz)
     width = ROTATION_ROW_SAMPLES
-    start = x.start_sample
+    start, n = x.start_sample, len(x)
     first_row = start // width
-    rows = np.arange(first_row, (start + src.size - 1) // width + 1)
+    rows = np.arange(first_row, (start + n - 1) // width + 1)
     anchors = _unit_phasor(omega * (rows * width) / fs + phase_rad)
     step = _unit_phasor(omega * np.arange(width) / fs)
-    size = min(src.size, frames.BLOCK_SAMPLES)  # the longest slice block_slices yields
-    phasor, product = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
-    for sl in block_slices(src.size):
+    phasor = np.empty(min(n, frames.BLOCK_SAMPLES), dtype=np.complex128)
+    for sl in block_slices(n):
         lo, hi = start + sl.start, start + sl.stop
         for row in range(lo // width, (hi - 1) // width + 1):
             n0 = row * width
             a, b = max(lo, n0), min(hi, n0 + width)
             np.multiply(anchors[row - first_row], step[a - n0 : b - n0], out=phasor[a - lo : b - lo])
-        # numpy's SIMD complex multiply rounds the imaginary part of a*b
-        # and b*a differently.  The whole-frame x*exp(1j*theta) runs as
-        # phasor*x (numpy writes the product into the exp temporary), so
-        # the phasor comes first.  A one-sample product written over an
-        # input takes a scalar loop that rounds differently again, so the
-        # product goes to a buffer of its own before it is copied into dst.
+        yield sl, phasor[: hi - lo]
+
+
+def _add_rotated(y: ComplexFrame, dst: np.ndarray, gain: float, phase_deg: float,
+                 freq_hz: float, add: bool) -> None:
+    """``dst += rotate(gain * y)`` block by block, or ``=`` when not ``add``;
+    the rotation is skipped at zero phase and frequency."""
+    n = len(y)
+    size = min(n, frames.BLOCK_SAMPLES)
+    scaled = np.empty(size, dtype=np.complex128)
+    if phase_deg != 0.0 or freq_hz != 0.0:
+        # the rotated block goes to a buffer of its own: see _phasor_blocks
+        rotated = np.empty(size, dtype=np.complex128)
+        blocks = _phasor_blocks(y, phase_deg, freq_hz)
+    else:
+        blocks = ((sl, None) for sl in block_slices(n))
+    for sl, phasor in blocks:
         m = sl.stop - sl.start
-        np.multiply(phasor[:m], src[sl], out=product[:m])
-        dst[sl] = product[:m]
+        signal = np.multiply(y.samples[sl], gain, out=scaled[:m])
+        if phasor is not None:
+            signal = np.multiply(phasor, signal, out=rotated[:m])
+        if add:
+            blk = dst[sl]
+            blk += signal
+        else:
+            dst[sl] = signal
 
 
 def _ktb_variance(temperature_k: float, bandwidth_hz: float) -> float:
@@ -247,8 +291,9 @@ def _ktb_variance(temperature_k: float, bandwidth_hz: float) -> float:
     return BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz
 
 
-def _add_noise(samples: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
-    """Add complex Gaussian noise of total variance ``sigma2`` in place.
+def _draw_noise(dst: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
+    """Fill ``dst`` with complex Gaussian noise of total variance ``sigma2``;
+    at zero variance draw nothing and leave ``dst`` as it is.
 
     The real parts are drawn first, then the imaginary parts, so the stream
     equals ``std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))``.
@@ -256,10 +301,12 @@ def _add_noise(samples: np.ndarray, sigma2: float, rng: np.random.Generator) -> 
     if sigma2 == 0.0:
         return
     std = np.sqrt(sigma2 / 2.0)
-    for part in (samples.real, samples.imag):
+    normals = np.empty(min(dst.size, frames.BLOCK_SAMPLES))
+    for part in (dst.real, dst.imag):
         for sl in block_slices(part.size):
-            blk = part[sl]
-            blk += std * rng.standard_normal(blk.size)
+            z = normals[: sl.stop - sl.start]
+            rng.standard_normal(out=z)
+            np.multiply(std, z, out=part[sl])
 
 
 def _iq_imbalance(samples: np.ndarray, cfg: ImpairmentConfig) -> None:
@@ -307,7 +354,14 @@ class ChannelLog:
 class SatelliteChannel:
     """Transponder chain.  The noise stream carries across runs; the rotation
     is counted from each frame's ``start_sample``, so a stream split into
-    frames with consecutive clocks gets the same rotation as one frame."""
+    frames with consecutive clocks gets the same rotation as one frame.
+
+    :meth:`run` is three steps that a caller owning its buffers can also
+    take one by one, in this order: :meth:`draw_noise` into the output
+    buffer, :meth:`amplify` over the input in place, :meth:`add_signal`
+    into the output buffer.  The noise draw reads nothing of the signal, so
+    it may run on another thread while the input is still being made.
+    """
 
     def __init__(
         self,
@@ -326,16 +380,16 @@ class SatelliteChannel:
         self.mode = mode
         self.target_es_n0_db = target_es_n0_db
         self.reference_symbol_power = float(reference_symbol_power)
-        self._linear_twta = saleh == SalehParams.linear()
+        self.linear_twta = saleh == SalehParams.linear()
+        """True when :meth:`amplify` writes nothing: the TWTA is skipped."""
         self._rng = np.random.default_rng(impairments.seed)
 
     def plan(self, p_in: float, p_sig: float, sample_rate_hz: float) -> ChannelLog:
         """The plan for input power ``p_in`` and TWTA output power ``p_sig``: reads
         only the constructor's config, and is the one place the power modes differ."""
+        noise = self._noise_variance(sample_rate_hz)
         if self.mode == "normalized":
             factor = np.sqrt(p_in / p_sig) if p_in > 0.0 and p_sig > 0.0 else 1.0
-            noise = 0.0 if self.target_es_n0_db is None else (
-                self.reference_symbol_power / 10.0 ** (self.target_es_n0_db / 10.0))
             return ChannelLog(self.mode, p_in, p_sig, normalization_factor=float(factor),
                               noise_variance_w=noise)
         g = self.gains
@@ -354,29 +408,53 @@ class SatelliteChannel:
         return ChannelLog(
             self.mode, p_in, p_sig,
             transponder_amp_gain_db=float(transponder_db),
-            noise_variance_w=_ktb_variance(self.impairments.noise_temperature_k, sample_rate_hz),
+            noise_variance_w=noise,
             net_fixed_gain_db=float(net_db(transponder_db)),
         )
 
+    def _noise_variance(self, sample_rate_hz: float) -> float:
+        if self.mode == "physical":
+            return _ktb_variance(self.impairments.noise_temperature_k, sample_rate_hz)
+        if self.target_es_n0_db is None:
+            return 0.0
+        return self.reference_symbol_power / 10.0 ** (self.target_es_n0_db / 10.0)
+
+    def draw_noise(self, dst: np.ndarray, sample_rate_hz: float) -> None:
+        """Write the next ``dst.size`` samples of the noise stream into
+        ``dst``, the buffer :meth:`add_signal` then adds the signal into.  At
+        zero noise variance nothing is drawn and ``dst`` is not written."""
+        _draw_noise(dst, self._noise_variance(sample_rate_hz), self._rng)
+
+    def amplify(self, x: ComplexFrame) -> ChannelLog:
+        """Overwrite ``x.samples`` with the TWTA output (unless
+        :attr:`linear_twta`) and return the plan for ``x``."""
+        p_in = p_sig = x.mean_power
+        if not self.linear_twta:
+            _saleh_in_place(x.samples, self.saleh)
+            p_sig = x.mean_power
+        return self.plan(p_in, p_sig, x.sample_rate_hz)
+
+    def add_signal(self, y: ComplexFrame, dst: np.ndarray, plan: ChannelLog) -> ComplexFrame:
+        """Add ``rotate(gain * y)`` into the noise in ``dst``, apply the I/Q
+        step in place and return ``dst`` as the channel output (checked: the
+        gain and offsets may overflow).  ``y`` is the :meth:`amplify` output.
+
+        Each sample is the one sum ``signal + noise`` of the whole chain run
+        in stage order, with its operands swapped: IEEE addition commutes, so
+        the bits are the same.  At zero noise variance the signal is
+        assigned, not added to whatever ``dst`` held.
+        """
+        imp = self.impairments
+        _add_rotated(y, dst, plan.gain, imp.phase_offset_deg, imp.freq_offset_hz,
+                     add=plan.noise_variance_w != 0.0)
+        _iq_imbalance(dst, imp)
+        return ComplexFrame(dst, y.sample_rate_hz, y.start_sample)
+
     def run(self, x: ComplexFrame) -> tuple[ComplexFrame, ChannelLog]:
         """The channel output for ``x`` and the plan it applied; ``x`` is unchanged."""
-        p_in = x.mean_power
-        imp = self.impairments
-        # a stage that is the identity could only multiply by 1+0j or add +0,
-        # which changes no nonzero sample; the TWTA's copy keeps x intact
-        if self._linear_twta:
-            y = _unchecked(ComplexFrame, x.samples.copy(), x.sample_rate_hz, x.start_sample)
-            p_sig = p_in
-        else:
-            y = saleh_amplify(x, self.saleh)
-            p_sig = y.mean_power
-        plan = self.plan(p_in, p_sig, y.sample_rate_hz)
-
-        # every later step works in place on the TWTA output
-        out = y.samples
-        out *= plan.gain
-        if imp.phase_offset_deg != 0.0 or imp.freq_offset_hz != 0.0:
-            _rotate(y, out, imp.phase_offset_deg, imp.freq_offset_hz)
-        _add_noise(out, plan.noise_variance_w, self._rng)
-        _iq_imbalance(out, imp)
-        return y.with_samples(out), plan  # checked: the gain and offsets may overflow
+        out = np.empty_like(x.samples)
+        self.draw_noise(out, x.sample_rate_hz)
+        y = x if self.linear_twta else _unchecked(
+            ComplexFrame, x.samples.copy(), x.sample_rate_hz, x.start_sample)
+        plan = self.amplify(y)
+        return self.add_signal(y, out, plan), plan

@@ -11,8 +11,10 @@ rate and bits other than 0/1.  A stage whose output is 1-D ``complex128``
 samples at a ``float`` rate (or ``int8`` 0/1 bits) by construction builds
 it with :func:`_unchecked` instead, so a waveform is not scanned again at
 every stage.  The two stages that can turn finite input into NaN/Inf keep
-the check: the TWTA (``saleh_amplify``; ``|x|**2`` overflows near 1e154)
-and the output of the whole transponder chain (``SatelliteChannel.run``).
+the check, in place or not: the TWTA (``saleh_amplify``,
+``SatelliteChannel.amplify``; ``|x|**2`` overflows near 1e154) and the
+output of the whole transponder chain (``SatelliteChannel.add_signal``,
+which ``run`` ends with).
 """
 
 from __future__ import annotations
@@ -32,11 +34,33 @@ __all__ = ["BLOCK_SAMPLES", "BitFrame", "ComplexFrame", "block_slices"]
 # from a state that is split-exact), so the block size never changes the bits.
 BLOCK_SAMPLES = 2**16
 
+# Leaf length of ComplexFrame.mean_power's sum.  It must be at least 128,
+# numpy's own pairwise leaf, so that every split taken here is one numpy
+# takes too; it is fixed, not BLOCK_SAMPLES, which may be set below that.
+MEAN_POWER_LEAF_SAMPLES = 2**14
+
 
 def block_slices(n: int) -> Iterator[slice]:
     """Consecutive slices of at most :data:`BLOCK_SAMPLES` covering ``range(n)``."""
     for start in range(0, n, BLOCK_SAMPLES):
         yield slice(start, min(start + BLOCK_SAMPLES, n))
+
+
+def _check_finite(samples: np.ndarray) -> None:
+    if samples.size and not np.isfinite(samples).all():
+        raise ParameterError("ComplexFrame samples must be finite (no NaN/Inf)")
+
+
+def _pairwise_power(x: np.ndarray) -> float:
+    """numpy's pairwise sum of ``np.abs(x) ** 2``, one leaf at a time."""
+    n = x.size
+    if n <= MEAN_POWER_LEAF_SAMPLES:
+        power = np.abs(x)
+        np.multiply(power, power, out=power)
+        return float(np.add.reduce(power))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_power(x[:half]) + _pairwise_power(x[half:])
 
 
 def _unchecked(cls, *values):
@@ -84,8 +108,7 @@ class ComplexFrame:
             raise ParameterError("ComplexFrame samples must be 1-D")
         if not 0.0 < float(self.sample_rate_hz) < np.inf:
             raise ParameterError(f"sample_rate_hz must be in (0, inf), got {self.sample_rate_hz}")
-        if samples.size and not np.isfinite(samples).all():
-            raise ParameterError("ComplexFrame samples must be finite (no NaN/Inf)")
+        _check_finite(samples)
         self.samples = samples
         self.sample_rate_hz = float(self.sample_rate_hz)
 
@@ -95,10 +118,17 @@ class ComplexFrame:
 
     @property
     def mean_power(self) -> float:
-        """Mean ``|x|**2`` over the frame (watts into 1 ohm)."""
+        """Mean ``|x|**2`` over the frame (watts into 1 ohm).
+
+        Equal bit for bit to ``np.mean(np.abs(x) ** 2)``, without its
+        frame-sized temporary: numpy sums a float64 array pairwise, halving
+        n as ``n2 = n//2 - (n//2) % 8`` down to leaves of at most 128.  This
+        takes the same splits down to :data:`MEAN_POWER_LEAF_SAMPLES` and
+        lets numpy sum each leaf, so every partial sum is numpy's own.
+        """
         if self.samples.size == 0:
             return 0.0
-        return float(np.mean(np.abs(self.samples) ** 2))
+        return _pairwise_power(self.samples) / self.samples.size
 
     def __len__(self) -> int:
         return int(self.samples.size)

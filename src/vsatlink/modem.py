@@ -247,7 +247,7 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     s = symbols.samples
     # output row j holds samples j*sps + p, phase p shaped by the taps h[p::sps]
     taps = np.pad(h, (0, sps - 1)).reshape(-1, sps).T[:, :, None]
-    shaped = _overlap_save(s, taps, 1, 0, len(s) + cfg.filter_span_symbols).reshape(-1)
+    shaped = _overlap_save(s, taps, 1, 0, tx_samples(len(s), cfg) // sps).reshape(-1)
     shaped[(len(s) - 1) * sps + h.size :] = 0.0  # the sps - 1 positions no tap reaches
     return _unchecked(ComplexFrame, shaped, cfg.sample_rate_hz)
 
@@ -279,6 +279,12 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     taps = np.pad(h, (0, sps - 1)).reshape(-1, sps)[None, :, ::-1]
     out = _overlap_save(x, taps, sps, sps - 1, (len(x) + h.size - 2) // sps + 1)
     return _unchecked(ComplexFrame, out.reshape(-1), cfg.symbol_rate_hz)
+
+
+def tx_samples(n_symbols: int, cfg: ModemConfig) -> int:
+    """Length of the :func:`tx_shape` output for ``n_symbols`` symbols: their
+    ``samples_per_symbol`` samples each plus the filter tail."""
+    return (n_symbols + cfg.filter_span_symbols) * cfg.samples_per_symbol
 
 
 def pipeline_delay_symbols(cfg: ModemConfig) -> int:

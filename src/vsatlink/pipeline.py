@@ -28,6 +28,7 @@ from .modem import (
     qam_demodulate,
     qam_modulate,
     rx_match,
+    tx_samples,
     tx_shape,
 )
 from .receiver import AutomaticGainControl, DcOffsetCompensator, phase_freq_correct
@@ -115,16 +116,20 @@ def simulate(
 ) -> SimulationResult:
     """Run the full pipeline once and collect BER plus figure artifacts.
 
-    With ``with_spectra`` the two Welch PSDs run on one worker thread while
-    the chain goes on (numpy's FFTs and ufuncs release the GIL); the thread
-    is shut down before this returns or raises.  Without, no thread starts.
+    With ``with_spectra`` two worker threads run beside the chain (numpy's
+    normal draws, FFTs and ufuncs release the GIL).  One draws the channel
+    noise while bits, symbols, ``tx_shape`` and the TWTA run; the two Welch
+    PSDs run as their waveforms are ready.  The threads are shut down
+    before this returns or raises.  Without, no thread starts and the noise
+    is drawn first, on this thread, into the same buffer.
     """
-    with _threads(1) if with_spectra else contextlib.nullcontext() as pool:
+    with _threads(2) if with_spectra else contextlib.nullcontext() as pool:
         return _simulate(scenario, snapshot_points, pool)
 
 
 def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> SimulationResult:
-    """The run of :func:`simulate`; ``pool`` computes the spectra, or is None."""
+    """The run of :func:`simulate`; ``pool`` draws the noise and computes the
+    spectra, or is None."""
     cfg = scenario.modem
     if snapshot_points <= 0:
         raise ParameterError(f"snapshot_points must be > 0, got {snapshot_points}")
@@ -136,39 +141,57 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
         impairments = replace(impairments, seed=derive_seed(scenario.seed, _STREAM_NOISE))
     noise_seed = impairments.seed
 
-    with _stage("modem.generate_bits"):
-        tx_bits = generate_bits(n_bits, bits_seed)
-    with _stage("modem.qam_modulate"):
-        symbols = qam_modulate(tx_bits, cfg)
-    with _stage("modem.tx_shape"):
-        tx_wave = tx_shape(symbols, cfg)
-
-    # The spectra are computed on the worker while the chain goes on.  No
-    # stage writes a frame it is handed (the channel, DC, AGC, de-rotation
-    # and rx_match each return a new array), so the worker reads each frame
-    # as it was submitted.
-    seg = min(SPECTRUM_SEGMENT_LEN, len(tx_wave))
-    spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
-    if pool is not None:
-        psd = pool.submit(_spectrum, tx_wave, seg)
+    # Two waveform-sized buffers carry the run, both allocated on this thread
+    # (a worker's large allocation would come from its own heap arena) and
+    # overwritten stage by stage.  The channel output `received` takes the
+    # noise, then the signal added into it, then DC removal and AGC.  The
+    # transmit waveform takes the TWTA output.  No stage touches what a
+    # worker uses before it is collected: nothing reads `received` before
+    # the noise is in; the transmit PSD is collected before the TWTA writes
+    # (a linear TWTA writes nothing, so that PSD overlaps the channel); the
+    # receive PSD reads the AGC output, which de-rotation and rx_match only
+    # read.  At the peak the run holds both buffers and smaller arrays.
     with _stage("channel.run"):
-        rx_wave, plan = SatelliteChannel(
+        channel = SatelliteChannel(
             scenario.gains,
             scenario.saleh,
             impairments,
             mode=scenario.mode,  # type: ignore[arg-type]
             target_es_n0_db=scenario.target_es_n0_db,
             reference_symbol_power=cfg.mean_symbol_power,
-        ).run(tx_wave)
+        )
+        received = np.empty(tx_samples(n_bits // cfg.bits_per_symbol, cfg), dtype=np.complex128)
+        if pool is None:
+            channel.draw_noise(received, cfg.sample_rate_hz)
+        else:
+            noise = pool.submit(channel.draw_noise, received, cfg.sample_rate_hz)
 
-    # Each waveform-sized frame is dropped once its last reader is done, so
-    # at its peak the run holds two of them plus smaller arrays.  The worker
-    # reads tx_wave until its PSD is done, so that PSD is collected before
-    # the receiver makes a new waveform.
-    del tx_wave
+    with _stage("modem.generate_bits"):
+        tx_bits = generate_bits(n_bits, bits_seed)
+    with _stage("modem.qam_modulate"):
+        symbols = qam_modulate(tx_bits, cfg)
+    with _stage("modem.tx_shape"):
+        tx_wave = tx_shape(symbols, cfg)
+    with _stage("analysis.snapshots"):
+        cons_tx = constellation_snapshot(symbols, snapshot_points)
+    del symbols
+
+    seg = min(SPECTRUM_SEGMENT_LEN, len(tx_wave))
+    spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
+    if pool is not None:
+        tx_psd = pool.submit(_spectrum, tx_wave, seg)
+        if not channel.linear_twta:
+            with _stage("analysis.spectra"):
+                tx_psd.result()  # the TWTA overwrites tx_wave next
+    with _stage("channel.run"):
+        plan = channel.amplify(tx_wave)
+        if pool is not None:
+            noise.result()
+        rx_wave = channel.add_signal(tx_wave, received, plan)
+    del tx_wave, received
     if pool is not None:
         with _stage("analysis.spectra"):
-            spectrum_tx = psd.result()
+            spectrum_tx = tx_psd.result()
 
     # AGC drives total power to its reference; the corrections here are
     # data-aided, so the reference is the known signal power plus the known
@@ -179,13 +202,12 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
     comp = scenario.compensation
     with _stage("receiver.dc_offset_remove"):
         if comp.dc:
-            rx_wave = DcOffsetCompensator().process(rx_wave)
+            DcOffsetCompensator().process_in_place(rx_wave)
     with _stage("receiver.agc"):
         if comp.agc:
-            loop = AutomaticGainControl(agc_reference)
-            rx_wave = loop.process(rx_wave)
+            AutomaticGainControl(agc_reference).process_in_place(rx_wave)
     if pool is not None:
-        psd = pool.submit(_spectrum, rx_wave, seg)
+        rx_psd = pool.submit(_spectrum, rx_wave, seg)
     with _stage("receiver.phase_freq_correct"):
         if comp.phase_freq:
             corrected = phase_freq_correct(
@@ -212,7 +234,6 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
         report = measure_ber(tx_bits, rx_bits, delay_bits=delay_bits)
 
     with _stage("analysis.snapshots"):
-        cons_tx = constellation_snapshot(symbols, snapshot_points)
         shown = slice(skip, skip + snapshot_points)
         cons_pre = constellation_snapshot(
             pre_symbols.with_samples(pre_symbols.samples[shown]), snapshot_points
@@ -222,7 +243,7 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
         )
     if pool is not None:
         with _stage("analysis.spectra"):
-            spectrum_rx = psd.result()
+            spectrum_rx = rx_psd.result()
     run_log = {
         "vsatlink_version": __version__,
         "scenario": scenario_to_dict(scenario),

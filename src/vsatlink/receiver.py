@@ -7,6 +7,10 @@ removes offsets with the same known numbers); blind estimation is out of
 scope.  The loop constants are fixed: the DC forgetting factor, the AGC
 step and the AGC clamp.  The one value a caller sets is the AGC's
 reference power.
+
+DC removal and AGC each offer ``process``, which returns a new frame and
+leaves its input alone, and ``process_in_place``, which overwrites the
+frame it is given; ``process`` is ``process_in_place`` on a copy.
 """
 
 from __future__ import annotations
@@ -95,6 +99,12 @@ class _OnePole:
         return y
 
 
+def _in_place_on_copy(process_in_place, x: ComplexFrame) -> ComplexFrame:
+    out = _unchecked(ComplexFrame, x.samples.copy(), x.sample_rate_hz, x.start_sample)
+    process_in_place(out)
+    return out
+
+
 class DcOffsetCompensator:
     """Subtracts a running exponentially weighted mean with weight
     ``w`` = :data:`DC_FORGETTING_FACTOR`.  The estimator starts at 0 and
@@ -113,11 +123,14 @@ class DcOffsetCompensator:
         return complex(self._mean.last)
 
     def process(self, x: ComplexFrame) -> ComplexFrame:
+        """``x`` with the running mean removed, in a new frame; ``x`` is unchanged."""
+        return _in_place_on_copy(self.process_in_place, x)
+
+    def process_in_place(self, x: ComplexFrame) -> None:
+        """Overwrite ``x.samples`` with the :meth:`process` output."""
         if len(x) == 0:
             raise ParameterError("DC offset removal requires a non-empty frame")
-        mean = self._mean(x.samples)
-        np.subtract(x.samples, mean, out=mean)
-        return _unchecked(ComplexFrame, mean, x.sample_rate_hz, x.start_sample)
+        np.subtract(x.samples, self._mean(x.samples), out=x.samples)
 
 
 class AutomaticGainControl:
@@ -156,14 +169,17 @@ class AutomaticGainControl:
         return np.sqrt(self.reference_power / np.clip(p_prev, self._p_min, self._p_max))
 
     def process(self, x: ComplexFrame) -> ComplexFrame:
-        out = x.samples.copy()
-        for sl in block_slices(out.size):
-            blk = out[sl]
+        """``x`` scaled to the reference power, in a new frame; ``x`` is unchanged."""
+        return _in_place_on_copy(self.process_in_place, x)
+
+    def process_in_place(self, x: ComplexFrame) -> None:
+        """Overwrite ``x.samples`` with the :meth:`process` output."""
+        for sl in block_slices(len(x)):
+            blk = x.samples[sl]
             p_last = self._power.last
             p = self._power(blk.real * blk.real + blk.imag * blk.imag)
             # sample n is scaled by the average up to sample n-1
             blk *= self._gains(np.concatenate(([p_last], p[:-1])))
-        return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
 
 
 def phase_freq_correct(x: ComplexFrame, phase_deg: float, freq_hz: float) -> ComplexFrame:

@@ -26,7 +26,7 @@ from vsatlink import (
     saleh_amplify,
     tx_shape,
 )
-from vsatlink.channel import ROTATION_ROW_SAMPLES, _add_noise
+from vsatlink.channel import ROTATION_ROW_SAMPLES
 from vsatlink.pipeline import simulate
 from vsatlink.scenario import MAX_WAVEFORM_SAMPLES
 
@@ -351,7 +351,10 @@ class TestFullChain:
         y = saleh_amplify(x, SalehParams.linear())
         full = phase_freq_offset(y.with_samples(y.samples * np.sqrt(x.mean_power / y.mean_power)),
                                  0.0, 0.0).samples
-        _add_noise(full, 10.0 / 10.0, np.random.default_rng(31))  # Es / (Es/N0)
+        # the documented noise stream, all real parts first: variance Es / (Es/N0)
+        rng, std = np.random.default_rng(31), np.sqrt(10.0 / 10.0 / 2.0)
+        full.real += std * rng.standard_normal(full.size)
+        full.imag += std * rng.standard_normal(full.size)
         # the I/Q step's arithmetic at g = 1, theta = 0 and no DC offset
         re, im = full.real.copy(), full.imag.copy()
         full.real = re * np.cos(0.0) + im * 1.0 * np.sin(0.0) + 0.0
@@ -451,6 +454,49 @@ def _scenario_channel(scenario):
         target_es_n0_db=scenario.target_es_n0_db,
         reference_symbol_power=scenario.modem.mean_symbol_power,
     )
+
+
+class TestInPlaceSteps:
+    """``run`` takes draw_noise, amplify and add_signal on a copy of its
+    input; ``simulate`` takes the same three steps on buffers it owns."""
+
+    @staticmethod
+    def _frame_and_scenario(name, **impairments):
+        scenario = load_scenario(name)
+        scenario = replace(scenario, impairments=replace(scenario.impairments, **impairments))
+        _, x = _tx_waveform(5000, 13)
+        return ComplexFrame(x.samples, x.sample_rate_hz, start_sample=123_457), scenario
+
+    @pytest.mark.parametrize("impairments", [
+        {},
+        {"noise_temperature_k": 1e6, "iq_amplitude_imbalance_db": 0.8, "dc_offset_i": 0.05},
+        {"noise_temperature_k": 0.0, "phase_offset_deg": 0.0, "freq_offset_hz": 0.0},
+    ], ids=["as-shipped", "noise-iq-dc", "no-ktb-no-rotation"])
+    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    def test_run_equals_the_steps_in_place(self, name, impairments):
+        x, scenario = self._frame_and_scenario(name, **impairments)
+        kept = x.samples.copy()
+        out, plan = _scenario_channel(scenario).run(x)
+        assert np.array_equal(x.samples, kept)  # run leaves its input alone
+
+        chan = _scenario_channel(scenario)
+        y = ComplexFrame(kept.copy(), x.sample_rate_hz, x.start_sample)
+        dst = np.full_like(kept, np.nan)  # without noise, the signal is assigned over it
+        chan.draw_noise(dst, y.sample_rate_hz)
+        stepped = chan.add_signal(y, dst, chan.amplify(y))
+        assert stepped.samples is dst
+        assert np.array_equal(stepped.samples, out.samples)
+        # amplify wrote the TWTA output over y, unless the TWTA is linear
+        assert np.array_equal(y.samples, kept) == chan.linear_twta
+
+    def test_saleh_amplify_equals_the_twta_in_place(self, reference_scenario):
+        x, _ = self._frame_and_scenario("kptcl-cband")
+        kept = x.samples.copy()
+        out = saleh_amplify(x, reference_scenario.saleh)
+        assert np.array_equal(x.samples, kept)
+        chan = _scenario_channel(reference_scenario)
+        chan.amplify(x)
+        assert np.array_equal(x.samples, out.samples)
 
 
 class TestPlan:

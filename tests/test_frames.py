@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vsatlink.frames
 from vsatlink import (
     AutomaticGainControl,
     BitFrame,
@@ -40,6 +43,39 @@ class TestBitFrame:
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
             BitFrame(np.array([], dtype=int))
+
+
+class TestMeanPower:
+    """``mean_power`` sums leaf by leaf, without the frame-sized temporary of
+    ``np.mean(np.abs(x) ** 2)``, and must equal it bit for bit."""
+
+    @staticmethod
+    def _samples(n, seed, zeros):
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3, n)
+        x[rng.random(n) < zeros] = 0.0
+        return x
+
+    @staticmethod
+    def _numpy_mean(x):
+        return float(np.mean(np.abs(x) ** 2)) if x.size else 0.0
+
+    @given(n=st.integers(0, 300_000), seed=st.integers(0, 2**32 - 1),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_numpy_mean(self, n, seed, zeros):
+        x = self._samples(n, seed, zeros)
+        assert ComplexFrame(x, 50e3).mean_power == self._numpy_mean(x)
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("n", [65535, 65536, 65537, 2_000_240])
+    def test_block_lengths_and_block_sizes(self, n, block, monkeypatch):
+        # 2_000_240 samples: a 1e6-bit 16-QAM waveform; BLOCK_SAMPLES does not
+        # set the leaf, so 1 and 7 change nothing
+        if block is not None:
+            monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", block)
+        x = self._samples(n, n, zeros=0.05)
+        assert ComplexFrame(x, 50e3).mean_power == self._numpy_mean(x)
 
 
 class TestComplexFrame:

@@ -152,6 +152,24 @@ class TestStreamingIsExact:
         assert state[0] == state[1]
 
 
+class TestInPlace:
+    """``process`` is ``process_in_place`` on a copy, state included."""
+
+    @pytest.mark.parametrize("make", [DcOffsetCompensator, AutomaticGainControl])
+    def test_process_equals_process_in_place(self, make):
+        x = rand_frame(2 * BLOCK_SAMPLES + 17, 5, scale=0.4)
+        kept = x.samples.copy()
+        public, in_place = _new(make), _new(make)
+        for _ in range(2):  # the second frame continues the loop state
+            out = public.process(x)
+            assert np.array_equal(x.samples, kept)
+            y = frame(kept.copy())
+            in_place.process_in_place(y)
+            assert np.array_equal(y.samples, out.samples)
+        state = "gain" if make is AutomaticGainControl else "estimate"
+        assert getattr(public, state) == getattr(in_place, state)
+
+
 class TestAgc:
     def test_matches_a_per_sample_loop(self):
         # sample n is scaled by sqrt(P_ref / p[n-1]), then p[n] takes |x[n]|^2
