@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,12 +28,13 @@ __all__ = [
 ]
 
 # Welch segments transformed per FFT call; bounds the scratch memory of
-# estimate_psd to this many segments whatever the frame length.  simulate
-# runs the PSDs on a worker thread beside the chain, so this scratch adds to
-# the chain's own peak: at 16 a 2e5-bit kptcl-cband run peaks at 2.79
-# waveforms, at 64 at 3.15, over the 3 that test_pipeline.TestMemory allows.
-# The value groups the power sum, so changing it moves the PSD by ~1e-15
-# relative.
+# estimate_psd to this many segments whatever the frame length, and is the
+# step by which simulate's writers trail the transmit PSD.  simulate runs the
+# PSDs on a worker thread beside the chain, so this scratch adds to the
+# chain's own peak: at 16 a 2e5-bit kptcl-cband run peaks at 1.90
+# waveforms, at 64 at 2.27, over the 2.25 that test_pipeline.TestMemory
+# allows.  The value groups the power sum, so changing it moves the PSD by
+# ~1e-15 relative.
 PSD_BLOCK_SEGMENTS = 16
 
 
@@ -80,14 +82,18 @@ def measure_ber(tx_bits: BitFrame, rx_bits: BitFrame, delay_bits: int) -> BerRep
     return BerReport(bit_errors=errors, bits_compared=n, alignment_delay_bits=lag)
 
 
-def estimate_psd(x: ComplexFrame, segment_len: int) -> SpectrumEstimate:
+def estimate_psd(x: ComplexFrame, segment_len: int, *,
+                 progress: Optional[Callable[[int], None]] = None) -> SpectrumEstimate:
     """Welch-averaged, Hann-windowed two-sided PSD over [-fs/2, fs/2).
 
     Density normalization: the PSD integrated over frequency equals the
     mean signal power.  Segments overlap by half: they start every
     ``segment_len - segment_len // 2`` samples (a tail shorter than a
     segment is dropped, as in ``scipy.signal.welch``) and are transformed
-    ``PSD_BLOCK_SEGMENTS`` at a time, one FFT call per block.
+    ``PSD_BLOCK_SEGMENTS`` at a time, one FFT call per block.  After each
+    block has read its samples, ``progress(i)``, if given, is called with
+    the first sample ``i`` that a later segment still reads: a writer may
+    then overwrite the samples before ``i``.
     """
     if segment_len < 2:
         raise ParameterError(f"segment_len must be >= 2, got {segment_len}")
@@ -102,7 +108,11 @@ def estimate_psd(x: ComplexFrame, segment_len: int) -> SpectrumEstimate:
     window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_len + 1)[:-1])
     power = np.zeros(segment_len)
     for start in range(0, len(segments), PSD_BLOCK_SEGMENTS):
-        spectra = np.fft.fft(segments[start : start + PSD_BLOCK_SEGMENTS] * window, axis=-1)
+        windowed = segments[start : start + PSD_BLOCK_SEGMENTS] * window
+        if progress is not None:
+            progress((start + PSD_BLOCK_SEGMENTS) * step)
+        spectra = np.fft.fft(windowed, axis=-1)
+        del windowed
         power += np.sum(spectra.real**2 + spectra.imag**2, axis=0)
     psd = power / (len(segments) * fs * np.sum(window**2))
     return SpectrumEstimate(

@@ -36,18 +36,22 @@ blocks.  The first sample of every row, and every phase-only rotation, is
 ``np.spacing(theta)`` of it (2.2 ulp at theta = 503 rad, the end of a 1e6-bit
 run of the 2 Hz link).  The receiver's inverse is the exact conjugate.
 
-The noise comes first: a run draws it into the output buffer before the
-signal exists (it depends on the noise seed and variance alone), then adds
-``rotate(gain * TWTA(x))`` into it block by block.  The one addition per
-component has the same operands as ``signal + noise`` taken in stage order;
-IEEE addition commutes, so the output keeps its bits.  Only the I/Q step
-follows the noise, in place.
+The channel works in place on its input, block by block, in two passes:
+the TWTA, then ``rotate(gain * y) + noise`` and the I/Q step.  The gain
+needs the whole TWTA output's power, so the passes cannot merge.  The
+noise stream is ``std * z`` for all real parts, then all imaginary parts.
+A run without a worker writes the signal, then adds the real half and
+then the imaginary half in two sweeps; a run with one
+(:meth:`SatelliteChannel.noise_ahead`) adds both halves to each block as
+it writes it.  Either way each sample takes the one sum ``signal +
+noise`` of the chain run in stage order, possibly with its operands
+swapped; IEEE addition commutes, so the output keeps its bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
@@ -78,10 +82,14 @@ LOSS_DB_RANGE = (0.0, MAX_ABS_DB)
 PHASE_RANGE_DEG = (-360.0, 360.0)
 AMPLITUDE_RANGE = (-1e6, 1e6)  # volts across 1 ohm
 
-# Row length of the rotation's phasor table (see _phasor_blocks).  The rows are
+# Row length of the rotation's phasor table (see _Rotation).  The rows are
 # anchored at global sample 0, so the table does not depend on
 # frames.BLOCK_SAMPLES or on how a stream is split into frames.
 ROTATION_ROW_SAMPLES = 4096
+
+# Blocks of imaginary noise parts a noise worker may draw ahead of the channel
+# (see _NoiseAhead); at least 2, so that a stopped worker never blocks.
+NOISE_AHEAD_BLOCKS = 2
 
 
 def _db_to_amplitude(db: float) -> float:
@@ -172,8 +180,10 @@ def saleh_amplify(x: ComplexFrame, p: SalehParams) -> ComplexFrame:
     return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
 
 
-def _saleh_in_place(samples: np.ndarray, p: SalehParams) -> None:
-    """Overwrite ``samples`` with their :func:`saleh_amplify` output, checked."""
+def _saleh_in_place(samples: np.ndarray, p: SalehParams,
+                    wait: Optional[Callable[[int], None]] = None) -> None:
+    """Overwrite ``samples`` with their :func:`saleh_amplify` output, checked;
+    ``wait(stop)`` is called before each block up to ``stop`` is written."""
     scale_in = _db_to_amplitude(p.input_scale_db)
     scale_out = _db_to_amplitude(p.output_scale_db)
     for sl in block_slices(samples.size):
@@ -188,7 +198,9 @@ def _saleh_in_place(samples: np.ndarray, p: SalehParams) -> None:
         r2 *= p.ampm_alpha
         r2 /= den
         del den
-        # xs first, into an array that is neither operand: see _phasor_blocks
+        if wait is not None:
+            wait(sl.stop)
+        # xs first, into an array that is neither operand: see _Rotation
         np.multiply(xs, _unit_phasor(r2), out=blk)
         blk *= scale_out
     _check_finite(samples)
@@ -208,7 +220,7 @@ def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Comp
 
     The phasor of sample n is ``anchor[n // L] * step[n % L]`` from a table of
     :data:`ROTATION_ROW_SAMPLES` = L steps and one anchor per row (see
-    :func:`_phasor_blocks`).  It depends on n alone, so any split of a stream
+    :class:`_Rotation`).  It depends on n alone, so any split of a stream
     into frames gives the same bits.  Every row's first sample and every
     phase-only rotation equal ``exp(1j*theta) * x`` bit for bit; the other
     samples are within a few ``np.spacing(theta)`` of it, the rounding that
@@ -216,15 +228,15 @@ def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Comp
     phasor.
     """
     out = np.empty_like(x.samples)
-    for sl, phasor in _phasor_blocks(x, phase_deg, freq_hz):
-        np.multiply(phasor, x.samples[sl], out=out[sl])
+    rotation = _Rotation(x, phase_deg, freq_hz, min(len(x), frames.BLOCK_SAMPLES))
+    for sl in block_slices(len(x)):
+        rotation.apply(sl.start, x.samples[sl], out[sl])
     return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
 
 
-def _phasor_blocks(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Iterator[tuple]:
-    """``(sl, phasor)`` for each :func:`~vsatlink.frames.block_slices` block of
-    ``x``: the rotation of :func:`phase_freq_offset` for ``x.samples[sl]``, in
-    one buffer that the next block overwrites.
+class _Rotation:
+    """The rotation of :func:`phase_freq_offset` for the samples of ``x``,
+    applied to any run of them; the tables are built once.
 
     The global clock is cut into rows of L = :data:`ROTATION_ROW_SAMPLES`
     samples, anchored at sample 0.  Row r's anchor is
@@ -238,52 +250,37 @@ def _phasor_blocks(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Iterato
 
     numpy's SIMD complex multiply rounds the imaginary part of a*b and b*a
     differently.  The whole-frame x*exp(1j*theta) runs as phasor*x (numpy
-    writes the product into the exp temporary), so callers put the phasor
-    first.  A one-sample product written over one of its operands takes a
-    scalar loop that rounds differently again, so they write it elsewhere.
+    writes the product into the exp temporary), so :meth:`apply` puts the
+    phasor first.  A one-sample product written over one of its operands
+    takes a scalar loop that rounds differently again, so it writes
+    elsewhere.
     """
-    fs = x.sample_rate_hz
-    phase_rad = np.deg2rad(phase_deg)
-    omega = 2.0 * np.pi * float(freq_hz)
-    width = ROTATION_ROW_SAMPLES
-    start, n = x.start_sample, len(x)
-    first_row = start // width
-    rows = np.arange(first_row, (start + n - 1) // width + 1)
-    anchors = _unit_phasor(omega * (rows * width) / fs + phase_rad)
-    step = _unit_phasor(omega * np.arange(width) / fs)
-    phasor = np.empty(min(n, frames.BLOCK_SAMPLES), dtype=np.complex128)
-    for sl in block_slices(n):
-        lo, hi = start + sl.start, start + sl.stop
+
+    def __init__(self, x: ComplexFrame, phase_deg: float, freq_hz: float, size: int):
+        fs = x.sample_rate_hz
+        phase_rad = np.deg2rad(phase_deg)
+        omega = 2.0 * np.pi * float(freq_hz)
+        width = ROTATION_ROW_SAMPLES
+        self._start = x.start_sample
+        self._first_row = self._start // width
+        rows = np.arange(self._first_row, (self._start + len(x) - 1) // width + 1)
+        self._anchors = _unit_phasor(omega * (rows * width) / fs + phase_rad)
+        self._step = _unit_phasor(omega * np.arange(width) / fs)
+        self._phasor = np.empty(size, dtype=np.complex128)
+
+    def apply(self, first: int, src: np.ndarray, out: np.ndarray) -> None:
+        """``out = phasor * src`` for the samples ``first, first + 1, ...`` of
+        ``x``; ``src`` is at most ``size`` long and ``out`` does not overlap it."""
+        width = ROTATION_ROW_SAMPLES
+        lo = self._start + first
+        hi = lo + src.size
+        phasor = self._phasor[: src.size]
         for row in range(lo // width, (hi - 1) // width + 1):
             n0 = row * width
             a, b = max(lo, n0), min(hi, n0 + width)
-            np.multiply(anchors[row - first_row], step[a - n0 : b - n0], out=phasor[a - lo : b - lo])
-        yield sl, phasor[: hi - lo]
-
-
-def _add_rotated(y: ComplexFrame, dst: np.ndarray, gain: float, phase_deg: float,
-                 freq_hz: float, add: bool) -> None:
-    """``dst += rotate(gain * y)`` block by block, or ``=`` when not ``add``;
-    the rotation is skipped at zero phase and frequency."""
-    n = len(y)
-    size = min(n, frames.BLOCK_SAMPLES)
-    scaled = np.empty(size, dtype=np.complex128)
-    if phase_deg != 0.0 or freq_hz != 0.0:
-        # the rotated block goes to a buffer of its own: see _phasor_blocks
-        rotated = np.empty(size, dtype=np.complex128)
-        blocks = _phasor_blocks(y, phase_deg, freq_hz)
-    else:
-        blocks = ((sl, None) for sl in block_slices(n))
-    for sl, phasor in blocks:
-        m = sl.stop - sl.start
-        signal = np.multiply(y.samples[sl], gain, out=scaled[:m])
-        if phasor is not None:
-            signal = np.multiply(phasor, signal, out=rotated[:m])
-        if add:
-            blk = dst[sl]
-            blk += signal
-        else:
-            dst[sl] = signal
+            np.multiply(self._anchors[row - self._first_row], self._step[a - n0 : b - n0],
+                        out=phasor[a - lo : b - lo])
+        np.multiply(phasor, src, out=out)
 
 
 def _ktb_variance(temperature_k: float, bandwidth_hz: float) -> float:
@@ -291,22 +288,82 @@ def _ktb_variance(temperature_k: float, bandwidth_hz: float) -> float:
     return BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz
 
 
-def _draw_noise(dst: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
-    """Fill ``dst`` with complex Gaussian noise of total variance ``sigma2``;
-    at zero variance draw nothing and leave ``dst`` as it is.
+def _add_normals(part: np.ndarray, std: float, rng: np.random.Generator,
+                 normals: np.ndarray) -> None:
+    """``part += std * z`` for the next ``part.size`` normals ``z`` of ``rng``,
+    drawn into ``normals`` a block at a time."""
+    for sl in block_slices(part.size):
+        z = normals[: sl.stop - sl.start]
+        rng.standard_normal(out=z)
+        z *= std
+        part[sl] += z
 
-    The real parts are drawn first, then the imaginary parts, so the stream
-    equals ``std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))``.
+
+class _NoiseAhead:
+    """The imaginary half of the next ``n`` noise samples, drawn on a worker.
+
+    The stream is ``std * z`` for all ``n`` real parts, then all ``n``
+    imaginary parts.  A clone of the channel's generator, advanced by ``n``
+    normals, sits exactly at the start of the imaginary half.  The clone is
+    made here, before the channel draws from its own generator; the worker
+    advances it by drawing blocks of normals and dropping them, then draws
+    the imaginary blocks into a queue of :data:`NOISE_AHEAD_BLOCKS`, which
+    :meth:`next` hands out in order.  The worker always ends by queueing
+    None, after the last block or in place of the rest.
     """
-    if sigma2 == 0.0:
-        return
-    std = np.sqrt(sigma2 / 2.0)
-    normals = np.empty(min(dst.size, frames.BLOCK_SAMPLES))
-    for part in (dst.real, dst.imag):
-        for sl in block_slices(part.size):
-            z = normals[: sl.stop - sl.start]
-            rng.standard_normal(out=z)
-            np.multiply(std, z, out=part[sl])
+
+    def __init__(self, rng: np.random.Generator, n: int, std: float, pool):
+        import copy
+        import queue
+        import threading
+
+        self.rng = copy.deepcopy(rng)
+        self._n, self._std = n, std
+        self._blocks = queue.Queue(NOISE_AHEAD_BLOCKS)
+        self._stop = threading.Event()
+        self._done = pool.submit(self._produce)
+
+    def _produce(self) -> None:
+        try:
+            normals = np.empty(min(self._n, frames.BLOCK_SAMPLES))
+            for sl in block_slices(self._n):
+                if self._stop.is_set():
+                    return
+                self.rng.standard_normal(out=normals[: sl.stop - sl.start])
+            for sl in block_slices(self._n):
+                if self._stop.is_set():
+                    return
+                z = self.rng.standard_normal(sl.stop - sl.start)
+                z *= self._std
+                self._blocks.put(z)
+        finally:
+            self._blocks.put(None)
+
+    def next(self) -> np.ndarray:
+        """The next block of imaginary parts, ``std * z``."""
+        block = self._blocks.get()
+        if block is None:  # the worker ended early: raise its error
+            self._done.result()
+            raise PipelineError("channel", "the noise worker stopped before the stream ended")
+        return block
+
+    def finish(self) -> np.random.Generator:
+        """The generator after the whole stream, once every block is taken."""
+        self._done.result()
+        return self.rng
+
+    def close(self) -> None:
+        """Stop the worker and free it, whatever the caller has taken.  With
+        two queue places, the worker's last put of a block and its final
+        None both fit after the drain, so it cannot block again."""
+        import queue
+
+        self._stop.set()
+        try:
+            while True:
+                self._blocks.get_nowait()
+        except queue.Empty:
+            pass
 
 
 def _iq_imbalance(samples: np.ndarray, cfg: ImpairmentConfig) -> None:
@@ -356,11 +413,13 @@ class SatelliteChannel:
     is counted from each frame's ``start_sample``, so a stream split into
     frames with consecutive clocks gets the same rotation as one frame.
 
-    :meth:`run` is three steps that a caller owning its buffers can also
-    take one by one, in this order: :meth:`draw_noise` into the output
-    buffer, :meth:`amplify` over the input in place, :meth:`add_signal`
-    into the output buffer.  The noise draw reads nothing of the signal, so
-    it may run on another thread while the input is still being made.
+    :meth:`run` is two steps that a caller owning its buffer can also take
+    one by one, in this order, over the same input: :meth:`amplify` writes
+    the TWTA output over it and returns the plan, then :meth:`propagate`
+    writes ``rotate(gain * y) + noise`` and the I/Q step over it.  Both take
+    a ``wait`` hook that holds each block until a reader of the input has
+    passed it.  :meth:`noise_ahead` starts drawing the noise on a worker
+    thread before the input exists.
     """
 
     def __init__(
@@ -419,42 +478,68 @@ class SatelliteChannel:
             return 0.0
         return self.reference_symbol_power / 10.0 ** (self.target_es_n0_db / 10.0)
 
-    def draw_noise(self, dst: np.ndarray, sample_rate_hz: float) -> None:
-        """Write the next ``dst.size`` samples of the noise stream into
-        ``dst``, the buffer :meth:`add_signal` then adds the signal into.  At
-        zero noise variance nothing is drawn and ``dst`` is not written."""
-        _draw_noise(dst, self._noise_variance(sample_rate_hz), self._rng)
+    def noise_ahead(self, pool, n: int, sample_rate_hz: float) -> Optional[_NoiseAhead]:
+        """Start a worker on ``pool`` that draws the imaginary half of the next
+        ``n`` noise samples ahead, for :meth:`propagate` over ``n`` samples;
+        None at zero noise variance, where nothing is drawn.  The caller
+        calls its ``close`` before the pool shuts down."""
+        variance = self._noise_variance(sample_rate_hz)
+        if variance == 0.0:
+            return None
+        return _NoiseAhead(self._rng, n, np.sqrt(variance / 2.0), pool)
 
-    def amplify(self, x: ComplexFrame) -> ChannelLog:
+    def amplify(self, x: ComplexFrame, wait: Optional[Callable[[int], None]] = None) -> ChannelLog:
         """Overwrite ``x.samples`` with the TWTA output (unless
-        :attr:`linear_twta`) and return the plan for ``x``."""
+        :attr:`linear_twta`) and return the plan for ``x``.  ``wait(stop)``,
+        if given, returns once samples up to ``stop`` may be overwritten."""
         p_in = p_sig = x.mean_power
         if not self.linear_twta:
-            _saleh_in_place(x.samples, self.saleh)
+            _saleh_in_place(x.samples, self.saleh, wait)
             p_sig = x.mean_power
         return self.plan(p_in, p_sig, x.sample_rate_hz)
 
-    def add_signal(self, y: ComplexFrame, dst: np.ndarray, plan: ChannelLog) -> ComplexFrame:
-        """Add ``rotate(gain * y)`` into the noise in ``dst``, apply the I/Q
-        step in place and return ``dst`` as the channel output (checked: the
-        gain and offsets may overflow).  ``y`` is the :meth:`amplify` output.
+    def propagate(self, y: ComplexFrame, plan: ChannelLog,
+                  wait: Optional[Callable[[int], None]] = None,
+                  noise: Optional[_NoiseAhead] = None) -> ComplexFrame:
+        """Overwrite ``y.samples`` (the :meth:`amplify` output) with
+        ``rotate(gain * y) + noise``, then the I/Q step, and return ``y`` as
+        the channel output (checked: the gain and offsets may overflow).
 
-        Each sample is the one sum ``signal + noise`` of the whole chain run
-        in stage order, with its operands swapped: IEEE addition commutes, so
-        the bits are the same.  At zero noise variance the signal is
-        assigned, not added to whatever ``dst`` held.
+        ``noise`` is the :meth:`noise_ahead` worker for ``y``, if one was
+        started.  ``wait`` is :meth:`amplify`'s.  At zero noise variance the
+        signal alone is written.
         """
         imp = self.impairments
-        _add_rotated(y, dst, plan.gain, imp.phase_offset_deg, imp.freq_offset_hz,
-                     add=plan.noise_variance_w != 0.0)
-        _iq_imbalance(dst, imp)
-        return ComplexFrame(dst, y.sample_rate_hz, y.start_sample)
+        samples, n = y.samples, len(y)
+        size = min(n, frames.BLOCK_SAMPLES)
+        scaled = np.empty(size, dtype=np.complex128)
+        normals = np.empty(size)
+        std = np.sqrt(plan.noise_variance_w / 2.0)
+        rotation = None
+        if imp.phase_offset_deg != 0.0 or imp.freq_offset_hz != 0.0:
+            rotation = _Rotation(y, imp.phase_offset_deg, imp.freq_offset_hz, size)
+        for sl in block_slices(n):
+            signal = np.multiply(samples[sl], plan.gain, out=scaled[: sl.stop - sl.start])
+            if wait is not None:
+                wait(sl.stop)
+            blk = samples[sl]
+            if rotation is None:
+                blk[...] = signal
+            else:
+                rotation.apply(sl.start, signal, blk)
+            if noise is not None:
+                _add_normals(blk.real, std, self._rng, normals)
+                blk.imag += noise.next()
+        if noise is not None:
+            self._rng = noise.finish()
+        elif plan.noise_variance_w != 0.0:
+            for part in (samples.real, samples.imag):
+                _add_normals(part, std, self._rng, normals)
+        _iq_imbalance(samples, imp)
+        return ComplexFrame(samples, y.sample_rate_hz, y.start_sample)
 
     def run(self, x: ComplexFrame) -> tuple[ComplexFrame, ChannelLog]:
         """The channel output for ``x`` and the plan it applied; ``x`` is unchanged."""
-        out = np.empty_like(x.samples)
-        self.draw_noise(out, x.sample_rate_hz)
-        y = x if self.linear_twta else _unchecked(
-            ComplexFrame, x.samples.copy(), x.sample_rate_hz, x.start_sample)
+        y = _unchecked(ComplexFrame, x.samples.copy(), x.sample_rate_hz, x.start_sample)
         plan = self.amplify(y)
-        return self.add_signal(y, out, plan), plan
+        return self.propagate(y, plan), plan

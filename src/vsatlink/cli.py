@@ -64,11 +64,11 @@ def _output_path(text: str, option: str, directory: bool = False) -> Path:
     return path
 
 
-def _csv_text(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_FLOAT_FMT.format(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_text(header: str, rows: np.ndarray) -> str:
+    """``header``, then one line per row of the 2-D ``rows``, each value
+    formatted by ``_FLOAT_FMT``: one format string per row, over Python floats."""
+    line = ",".join([_FLOAT_FMT] * rows.shape[1])
+    return "\n".join([header, *(line.format(*row) for row in rows.tolist())]) + "\n"
 
 
 def _json_text(data) -> str:
@@ -130,7 +130,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _scenario(args.config, total_bits=args.bits)
     values = parse_sweep_values(args.values)
     rows = run_sweep(scenario, args.param, values, jobs=args.jobs)
-    text_rows = [(r["swept_value"], r["ber"], r["errors"], r["bits"]) for r in rows]
+    text_rows = np.array([(r["swept_value"], r["ber"], r["errors"], r["bits"]) for r in rows],
+                         dtype=float)
     _atomic_write(out, _csv_text("swept_value,ber,errors,bits", text_rows))
     for r in rows:
         print(f"{args.param} = {r['swept_value']:g}: BER = {r['ber']:.6g} "

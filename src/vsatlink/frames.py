@@ -13,7 +13,7 @@ it with :func:`_unchecked` instead, so a waveform is not scanned again at
 every stage.  The two stages that can turn finite input into NaN/Inf keep
 the check, in place or not: the TWTA (``saleh_amplify``,
 ``SatelliteChannel.amplify``; ``|x|**2`` overflows near 1e154) and the
-output of the whole transponder chain (``SatelliteChannel.add_signal``,
+output of the whole transponder chain (``SatelliteChannel.propagate``,
 which ``run`` ends with).
 """
 

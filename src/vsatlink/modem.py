@@ -11,9 +11,11 @@ e.g. ``0000 -> -3-3j``, ``1010 -> +3+3j``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from .channel import _Rotation
 from .errors import CheckedConfig, FramingError, InsufficientDataError, ParameterError, ranged
 from .frames import BitFrame, ComplexFrame, _unchecked
 
@@ -197,7 +199,7 @@ def rrc_taps(cfg: ModemConfig) -> np.ndarray:
 
 
 def _overlap_save(x: np.ndarray, taps: np.ndarray, width: int, shift: int,
-                  n_out: int) -> np.ndarray:
+                  n_out: int, rotation: Optional[_Rotation] = None) -> np.ndarray:
     """Polyphase FIR at symbol rate by block FFT convolution (overlap-save).
 
     Row ``j`` of the input is ``x[j*width - shift : (j+1)*width - shift]``
@@ -207,6 +209,8 @@ def _overlap_save(x: np.ndarray, taps: np.ndarray, width: int, shift: int,
     it takes one forward transform down its columns, sums the products with
     the tap spectra over ``i``, takes one inverse transform per output
     branch ``o`` and keeps its last ``FFT_BLOCK_SYMBOLS - span`` rows.
+    With ``rotation`` (a :class:`~vsatlink.channel._Rotation` of ``x``)
+    each segment is filled with the rotated input instead of ``x``.
     """
     k = FFT_BLOCK_SYMBOLS
     span = taps.shape[1] - 1
@@ -219,7 +223,10 @@ def _overlap_save(x: np.ndarray, taps: np.ndarray, width: int, shift: int,
         lo = (first - span) * width - shift
         src = x[max(lo, 0) : lo + seg.size]
         head = max(-lo, 0)
-        seg[head : head + src.size] = src
+        if rotation is None:
+            seg[head : head + src.size] = src
+        else:
+            rotation.apply(max(lo, 0), src, seg[head : head + src.size])
         seg[head + src.size :] = 0.0
         np.multiply(np.fft.fft(seg.reshape(k, width), axis=0), hf, out=prod)
         # summing one input branch would only copy the products, at ~10% of tx_shape
@@ -252,7 +259,8 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     return _unchecked(ComplexFrame, shaped, cfg.sample_rate_hz)
 
 
-def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
+def rx_match(waveform: ComplexFrame, cfg: ModemConfig, *,
+             derotate: Optional[tuple[float, float]] = None) -> ComplexFrame:
     """Matched-filter and decimate back to symbol rate.
 
     Decimation phase is chosen at the cascade peak; the total Tx+Rx group
@@ -260,6 +268,11 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     symbol sits at index ``filter_span_symbols`` (head retained, trimmed
     centrally by the analysis stage).  Only the kept outputs
     ``(x * h)[k * sps]`` are computed.
+
+    ``derotate=(phase_deg, freq_hz)`` filters
+    ``phase_freq_correct(waveform, phase_deg, freq_hz)`` bit for bit, without
+    that waveform-sized array: each filter segment is filled with the
+    de-rotated samples it reads.
     """
     sps = cfg.samples_per_symbol
     if not np.isclose(waveform.sample_rate_hz, cfg.sample_rate_hz, rtol=1e-9):
@@ -277,7 +290,11 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     x = waveform.samples
     # row k holds x[k*sps - sps + 1 .. k*sps]; its column c meets h[sps - 1 - c :: sps]
     taps = np.pad(h, (0, sps - 1)).reshape(-1, sps)[None, :, ::-1]
-    out = _overlap_save(x, taps, sps, sps - 1, (len(x) + h.size - 2) // sps + 1)
+    rotation = None
+    if derotate is not None:
+        phase_deg, freq_hz = derotate
+        rotation = _Rotation(waveform, -phase_deg, -freq_hz, FFT_BLOCK_SYMBOLS * sps)
+    out = _overlap_save(x, taps, sps, sps - 1, (len(x) + h.size - 2) // sps + 1, rotation)
     return _unchecked(ComplexFrame, out.reshape(-1), cfg.symbol_rate_hz)
 
 

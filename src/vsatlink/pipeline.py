@@ -31,7 +31,9 @@ from .modem import (
     tx_samples,
     tx_shape,
 )
-from .receiver import AutomaticGainControl, DcOffsetCompensator, phase_freq_correct
+# simulate de-rotates inside rx_match; perfbench/layertrace.py still wraps the
+# name phase_freq_correct here, so it stays importable from this module
+from .receiver import AutomaticGainControl, DcOffsetCompensator, phase_freq_correct  # noqa: F401
 from .scenario import ScenarioConfig, replace_key, run_bits, scenario_to_dict
 
 __all__ = [
@@ -117,19 +119,43 @@ def simulate(
     """Run the full pipeline once and collect BER plus figure artifacts.
 
     With ``with_spectra`` two worker threads run beside the chain (numpy's
-    normal draws, FFTs and ufuncs release the GIL).  One draws the channel
-    noise while bits, symbols, ``tx_shape`` and the TWTA run; the two Welch
-    PSDs run as their waveforms are ready.  The threads are shut down
-    before this returns or raises.  Without, no thread starts and the noise
-    is drawn first, on this thread, into the same buffer.
+    normal draws, FFTs and ufuncs release the GIL).  One draws the
+    imaginary half of the channel noise ahead, while bits, symbols and
+    ``tx_shape`` run and then block by block as the channel takes it; the
+    two Welch PSDs run as their waveforms are ready.  The threads are shut
+    down before this returns or raises.  Without, no thread starts and the
+    channel adds the noise on this thread.
     """
-    with _threads(2) if with_spectra else contextlib.nullcontext() as pool:
-        return _simulate(scenario, snapshot_points, pool)
+    with contextlib.ExitStack() as run:
+        pool = run.enter_context(_threads(2)) if with_spectra else None
+        # entered after the pool, so left before it shuts down
+        return _simulate(scenario, snapshot_points, pool, run)
 
 
-def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> SimulationResult:
+class _Watermark:
+    """How far the transmit PSD has read: an index that only grows.  A
+    writer of the transmit waveform waits until it has passed its block."""
+
+    def __init__(self):
+        import threading
+
+        self._cond = threading.Condition()
+        self._passed = 0
+
+    def advance(self, index: int) -> None:
+        with self._cond:
+            self._passed = max(self._passed, index)
+            self._cond.notify_all()
+
+    def wait(self, index: int) -> None:
+        with self._cond:
+            self._cond.wait_for(lambda: self._passed >= index)
+
+
+def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
+              run: contextlib.ExitStack) -> SimulationResult:
     """The run of :func:`simulate`; ``pool`` draws the noise and computes the
-    spectra, or is None."""
+    spectra, or is None.  ``run`` closes what the run leaves open."""
     cfg = scenario.modem
     if snapshot_points <= 0:
         raise ParameterError(f"snapshot_points must be > 0, got {snapshot_points}")
@@ -141,16 +167,13 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
         impairments = replace(impairments, seed=derive_seed(scenario.seed, _STREAM_NOISE))
     noise_seed = impairments.seed
 
-    # Two waveform-sized buffers carry the run, both allocated on this thread
-    # (a worker's large allocation would come from its own heap arena) and
-    # overwritten stage by stage.  The channel output `received` takes the
-    # noise, then the signal added into it, then DC removal and AGC.  The
-    # transmit waveform takes the TWTA output.  No stage touches what a
-    # worker uses before it is collected: nothing reads `received` before
-    # the noise is in; the transmit PSD is collected before the TWTA writes
-    # (a linear TWTA writes nothing, so that PSD overlaps the channel); the
-    # receive PSD reads the AGC output, which de-rotation and rx_match only
-    # read.  At the peak the run holds both buffers and smaller arrays.
+    # One waveform-sized array carries the run from tx_shape to rx_match.
+    # Stages overwrite it in this order: the TWTA, rotate(gain*y) + noise,
+    # the I/Q step, DC removal and AGC; the receive PSD and rx_match (which
+    # de-rotates as it reads) only read it.  The transmit PSD reads it while
+    # the TWTA and the channel write: each of their blocks waits until the
+    # PSD has passed it, so the writers trail the PSD.  The noise worker
+    # holds a few blocks, not a waveform.
     with _stage("channel.run"):
         channel = SatelliteChannel(
             scenario.gains,
@@ -160,35 +183,33 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
             target_es_n0_db=scenario.target_es_n0_db,
             reference_symbol_power=cfg.mean_symbol_power,
         )
-        received = np.empty(tx_samples(n_bits // cfg.bits_per_symbol, cfg), dtype=np.complex128)
-        if pool is None:
-            channel.draw_noise(received, cfg.sample_rate_hz)
-        else:
-            noise = pool.submit(channel.draw_noise, received, cfg.sample_rate_hz)
+        noise = None
+        if pool is not None:
+            n = tx_samples(n_bits // cfg.bits_per_symbol, cfg)
+            noise = channel.noise_ahead(pool, n, cfg.sample_rate_hz)
+            if noise is not None:
+                run.callback(noise.close)
 
     with _stage("modem.generate_bits"):
         tx_bits = generate_bits(n_bits, bits_seed)
     with _stage("modem.qam_modulate"):
         symbols = qam_modulate(tx_bits, cfg)
     with _stage("modem.tx_shape"):
-        tx_wave = tx_shape(symbols, cfg)
+        wave = tx_shape(symbols, cfg)
     with _stage("analysis.snapshots"):
         cons_tx = constellation_snapshot(symbols, snapshot_points)
     del symbols
 
-    seg = min(SPECTRUM_SEGMENT_LEN, len(tx_wave))
+    seg = min(SPECTRUM_SEGMENT_LEN, len(wave))
     spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
+    wait = None
     if pool is not None:
-        tx_psd = pool.submit(_spectrum, tx_wave, seg)
-        if not channel.linear_twta:
-            with _stage("analysis.spectra"):
-                tx_psd.result()  # the TWTA overwrites tx_wave next
+        watermark = _Watermark()
+        wait = watermark.wait
+        tx_psd = pool.submit(_spectrum, wave, seg, watermark)
     with _stage("channel.run"):
-        plan = channel.amplify(tx_wave)
-        if pool is not None:
-            noise.result()
-        rx_wave = channel.add_signal(tx_wave, received, plan)
-    del tx_wave, received
+        plan = channel.amplify(wave, wait)
+        wave = channel.propagate(wave, plan, wait, noise)
     if pool is not None:
         with _stage("analysis.spectra"):
             spectrum_tx = tx_psd.result()
@@ -202,19 +223,15 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
     comp = scenario.compensation
     with _stage("receiver.dc_offset_remove"):
         if comp.dc:
-            DcOffsetCompensator().process_in_place(rx_wave)
+            DcOffsetCompensator().process_in_place(wave)
     with _stage("receiver.agc"):
         if comp.agc:
-            AutomaticGainControl(agc_reference).process_in_place(rx_wave)
+            AutomaticGainControl(agc_reference).process_in_place(wave)
     if pool is not None:
-        rx_psd = pool.submit(_spectrum, rx_wave, seg)
-    with _stage("receiver.phase_freq_correct"):
-        if comp.phase_freq:
-            corrected = phase_freq_correct(
-                rx_wave, impairments.phase_offset_deg, impairments.freq_offset_hz
-            )
-        else:
-            corrected = rx_wave
+        rx_psd = pool.submit(_spectrum, wave, seg)
+    derotate = None
+    if comp.phase_freq:
+        derotate = (impairments.phase_offset_deg, impairments.freq_offset_hz)
 
     # figure artifacts: skip the filter transients (2 x span symbols).  The
     # pre-correction symbols feed only their snapshot, and output symbol k
@@ -222,10 +239,10 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
     skip = 2 * pipeline_delay_symbols(cfg)
     window = (skip + snapshot_points) * cfg.samples_per_symbol
     with _stage("modem.rx_match"):
-        pre_window = rx_wave.with_samples(rx_wave.samples[:window])
+        pre_window = wave.with_samples(wave.samples[:window])
         pre_symbols = rx_match(pre_window, cfg)
-        post_symbols = rx_match(corrected, cfg)
-    del pre_window, rx_wave, corrected
+        post_symbols = rx_match(wave, cfg, derotate=derotate)
+    del pre_window, wave
     with _stage("modem.qam_demodulate"):
         rx_bits = qam_demodulate(post_symbols, cfg)
 
@@ -274,8 +291,16 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool) -> Simulatio
     )
 
 
-def _spectrum(x: ComplexFrame, segment_len: int) -> tuple[np.ndarray, np.ndarray]:
-    spec = estimate_psd(x, segment_len)
+def _spectrum(x: ComplexFrame, segment_len: int,
+              watermark: _Watermark | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The PSD of ``x``; it reports its progress to ``watermark``, which it
+    sets to the end when it stops, so that a failing PSD frees the writers
+    and its error surfaces from the future."""
+    try:
+        spec = estimate_psd(x, segment_len, progress=watermark and watermark.advance)
+    finally:
+        if watermark is not None:
+            watermark.advance(len(x))
     return spec.frequencies_hz, spec.psd_w_per_hz
 
 

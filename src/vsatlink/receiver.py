@@ -10,7 +10,12 @@ reference power.
 
 DC removal and AGC each offer ``process``, which returns a new frame and
 leaves its input alone, and ``process_in_place``, which overwrites the
-frame it is given; ``process`` is ``process_in_place`` on a copy.
+frame it is given one :data:`~vsatlink.frames.BLOCK_SAMPLES` block at a
+time; ``process`` is ``process_in_place`` on a copy.  Their loops are
+exact under any split, so the block size never changes a bit.
+:func:`phase_freq_correct` returns a new frame; ``simulate`` instead
+de-rotates inside the matched filter (``rx_match(..., derotate=...)``),
+with the same phasors and the same bits.
 """
 
 from __future__ import annotations
@@ -130,7 +135,9 @@ class DcOffsetCompensator:
         """Overwrite ``x.samples`` with the :meth:`process` output."""
         if len(x) == 0:
             raise ParameterError("DC offset removal requires a non-empty frame")
-        np.subtract(x.samples, self._mean(x.samples), out=x.samples)
+        for sl in block_slices(len(x)):
+            blk = x.samples[sl]
+            np.subtract(blk, self._mean(blk), out=blk)
 
 
 class AutomaticGainControl:

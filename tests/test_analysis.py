@@ -99,6 +99,23 @@ class TestEstimatePsd:
         assert np.all(np.diff(spec.frequencies_hz) > 0)
         assert np.all(spec.psd_w_per_hz >= 0)
 
+    @pytest.mark.parametrize("n, segment_len", [(100_000, 1024), (4097, 256), (300, 3)])
+    def test_progress_marks_what_no_later_segment_reads(self, n, segment_len):
+        # a writer that overwrites everything before each reported sample
+        # as soon as it is reported leaves the estimate as it was
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expected = estimate_psd(ComplexFrame(samples, FS), segment_len).psd_w_per_hz
+        reported = []
+
+        def overwrite(i):
+            reported.append(i)
+            samples[:i] = np.nan
+
+        got = estimate_psd(ComplexFrame(samples, FS), segment_len, progress=overwrite)
+        assert np.array_equal(got.psd_w_per_hz, expected)
+        assert reported == sorted(reported) and reported[-1] >= n - segment_len
+
     def test_segment_longer_than_data_rejected(self):
         with pytest.raises(ParameterError):
             estimate_psd(ComplexFrame(np.ones(100, dtype=complex), FS), 256)

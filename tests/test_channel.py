@@ -1,5 +1,8 @@
 """Channel tests: TWTA model, gains, rotation, noise, I/Q skew, full chain."""
 
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -26,7 +29,7 @@ from vsatlink import (
     saleh_amplify,
     tx_shape,
 )
-from vsatlink.channel import ROTATION_ROW_SAMPLES
+from vsatlink.channel import ROTATION_ROW_SAMPLES, _NoiseAhead
 from vsatlink.pipeline import simulate
 from vsatlink.scenario import MAX_WAVEFORM_SAMPLES
 
@@ -456,9 +459,43 @@ def _scenario_channel(scenario):
     )
 
 
+class _ThreadPerTask:
+    """A pool that runs each task on a daemon thread of its own, which a test
+    can join with a timeout."""
+
+    def __init__(self):
+        self.threads = []
+
+    def submit(self, fn):
+        future = Future()
+
+        def run():
+            try:
+                future.set_result(fn())
+            except BaseException as exc:
+                future.set_exception(exc)
+
+        self.threads.append(threading.Thread(target=run, daemon=True))
+        self.threads[-1].start()
+        return future
+
+
+def _propagated(chan, y, ahead):
+    """``chan``'s two steps over ``y``, the noise drawn ahead on a worker
+    thread when ``ahead``."""
+    with ThreadPoolExecutor(1) as pool:
+        noise = chan.noise_ahead(pool, len(y), y.sample_rate_hz) if ahead else None
+        try:
+            return chan.propagate(y, chan.amplify(y), noise=noise)
+        finally:
+            if noise is not None:
+                noise.close()
+
+
 class TestInPlaceSteps:
-    """``run`` takes draw_noise, amplify and add_signal on a copy of its
-    input; ``simulate`` takes the same three steps on buffers it owns."""
+    """``run`` takes amplify and propagate on a copy of its input;
+    ``simulate`` takes the same two steps over the waveform it owns, with
+    the noise drawn ahead on a worker thread."""
 
     @staticmethod
     def _frame_and_scenario(name, **impairments):
@@ -476,18 +513,65 @@ class TestInPlaceSteps:
     def test_run_equals_the_steps_in_place(self, name, impairments):
         x, scenario = self._frame_and_scenario(name, **impairments)
         kept = x.samples.copy()
-        out, plan = _scenario_channel(scenario).run(x)
+        reference = _scenario_channel(scenario)
+        out = reference.run(x)[0]
         assert np.array_equal(x.samples, kept)  # run leaves its input alone
+        again = reference.run(x)[0].samples
 
-        chan = _scenario_channel(scenario)
-        y = ComplexFrame(kept.copy(), x.sample_rate_hz, x.start_sample)
-        dst = np.full_like(kept, np.nan)  # without noise, the signal is assigned over it
-        chan.draw_noise(dst, y.sample_rate_hz)
-        stepped = chan.add_signal(y, dst, chan.amplify(y))
-        assert stepped.samples is dst
-        assert np.array_equal(stepped.samples, out.samples)
-        # amplify wrote the TWTA output over y, unless the TWTA is linear
-        assert np.array_equal(y.samples, kept) == chan.linear_twta
+        for ahead in (False, True):
+            chan = _scenario_channel(scenario)
+            y = ComplexFrame(kept.copy(), x.sample_rate_hz, x.start_sample)
+            stepped = _propagated(chan, y, ahead)
+            assert stepped.samples is y.samples
+            assert np.array_equal(stepped.samples, out.samples), ahead
+            # the noise stream carries on from where the worker left it
+            assert np.array_equal(chan.run(x)[0].samples, again), ahead
+
+    @pytest.mark.parametrize("ahead", [False, True], ids=["inline", "worker"])
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default"])
+    def test_output_is_the_signal_plus_the_documented_noise(self, monkeypatch, block, ahead):
+        # every real part of the stream is drawn before every imaginary part
+        _, x = _tx_waveform(1000, 13)
+        x = ComplexFrame(x.samples, x.sample_rate_hz, start_sample=123_457)
+        imp = ImpairmentConfig(phase_offset_deg=15.0, freq_offset_hz=2.0,
+                               noise_temperature_k=1e6, seed=12)
+        quiet = replace(imp, noise_temperature_k=0.0)
+        signal = SatelliteChannel(LinkGains(), PAPER_SALEH, quiet).run(x)[0].samples
+        rng = np.random.default_rng(12)
+        std = np.sqrt(BOLTZMANN_J_PER_K * 1e6 * FS / 2.0)
+        n = len(x)
+        expected = signal + std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        if block is not None:
+            monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", block)
+        chan = SatelliteChannel(LinkGains(), PAPER_SALEH, imp)
+        y = ComplexFrame(x.samples.copy(), x.sample_rate_hz, x.start_sample)
+        assert np.array_equal(_propagated(chan, y, ahead).samples, expected)
+
+    def test_a_failing_noise_worker_raises_its_error(self):
+        class FailingGenerator:
+            def standard_normal(self, *args, **kwargs):
+                raise MemoryError("synthetic")
+
+        with ThreadPoolExecutor(1) as pool:
+            noise = _NoiseAhead(FailingGenerator(), 1000, 1.0, pool)
+            with pytest.raises(MemoryError, match="synthetic"):
+                noise.next()
+            noise.close()
+
+    @pytest.mark.parametrize("taken", [0, 1, 99])
+    def test_close_ends_the_worker_whatever_was_taken(self, monkeypatch, taken):
+        # a run that fails before or while the channel takes the noise closes
+        # it; a worker left waiting on a full queue would hang the pool's shutdown
+        monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", 64)
+        pool = _ThreadPerTask()
+        noise = _NoiseAhead(np.random.default_rng(1), 64 * 100, 1.0, pool)
+        for _ in range(taken):
+            noise.next()
+        time.sleep(0.05)  # the worker fills the queue and waits
+        noise.close()
+        (worker,) = pool.threads
+        worker.join(timeout=10)
+        assert not worker.is_alive()
 
     def test_saleh_amplify_equals_the_twta_in_place(self, reference_scenario):
         x, _ = self._frame_and_scenario("kptcl-cband")

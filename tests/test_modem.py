@@ -15,6 +15,7 @@ from vsatlink import (
     ParameterError,
     constellation_points,
     generate_bits,
+    phase_freq_correct,
     qam_demodulate,
     qam_modulate,
     rrc_taps,
@@ -344,6 +345,28 @@ class TestPolyphaseOracles:
         cfg = ModemConfig(samples_per_symbol=sps, filter_span_symbols=256)
         self._check_tx(cfg, 53, sps)
         self._check_rx(cfg, 2 * 256 + 53, sps)  # inputs ~53 symbols past the group delay
+
+
+class TestDerotatingMatchedFilter:
+    """``rx_match(..., derotate=(p, f))`` filters the de-rotated waveform
+    without making it."""
+
+    @given(
+        n=st.integers(SPAN * SPS + 1, 70_000),
+        start=st.integers(0, 10**8),
+        phase=st.floats(-360.0, 360.0),
+        freq=st.floats(-1e4, 1e4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_filtering_the_corrected_waveform(self, n, start, phase, freq):
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = ComplexFrame(samples, CFG.sample_rate_hz, start_sample=start)
+        expected = rx_match(phase_freq_correct(x, phase, freq), CFG).samples
+        kept = samples.copy()
+        out = rx_match(x, CFG, derotate=(phase, freq)).samples
+        assert np.array_equal(out, expected)
+        assert np.array_equal(x.samples, kept)
 
 
 def test_symbol_and_sample_rates():

@@ -14,7 +14,6 @@ import vsatlink.pipeline as pipeline_mod
 from vsatlink import (
     ModemConfig,
     SalehParams,
-    SatelliteChannel,
     estimate_psd,
     generate_bits,
     load_scenario,
@@ -22,6 +21,7 @@ from vsatlink import (
     theoretical_qam_ber,
     tx_shape,
 )
+from vsatlink.channel import _NoiseAhead
 from vsatlink.cli import EXIT_OK, EXIT_PIPELINE, main
 from vsatlink.errors import PipelineError
 from vsatlink.pipeline import SPECTRUM_SEGMENT_LEN, run_linkbudget, simulate
@@ -106,37 +106,57 @@ class TestEndToEnd:
 
 def _late(fn):
     """``fn`` starting 0.2 s late, as a worker that lags the chain."""
-    def late(*args):
+    def late(*args, **kwargs):
         time.sleep(0.2)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     return late
 
 
-class TestMemory:
-    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
-    def test_peak_is_under_the_bound(self, name):
-        # the channel output and the transmit waveform are each written in
-        # place, and each is dropped after its last reader: two waveforms, a
-        # few smaller arrays and the workers' block scratch are alive at the peak
-        self._assert_peak_under_bound(load_scenario(name))
+def _late_tx_psd(*args, progress=None):
+    """``estimate_psd`` with the transmit PSD, the one that reports its
+    progress to the writers, starting 0.2 s late."""
+    if progress is not None:
+        time.sleep(0.2)
+    return estimate_psd(*args, progress=progress)
 
-    def test_peak_holds_while_the_spectrum_worker_lags(self, reference_scenario, monkeypatch):
-        # the transmit PSD is collected before the receiver makes a new
-        # waveform, so a late worker cannot keep a third one alive
+
+def _lag(monkeypatch, worker):
+    """Make ``worker`` start 0.2 s late: the noise worker, both spectra or
+    the transmit spectrum."""
+    if worker == "noise":
+        monkeypatch.setattr(_NoiseAhead, "_produce", _late(_NoiseAhead._produce))
+    elif worker == "spectra":
         monkeypatch.setattr(pipeline_mod, "estimate_psd", _late(estimate_psd))
+    else:
+        monkeypatch.setattr(pipeline_mod, "estimate_psd", _late_tx_psd)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("bits, bound", [(200_000, 2.25), (1_000_000, 1.5)])
+    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    def test_peak_is_under_the_bound(self, name, bits, bound):
+        # one waveform carries the run from tx_shape to rx_match: at the peak
+        # it lives beside a few smaller arrays and the block scratch of the
+        # stages and workers, which weighs more at 2e5 bits
+        self._assert_peak_under_bound(load_scenario(name), bits, bound)
+
+    @pytest.mark.parametrize("worker", ["spectra", "tx-spectrum"])
+    def test_peak_holds_while_the_spectrum_worker_lags(self, reference_scenario, monkeypatch,
+                                                       worker):
+        # the writers wait for a late transmit PSD instead of copying its
+        # input, and the receive PSD reads the waveform rx_match reads
+        _lag(monkeypatch, worker)
         self._assert_peak_under_bound(reference_scenario)
 
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_peak_holds_while_the_noise_worker_lags(self, name, monkeypatch):
-        # the noise buffer is allocated before the worker starts, so a late
-        # draw holds only its block of normals beside the chain
-        monkeypatch.setattr(SatelliteChannel, "draw_noise", _late(SatelliteChannel.draw_noise))
+        # a late noise worker holds at most its queue of blocks
+        _lag(monkeypatch, "noise")
         self._assert_peak_under_bound(load_scenario(name))
 
     @staticmethod
-    def _assert_peak_under_bound(scenario):
-        bits = 200_000
+    def _assert_peak_under_bound(scenario, bits=200_000, bound=2.25):
         cfg = scenario.modem
         wave_bytes = tx_shape(qam_modulate(generate_bits(bits, 0), cfg), cfg).samples.nbytes
         tracemalloc.start()
@@ -146,7 +166,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         ratio = peak / wave_bytes
-        assert ratio <= 2.75, f"peak {ratio:.3f} waveforms"
+        assert ratio <= bound, f"peak {ratio:.3f} waveforms"
 
 
 def _assert_same_decisions(a, b):
@@ -194,17 +214,15 @@ class TestSpectrumWorker:
             assert np.array_equal(x[1], y[1])
         _assert_same_decisions(a, b)
 
-    @pytest.mark.parametrize("lagging", ["noise", "spectra"])
+    @pytest.mark.parametrize("lagging", ["noise", "spectra", "tx-spectrum"])
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_a_lagging_worker_changes_nothing(self, name, lagging, monkeypatch):
-        # each worker is collected before any stage writes what it uses, so a
-        # late one only makes the chain wait
+        # the TWTA and the channel overwrite each block of the transmit
+        # waveform only after its PSD has read it, and take the noise blocks
+        # in order, so a late worker only makes the chain wait
         sc = replace(load_scenario(name), total_bits=20_000)
         reference = simulate(sc)
-        if lagging == "noise":
-            monkeypatch.setattr(SatelliteChannel, "draw_noise", _late(SatelliteChannel.draw_noise))
-        else:
-            monkeypatch.setattr(pipeline_mod, "estimate_psd", _late(estimate_psd))
+        _lag(monkeypatch, lagging)
         late = simulate(sc)
         _assert_same_decisions(late, reference)
         for x, y in ((late.spectrum_tx, reference.spectrum_tx),
@@ -213,7 +231,7 @@ class TestSpectrumWorker:
 
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_inline_noise_equals_the_noise_worker(self, name):
-        # without spectra no thread starts and the noise is drawn inline
+        # without spectra no thread starts and the channel draws the noise inline
         sc = replace(load_scenario(name), total_bits=20_000)
         _assert_same_decisions(simulate(sc), simulate(sc, with_spectra=False))
 
@@ -232,7 +250,7 @@ class TestSpectrumWorker:
         assert result.spectrum_tx[1].size == result.spectrum_rx[1].size == 0
         before = threading.active_count()
         simulate(sc)
-        # the noise draw and the spectra share two workers; whether the
+        # the noise worker and the spectra share two workers; whether the
         # second one starts depends on whether the first is still busy
         assert 1 <= len(started) <= 2
         assert threading.active_count() == before
@@ -242,30 +260,36 @@ class TestSpectrumWorker:
         simulate(replace(reference_scenario, total_bits=20_000))
         assert threading.active_count() == before
 
-    def test_failing_stage_is_named_and_thread_ends(self, reference_scenario, monkeypatch):
-        def boom(*args):
+    @pytest.mark.parametrize("stage, attr", [
+        ("modem.rx_match", "rx_match"),
+        # fails while the noise worker is still advancing or filling its queue
+        ("modem.tx_shape", "tx_shape"),
+    ])
+    def test_failing_stage_is_named_and_thread_ends(self, reference_scenario, monkeypatch,
+                                                    stage, attr):
+        def boom(*args, **kwargs):
             raise RuntimeError("synthetic")
 
-        monkeypatch.setattr(pipeline_mod, "rx_match", boom)
+        monkeypatch.setattr(pipeline_mod, attr, boom)
         before = threading.active_count()
         with pytest.raises(PipelineError) as info:
             simulate(replace(reference_scenario, total_bits=20_000))
-        assert info.value.stage == "modem.rx_match"
+        assert info.value.stage == stage
         assert threading.active_count() == before
 
-    def test_failing_spectrum_is_named_and_thread_ends(
-        self, reference_scenario, monkeypatch, tmp_path
-    ):
-        def boom(*args):
+    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    def test_failing_spectrum_is_named_and_thread_ends(self, name, monkeypatch, tmp_path):
+        # the failing transmit PSD frees the writers that wait for it
+        def boom(*args, **kwargs):
             raise ValueError("synthetic")
 
         monkeypatch.setattr(pipeline_mod, "estimate_psd", boom)
         before = threading.active_count()
         with pytest.raises(PipelineError) as info:
-            simulate(replace(reference_scenario, total_bits=20_000))
+            simulate(replace(load_scenario(name), total_bits=20_000))
         assert info.value.stage == "analysis.spectra"
         assert threading.active_count() == before
-        argv = ["simulate", "kptcl-cband", "--bits", "20000", "--out", str(tmp_path / "o")]
+        argv = ["simulate", name, "--bits", "20000", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_PIPELINE
         assert threading.active_count() == before
 

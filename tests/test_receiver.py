@@ -1,6 +1,7 @@
 """Receiver tests: DC estimator, AGC loop, data-aided de-rotation."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import oracles
+import vsatlink.frames
 from vsatlink import (
     AutomaticGainControl,
     ComplexFrame,
@@ -154,6 +156,18 @@ class TestStreamingIsExact:
 
 class TestInPlace:
     """``process`` is ``process_in_place`` on a copy, state included."""
+
+    @given(n=st.integers(1, 3 * ONE_POLE_ROW_SAMPLES), block=st.integers(1, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_dc_removal_by_blocks_equals_the_whole_frame(self, n, block):
+        # process_in_place walks BLOCK_SAMPLES blocks; removing the running
+        # mean of the whole frame at once gives the same bits
+        x = rand_frame(n, n, scale=0.4)
+        w = DC_FORGETTING_FACTOR
+        whole = x.samples - _OnePole(w, 1.0 - w, 0j)(x.samples)
+        with mock.patch.object(vsatlink.frames, "BLOCK_SAMPLES", block):
+            out = DcOffsetCompensator().process(x).samples
+        assert np.array_equal(out, whole)
 
     @pytest.mark.parametrize("make", [DcOffsetCompensator, AutomaticGainControl])
     def test_process_equals_process_in_place(self, make):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import vsatlink
 from vsatlink import ConfigError, SalehParams, load_scenario, scenario_from_dict
-from vsatlink.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
+from vsatlink.cli import _FLOAT_FMT, EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, _csv_text, main
 from vsatlink.errors import ParameterError, PipelineError
 from vsatlink.linkbudget import combined_cn_db
 from vsatlink.modem import generate_bits
@@ -609,6 +609,22 @@ class TestSweepHelpers:
 
 
 class TestCli:
+    def test_csv_rows_format_each_value_as_the_per_value_format(self):
+        # one format string per row over rows.tolist() must write what
+        # formatting every numpy value by itself wrote
+        rng = np.random.default_rng(3)
+        freqs = np.fft.fftshift(np.fft.fftfreq(1024, 1 / 50_000.0))
+        tables = [
+            rng.standard_normal((64, 2)) * 10.0 ** rng.integers(-300, 300, (64, 2)),
+            np.column_stack([freqs, rng.random(1024) * 1e-20]),
+            np.array([[0.0, -0.0], [1e-310, -1e-310], [5e-324, -5e-324], [1e308, np.pi]]),
+            np.array([(6.0, 0.14085, 28170, 200_000), (1e-300, 0.0, 0, 100_000_000)], dtype=float),
+        ]
+        for rows in tables:
+            per_value = "\n".join(["h", *(",".join(_FLOAT_FMT.format(v) for v in row)
+                                         for row in rows)]) + "\n"
+            assert _csv_text("h", rows) == per_value
+
     def test_linkbudget_output(self, capsys):
         assert main(["linkbudget", "kptcl-cband"]) == EXIT_OK
         out = capsys.readouterr().out
