@@ -36,14 +36,16 @@ blocks.  The first sample of every row, and every phase-only rotation, is
 ``np.spacing(theta)`` of it (2.2 ulp at theta = 503 rad, the end of a 1e6-bit
 run of the 2 Hz link).  The receiver's inverse is the exact conjugate.
 
-The channel works in place on its input, block by block, in two passes:
-the TWTA, then ``rotate(gain * y) + noise`` and the I/Q step.  The gain
-needs the whole TWTA output's power, so the passes cannot merge.  The
-noise stream is ``std * z`` for all real parts, then all imaginary parts.
+The channel works block by block, in two passes: the TWTA, then
+``rotate(gain * y) + noise`` and the I/Q step.  Where the gain needs the
+whole TWTA output's power (:attr:`SatelliteChannel.plan_reads_powers`) the
+passes cannot merge; elsewhere the plan is known before the first sample,
+and each block can take both passes as it arrives.  The noise stream is
+``std * z`` for all real parts, then all imaginary parts.
 A run without a worker writes the signal, then adds the real half and
 then the imaginary half in two sweeps; a run with one
-(:meth:`SatelliteChannel.noise_ahead`) adds both halves to each block as
-it writes it.  Either way each sample takes the one sum ``signal +
+(:meth:`SatelliteChannel.noise_ahead`) adds each block's noise as it
+writes it.  Either way each sample takes the one sum ``signal +
 noise`` of the chain run in stage order, possibly with its operands
 swapped; IEEE addition commutes, so the output keeps its bits.
 """
@@ -51,7 +53,7 @@ swapped; IEEE addition commutes, so the output keeps its bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -87,9 +89,9 @@ AMPLITUDE_RANGE = (-1e6, 1e6)  # volts across 1 ohm
 # frames.BLOCK_SAMPLES or on how a stream is split into frames.
 ROTATION_ROW_SAMPLES = 4096
 
-# Blocks of imaginary noise parts a noise worker may draw ahead of the channel
-# (see _NoiseAhead); at least 2, so that a stopped worker never blocks.
-NOISE_AHEAD_BLOCKS = 2
+# Blocks of noise a noise worker may have drawn ahead of the channel (see
+# _NoiseAhead); it draws the next only once the channel has taken one.
+NOISE_AHEAD_BLOCKS = 1
 
 
 def _db_to_amplitude(db: float) -> float:
@@ -175,20 +177,18 @@ def saleh_amplify(x: ComplexFrame, p: SalehParams) -> ComplexFrame:
     and the resulting NaN raises :class:`ParameterError` here.  ``x`` is
     unchanged; :meth:`SatelliteChannel.amplify` runs the same steps in place.
     """
-    out = x.samples.copy()
-    _saleh_in_place(out, p)
+    out = np.empty_like(x.samples)
+    _saleh(x.samples, out, p)
     return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
 
 
-def _saleh_in_place(samples: np.ndarray, p: SalehParams,
-                    wait: Optional[Callable[[int], None]] = None) -> None:
-    """Overwrite ``samples`` with their :func:`saleh_amplify` output, checked;
-    ``wait(stop)`` is called before each block up to ``stop`` is written."""
+def _saleh(src: np.ndarray, dst: np.ndarray, p: SalehParams) -> None:
+    """Write the :func:`saleh_amplify` output of ``src`` into ``dst``, which
+    may be ``src`` itself, and check it."""
     scale_in = _db_to_amplitude(p.input_scale_db)
     scale_out = _db_to_amplitude(p.output_scale_db)
-    for sl in block_slices(samples.size):
-        blk = samples[sl]
-        xs = blk * scale_in
+    for sl in block_slices(src.size):
+        xs = src[sl] * scale_in
         r2 = xs.real * xs.real + xs.imag * xs.imag
         xs *= p.amam_alpha / (1.0 + p.amam_beta * r2)
         # phi(r) = ampm_alpha * r2 / (1 + ampm_beta * r2), written over r2
@@ -198,12 +198,11 @@ def _saleh_in_place(samples: np.ndarray, p: SalehParams,
         r2 *= p.ampm_alpha
         r2 /= den
         del den
-        if wait is not None:
-            wait(sl.stop)
         # xs first, into an array that is neither operand: see _Rotation
+        blk = dst[sl]
         np.multiply(xs, _unit_phasor(r2), out=blk)
         blk *= scale_out
-    _check_finite(samples)
+    _check_finite(dst)
 
 
 def _unit_phasor(theta: np.ndarray) -> np.ndarray:
@@ -228,15 +227,16 @@ def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Comp
     phasor.
     """
     out = np.empty_like(x.samples)
-    rotation = _Rotation(x, phase_deg, freq_hz, min(len(x), frames.BLOCK_SAMPLES))
+    rotation = _Rotation(x.start_sample, len(x), x.sample_rate_hz, phase_deg, freq_hz)
     for sl in block_slices(len(x)):
         rotation.apply(sl.start, x.samples[sl], out[sl])
     return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
 
 
 class _Rotation:
-    """The rotation of :func:`phase_freq_offset` for the samples of ``x``,
-    applied to any run of them; the tables are built once.
+    """The rotation of :func:`phase_freq_offset` for the ``n`` samples of a
+    stream whose first sample is ``start`` on the global clock, applied to
+    any run of them; the tables are built once.
 
     The global clock is cut into rows of L = :data:`ROTATION_ROW_SAMPLES`
     samples, anchored at sample 0.  Row r's anchor is
@@ -256,31 +256,30 @@ class _Rotation:
     elsewhere.
     """
 
-    def __init__(self, x: ComplexFrame, phase_deg: float, freq_hz: float, size: int):
-        fs = x.sample_rate_hz
+    def __init__(self, start: int, n: int, fs: float, phase_deg: float, freq_hz: float):
         phase_rad = np.deg2rad(phase_deg)
         omega = 2.0 * np.pi * float(freq_hz)
         width = ROTATION_ROW_SAMPLES
-        self._start = x.start_sample
+        self._start = start
         self._first_row = self._start // width
-        rows = np.arange(self._first_row, (self._start + len(x) - 1) // width + 1)
+        rows = np.arange(self._first_row, (self._start + n - 1) // width + 1)
         self._anchors = _unit_phasor(omega * (rows * width) / fs + phase_rad)
         self._step = _unit_phasor(omega * np.arange(width) / fs)
-        self._phasor = np.empty(size, dtype=np.complex128)
+        self._phasor = np.empty(width, dtype=np.complex128)
 
     def apply(self, first: int, src: np.ndarray, out: np.ndarray) -> None:
         """``out = phasor * src`` for the samples ``first, first + 1, ...`` of
-        ``x``; ``src`` is at most ``size`` long and ``out`` does not overlap it."""
+        the stream, one table row at a time; ``out`` does not overlap ``src``."""
         width = ROTATION_ROW_SAMPLES
         lo = self._start + first
         hi = lo + src.size
-        phasor = self._phasor[: src.size]
         for row in range(lo // width, (hi - 1) // width + 1):
             n0 = row * width
             a, b = max(lo, n0), min(hi, n0 + width)
+            phasor = self._phasor[: b - a]
             np.multiply(self._anchors[row - self._first_row], self._step[a - n0 : b - n0],
-                        out=phasor[a - lo : b - lo])
-        np.multiply(phasor, src, out=out)
+                        out=phasor)
+            np.multiply(phasor, src[a - lo : b - lo], out=out[a - lo : b - lo])
 
 
 def _ktb_variance(temperature_k: float, bandwidth_hz: float) -> float:
@@ -300,26 +299,33 @@ def _add_normals(part: np.ndarray, std: float, rng: np.random.Generator,
 
 
 class _NoiseAhead:
-    """The imaginary half of the next ``n`` noise samples, drawn on a worker.
+    """The next ``n`` noise samples, drawn on a worker a block at a time.
 
     The stream is ``std * z`` for all ``n`` real parts, then all ``n``
-    imaginary parts.  A clone of the channel's generator, advanced by ``n``
-    normals, sits exactly at the start of the imaginary half.  The clone is
-    made here, before the channel draws from its own generator; the worker
-    advances it by drawing blocks of normals and dropping them, then draws
-    the imaginary blocks into a queue of :data:`NOISE_AHEAD_BLOCKS`, which
-    :meth:`next` hands out in order.  The worker always ends by queueing
-    None, after the last block or in place of the rest.
+    imaginary parts.  A clone of the channel's generator, made here before
+    the channel draws from its own, is advanced by the worker by ``n``
+    normals (drawing blocks and dropping them), so that it sits exactly at
+    the start of the imaginary half; the worker then draws the imaginary
+    parts block by block.  With ``real`` it draws each block's real parts
+    too, from a second clone, into one complex block; otherwise a block
+    holds the imaginary parts, and the channel draws the real parts from
+    its own generator.  :meth:`next` hands the blocks out in order.  The
+    worker draws a block only once the queue has room for it, so at most
+    :data:`NOISE_AHEAD_BLOCKS` blocks exist ahead of the caller.  It always
+    ends by queueing None, after the last block or in place of the rest.
     """
 
-    def __init__(self, rng: np.random.Generator, n: int, std: float, pool):
+    def __init__(self, rng: np.random.Generator, n: int, std: float, pool, real: bool):
         import copy
         import queue
         import threading
 
+        self.real = real
+        self._real = copy.deepcopy(rng) if real else None
         self.rng = copy.deepcopy(rng)
         self._n, self._std = n, std
-        self._blocks = queue.Queue(NOISE_AHEAD_BLOCKS)
+        self._blocks: queue.SimpleQueue = queue.SimpleQueue()
+        self._room = threading.Semaphore(NOISE_AHEAD_BLOCKS)
         self._stop = threading.Event()
         self._done = pool.submit(self._produce)
 
@@ -330,21 +336,37 @@ class _NoiseAhead:
                 if self._stop.is_set():
                     return
                 self.rng.standard_normal(out=normals[: sl.stop - sl.start])
+            if self._real is None:
+                del normals  # each imaginary block is drawn into an array of its own
             for sl in block_slices(self._n):
+                self._room.acquire()
                 if self._stop.is_set():
                     return
-                z = self.rng.standard_normal(sl.stop - sl.start)
-                z *= self._std
-                self._blocks.put(z)
+                if self._real is None:
+                    block = self.rng.standard_normal(sl.stop - sl.start)
+                    block *= self._std
+                else:
+                    z = normals[: sl.stop - sl.start]
+                    block = np.empty(z.size, dtype=np.complex128)
+                    for rng, part in ((self._real, block.real), (self.rng, block.imag)):
+                        rng.standard_normal(out=z)
+                        np.multiply(z, self._std, out=part)
+                self._blocks.put(block)
         finally:
             self._blocks.put(None)
 
+    def ready(self) -> bool:
+        """Whether :meth:`next` would return without waiting."""
+        return not self._blocks.empty()
+
     def next(self) -> np.ndarray:
-        """The next block of imaginary parts, ``std * z``."""
+        """The next block of noise, ``std * z``: complex with ``real``, else
+        the imaginary parts."""
         block = self._blocks.get()
         if block is None:  # the worker ended early: raise its error
             self._done.result()
             raise PipelineError("channel", "the noise worker stopped before the stream ended")
+        self._room.release()
         return block
 
     def finish(self) -> np.random.Generator:
@@ -353,17 +375,10 @@ class _NoiseAhead:
         return self.rng
 
     def close(self) -> None:
-        """Stop the worker and free it, whatever the caller has taken.  With
-        two queue places, the worker's last put of a block and its final
-        None both fit after the drain, so it cannot block again."""
-        import queue
-
+        """Stop the worker and free it, whatever the caller has taken: a
+        worker waiting for room is let through, sees the stop and ends."""
         self._stop.set()
-        try:
-            while True:
-                self._blocks.get_nowait()
-        except queue.Empty:
-            pass
+        self._room.release()
 
 
 def _iq_imbalance(samples: np.ndarray, cfg: ImpairmentConfig) -> None:
@@ -386,6 +401,94 @@ def _iq_imbalance(samples: np.ndarray, cfg: ImpairmentConfig) -> None:
         i_out = re * c + im * g * s + cfg.dc_offset_i
         q_out = re * s + im * g * c + cfg.dc_offset_q
         blk.real, blk.imag = i_out, q_out
+
+
+class _Propagation:
+    """``rotate(gain * y) + noise`` and the I/Q step for the ``n`` samples of
+    one stream, one block at a time: :meth:`SatelliteChannel.propagate` is
+    this over the ``BLOCK_SAMPLES`` blocks of a frame.
+
+    Each call writes one block: in order, on the ``frames.BLOCK_SAMPLES``
+    grid counted from the stream's first sample, the grid on which a noise
+    worker queues its blocks.  With a noise worker, or at zero noise
+    variance, each block leaves finished and checked.  A call is
+    :meth:`begin` (the signal, and the real parts of the noise unless the
+    worker draws them) then :meth:`end` (the worker's noise, which may have
+    to wait for it, and the I/Q step); a caller may begin a few blocks
+    before it ends the first.  Without a worker (:attr:`inline`) only the
+    signal is written: the noise needs every real part before the first
+    imaginary one, so :meth:`add_inline_noise` adds it, and the I/Q step,
+    to the whole stream afterwards.
+    """
+
+    def __init__(self, channel: "SatelliteChannel", plan: ChannelLog, n: int, fs: float,
+                 noise: Optional[_NoiseAhead], start_sample: int):
+        imp = channel.impairments
+        self._channel, self._plan, self._noise, self._n = channel, plan, noise, n
+        self._scaled = self._normals = None  # block scratch, made on first use
+        self._std = np.sqrt(plan.noise_variance_w / 2.0)
+        self._rotation = None
+        if imp.phase_offset_deg != 0.0 or imp.freq_offset_hz != 0.0:
+            self._rotation = _Rotation(start_sample, n, fs, imp.phase_offset_deg,
+                                       imp.freq_offset_hz)
+        self.inline = noise is None and plan.noise_variance_w != 0.0
+        self._written = 0
+
+    def __call__(self, first: int, src: np.ndarray, dst: np.ndarray) -> None:
+        """Write the output for the samples ``first, first + 1, ...`` of the
+        stream, the TWTA output ``src``, into ``dst`` (which may be ``src``)."""
+        self.begin(first, src, dst)
+        if not self.inline:
+            self.end(dst)
+
+    def begin(self, first: int, src: np.ndarray, dst: np.ndarray) -> None:
+        """The first part of a call: ``rotate(gain * src)`` and, unless the
+        worker draws them, the real parts of its noise."""
+        if self._rotation is None and src is not dst:
+            np.multiply(src, self._plan.gain, out=dst)
+        else:
+            # in place, or rotated from a scaled copy that is neither operand
+            if self._scaled is None:
+                self._scaled = np.empty(min(self._n, frames.BLOCK_SAMPLES), dtype=np.complex128)
+            signal = np.multiply(src, self._plan.gain, out=self._scaled[: src.size])
+            if self._rotation is None:
+                dst[...] = signal
+            else:
+                self._rotation.apply(first, signal, dst)
+        if self._noise is not None and not self._noise.real:
+            self._add_normals(dst.real)
+
+    def _add_normals(self, part: np.ndarray) -> None:
+        """``part += std * z``, the next normals of the channel's generator."""
+        if self._normals is None:
+            self._normals = np.empty(min(self._n, frames.BLOCK_SAMPLES))
+        _add_normals(part, self._std, self._channel._rng, self._normals)
+
+    def ready(self) -> bool:
+        """Whether :meth:`end` would go ahead without waiting for the worker."""
+        return self._noise is None or self._noise.ready()
+
+    def end(self, dst: np.ndarray) -> None:
+        """The rest of a call, for the blocks in the order they began."""
+        channel, noise = self._channel, self._noise
+        if noise is not None:
+            if noise.real:
+                dst += noise.next()
+            else:
+                dst.imag += noise.next()
+        _iq_imbalance(dst, channel.impairments)
+        _check_finite(dst)
+        self._written += dst.size
+        if noise is not None and self._written == self._n:
+            channel._rng = noise.finish()
+
+    def add_inline_noise(self, samples: np.ndarray) -> None:
+        """Add the noise, real parts then imaginary parts, and the I/Q step
+        to the whole stream ``samples`` once every block is written."""
+        for part in (samples.real, samples.imag):
+            self._add_normals(part)
+        _iq_imbalance(samples, self._channel.impairments)
+        _check_finite(samples)
 
 
 @dataclass(frozen=True)
@@ -416,10 +519,12 @@ class SatelliteChannel:
     :meth:`run` is two steps that a caller owning its buffer can also take
     one by one, in this order, over the same input: :meth:`amplify` writes
     the TWTA output over it and returns the plan, then :meth:`propagate`
-    writes ``rotate(gain * y) + noise`` and the I/Q step over it.  Both take
-    a ``wait`` hook that holds each block until a reader of the input has
-    passed it.  :meth:`noise_ahead` starts drawing the noise on a worker
-    thread before the input exists.
+    writes ``rotate(gain * y) + noise`` and the I/Q step over it.  A caller
+    streaming the input takes the same steps per block:
+    :meth:`amplify_block`, then the blocks of :meth:`propagation`, with the
+    plan of the powers it has summed or, when not :attr:`plan_reads_powers`,
+    of any.  :meth:`noise_ahead` starts drawing the noise on a worker thread
+    before the input exists.
     """
 
     def __init__(
@@ -478,65 +583,70 @@ class SatelliteChannel:
             return 0.0
         return self.reference_symbol_power / 10.0 ** (self.target_es_n0_db / 10.0)
 
-    def noise_ahead(self, pool, n: int, sample_rate_hz: float) -> Optional[_NoiseAhead]:
+    def noise_ahead(self, pool, n: int, sample_rate_hz: float,
+                    real: bool = False) -> Optional[_NoiseAhead]:
         """Start a worker on ``pool`` that draws the imaginary half of the next
-        ``n`` noise samples ahead, for :meth:`propagate` over ``n`` samples;
-        None at zero noise variance, where nothing is drawn.  The caller
-        calls its ``close`` before the pool shuts down."""
+        ``n`` noise samples ahead (and, with ``real``, the real half too), for
+        :meth:`propagate` over ``n`` samples; None at zero noise variance,
+        where nothing is drawn.  The caller calls its ``close`` before the
+        pool shuts down."""
         variance = self._noise_variance(sample_rate_hz)
         if variance == 0.0:
             return None
-        return _NoiseAhead(self._rng, n, np.sqrt(variance / 2.0), pool)
+        return _NoiseAhead(self._rng, n, np.sqrt(variance / 2.0), pool, real)
 
-    def amplify(self, x: ComplexFrame, wait: Optional[Callable[[int], None]] = None) -> ChannelLog:
+    @property
+    def plan_reads_powers(self) -> bool:
+        """Whether the gain of :meth:`plan` depends on the powers it is given:
+        a non-linear TWTA under normalized mode or auto-closure.  Otherwise
+        the TWTA is skipped (``p_sig`` is ``p_in``, and ``p_in / p_sig`` is
+        exactly 1) or the gain is fixed, so ``plan(1.0, 1.0, fs)`` has the
+        gain and noise of any run's plan; only the logged powers differ."""
+        return not self.linear_twta and (
+            self.mode == "normalized" or self.gains.transponder_amp_gain_db is None)
+
+    def amplify(self, x: ComplexFrame) -> ChannelLog:
         """Overwrite ``x.samples`` with the TWTA output (unless
-        :attr:`linear_twta`) and return the plan for ``x``.  ``wait(stop)``,
-        if given, returns once samples up to ``stop`` may be overwritten."""
+        :attr:`linear_twta`) and return the plan for ``x``."""
         p_in = p_sig = x.mean_power
         if not self.linear_twta:
-            _saleh_in_place(x.samples, self.saleh, wait)
+            self.amplify_block(x.samples, x.samples)
             p_sig = x.mean_power
         return self.plan(p_in, p_sig, x.sample_rate_hz)
 
+    def amplify_block(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Write the TWTA output of the samples ``src`` into ``dst`` (which may
+        be ``src``), checked; a copy when :attr:`linear_twta`.  The TWTA is
+        memoryless, so :meth:`amplify` is this over any split of a frame."""
+        if self.linear_twta:
+            np.copyto(dst, src)
+        else:
+            _saleh(src, dst, self.saleh)
+
+    def propagation(self, plan: ChannelLog, n: int, sample_rate_hz: float,
+                    noise: Optional[_NoiseAhead] = None,
+                    start_sample: int = 0) -> "_Propagation":
+        """The :meth:`propagate` of a stream of ``n`` TWTA output samples,
+        whose first sample is ``start_sample`` on the global clock, to be
+        taken block by block (see :class:`_Propagation`)."""
+        return _Propagation(self, plan, n, sample_rate_hz, noise, start_sample)
+
     def propagate(self, y: ComplexFrame, plan: ChannelLog,
-                  wait: Optional[Callable[[int], None]] = None,
                   noise: Optional[_NoiseAhead] = None) -> ComplexFrame:
         """Overwrite ``y.samples`` (the :meth:`amplify` output) with
         ``rotate(gain * y) + noise``, then the I/Q step, and return ``y`` as
         the channel output (checked: the gain and offsets may overflow).
 
         ``noise`` is the :meth:`noise_ahead` worker for ``y``, if one was
-        started.  ``wait`` is :meth:`amplify`'s.  At zero noise variance the
-        signal alone is written.
+        started.  At zero noise variance the signal alone is written.
         """
-        imp = self.impairments
-        samples, n = y.samples, len(y)
-        size = min(n, frames.BLOCK_SAMPLES)
-        scaled = np.empty(size, dtype=np.complex128)
-        normals = np.empty(size)
-        std = np.sqrt(plan.noise_variance_w / 2.0)
-        rotation = None
-        if imp.phase_offset_deg != 0.0 or imp.freq_offset_hz != 0.0:
-            rotation = _Rotation(y, imp.phase_offset_deg, imp.freq_offset_hz, size)
-        for sl in block_slices(n):
-            signal = np.multiply(samples[sl], plan.gain, out=scaled[: sl.stop - sl.start])
-            if wait is not None:
-                wait(sl.stop)
-            blk = samples[sl]
-            if rotation is None:
-                blk[...] = signal
-            else:
-                rotation.apply(sl.start, signal, blk)
-            if noise is not None:
-                _add_normals(blk.real, std, self._rng, normals)
-                blk.imag += noise.next()
-        if noise is not None:
-            self._rng = noise.finish()
-        elif plan.noise_variance_w != 0.0:
-            for part in (samples.real, samples.imag):
-                _add_normals(part, std, self._rng, normals)
-        _iq_imbalance(samples, imp)
-        return ComplexFrame(samples, y.sample_rate_hz, y.start_sample)
+        samples = y.samples
+        step = self.propagation(plan, len(y), y.sample_rate_hz, noise, y.start_sample)
+        for sl in block_slices(len(y)):
+            step(sl.start, samples[sl], samples[sl])
+        if step.inline:
+            step.add_inline_noise(samples)
+        return _unchecked(ComplexFrame, samples, y.sample_rate_hz, y.start_sample)
 
     def run(self, x: ComplexFrame) -> tuple[ComplexFrame, ChannelLog]:
         """The channel output for ``x`` and the plan it applied; ``x`` is unchanged."""

@@ -11,10 +11,11 @@ rate and bits other than 0/1.  A stage whose output is 1-D ``complex128``
 samples at a ``float`` rate (or ``int8`` 0/1 bits) by construction builds
 it with :func:`_unchecked` instead, so a waveform is not scanned again at
 every stage.  The two stages that can turn finite input into NaN/Inf keep
-the check, in place or not: the TWTA (``saleh_amplify``,
-``SatelliteChannel.amplify``; ``|x|**2`` overflows near 1e154) and the
-output of the whole transponder chain (``SatelliteChannel.propagate``,
-which ``run`` ends with).
+the check, in place or not, and block by block where ``simulate`` streams
+them: the TWTA (``saleh_amplify``, ``SatelliteChannel.amplify`` and
+``amplify_block``; ``|x|**2`` overflows near 1e154) and the output of the
+whole transponder chain (``SatelliteChannel.propagate``, which ``run`` ends
+with, and each block of ``SatelliteChannel.propagation``).
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["BLOCK_SAMPLES", "BitFrame", "ComplexFrame", "block_slices"]
+__all__ = ["BLOCK_SAMPLES", "BitFrame", "ComplexFrame", "PowerSum", "block_slices"]
 
-# The sample-wise stages walk long frames in blocks of this many samples and
-# write into one full-length output, which bounds their float temporaries to
-# a few blocks.  Every stage computes each sample from that sample alone (or
-# from a state that is split-exact), so the block size never changes the bits.
+# The sample-wise stages walk long frames in blocks of this many samples,
+# which bounds their float temporaries to a few blocks, and simulate's chain
+# passes its waveform from stage to stage on this grid.  Every stage computes
+# each sample from that sample alone (or from a state that is split-exact),
+# so the block size never changes the bits.
 BLOCK_SAMPLES = 2**16
 
 # Leaf length of ComplexFrame.mean_power's sum.  It must be at least 128,
@@ -51,25 +53,85 @@ def _check_finite(samples: np.ndarray) -> None:
         raise ParameterError("ComplexFrame samples must be finite (no NaN/Inf)")
 
 
-def _pairwise_power(x: np.ndarray) -> float:
-    """numpy's pairwise sum of ``np.abs(x) ** 2``, one leaf at a time."""
-    n = x.size
+def _leaf_sizes(n: int) -> Iterator[int]:
+    """Lengths of the leaves of numpy's pairwise split of ``n`` samples, in
+    order, down to :data:`MEAN_POWER_LEAF_SAMPLES`."""
     if n <= MEAN_POWER_LEAF_SAMPLES:
-        power = np.abs(x)
-        np.multiply(power, power, out=power)
-        return float(np.add.reduce(power))
+        yield n
+        return
     half = n // 2
     half -= half % 8
-    return _pairwise_power(x[:half]) + _pairwise_power(x[half:])
+    yield from _leaf_sizes(half)
+    yield from _leaf_sizes(n - half)
+
+
+def _tree_sum(n: int, leaf_sums: Iterator[float]) -> float:
+    """The sum of ``leaf_sums`` (one per leaf of :func:`_leaf_sizes`) added
+    up the tree of that split."""
+    if n <= MEAN_POWER_LEAF_SAMPLES:
+        return next(leaf_sums)
+    half = n // 2
+    half -= half % 8
+    return _tree_sum(half, leaf_sums) + _tree_sum(n - half, leaf_sums)
+
+
+class PowerSum:
+    """:attr:`ComplexFrame.mean_power` of a stream of ``n`` samples fed in
+    order, in any pieces.  The leaves are fixed by ``n``, not by the pieces:
+    a leaf that spans two pieces is gathered in a leaf-sized buffer, and
+    each leaf's ``|x|**2`` is summed by numpy as the whole-frame sum does."""
+
+    def __init__(self, n: int):
+        self._n = n
+        self._sizes = _leaf_sizes(n)
+        self._leaf = np.empty(min(n, MEAN_POWER_LEAF_SAMPLES), dtype=np.complex128)
+        self._size = next(self._sizes, 0)  # of the leaf being gathered
+        self._fill = 0
+        self._sums: list[float] = []
+
+    def add(self, x: np.ndarray) -> None:
+        """Take the next ``x.size`` samples of the stream."""
+        while x.size:
+            if not self._size:
+                raise ParameterError(f"PowerSum: more than the {self._n} samples of the stream")
+            take = min(x.size, self._size - self._fill)
+            if self._fill == 0 and take == self._size:
+                leaf = x[:take]  # a whole leaf in place: no copy
+            else:
+                self._leaf[self._fill : self._fill + take] = x[:take]
+                leaf = self._leaf[: self._fill + take]
+            x = x[take:]
+            self._fill += take
+            if self._fill == self._size:
+                power = np.abs(leaf)
+                np.multiply(power, power, out=power)
+                self._sums.append(float(np.add.reduce(power)))
+                self._size, self._fill = next(self._sizes, 0), 0
+                if not self._size:
+                    self._leaf = None  # the stream is complete
+
+    @property
+    def mean(self) -> float:
+        """The mean ``|x|**2`` of the whole stream, once every sample is in."""
+        if self._n == 0:
+            return 0.0
+        return _tree_sum(self._n, iter(self._sums)) / self._n
 
 
 def _unchecked(cls, *values):
     """A ``cls`` frame holding ``values`` (its fields in order), built
     without ``__post_init__``: no check, no copy, no coercion.  A field left
     out keeps its default."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
     frame = object.__new__(cls)
-    frame.__dict__.update(zip([f.name for f in fields(cls)], values))
+    frame.__dict__.update(zip(names, values))
     return frame
+
+
+# field names of each frame class, looked up by _unchecked at every block
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 @dataclass
@@ -126,9 +188,9 @@ class ComplexFrame:
         takes the same splits down to :data:`MEAN_POWER_LEAF_SAMPLES` and
         lets numpy sum each leaf, so every partial sum is numpy's own.
         """
-        if self.samples.size == 0:
-            return 0.0
-        return _pairwise_power(self.samples) / self.samples.size
+        power = PowerSum(self.samples.size)
+        power.add(self.samples)
+        return power.mean
 
     def __len__(self) -> int:
         return int(self.samples.size)

@@ -11,7 +11,8 @@ e.g. ``0000 -> -3-3j``, ``1010 -> +3+3j``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -28,9 +29,11 @@ __all__ = [
     "rrc_taps",
     "tx_shape",
     "rx_match",
+    "TxShaper",
+    "RxMatcher",
 ]
 
-# Both RRC filters run overlap-save convolutions (_overlap_save) over segments
+# Both RRC filters run overlap-save convolutions (_OverlapSave) over segments
 # of this many symbol-rate rows, so their temporaries stay a few segments
 # wide whatever the frame length.  It must exceed the largest
 # filter_span_symbols, which every segment keeps as overlap.
@@ -73,19 +76,19 @@ class ModemConfig(CheckedConfig):
         if self.filter_span_symbols % 2:
             raise ParameterError("filter_span_symbols must be even")
 
-    @property
+    @cached_property
     def bits_per_symbol(self) -> int:
         return int(round(np.log2(self.m_ary)))
 
-    @property
+    @cached_property
     def levels_per_axis(self) -> int:
         return int(round(np.sqrt(self.m_ary)))
 
-    @property
+    @cached_property
     def symbol_rate_hz(self) -> float:
         return 1.0 / (self.bits_per_symbol * self.bit_sample_time_s)
 
-    @property
+    @cached_property
     def sample_rate_hz(self) -> float:
         """Waveform rate after pulse shaping."""
         return self.symbol_rate_hz * self.samples_per_symbol
@@ -95,7 +98,7 @@ class ModemConfig(CheckedConfig):
         k = np.arange(self.levels_per_axis)
         return (2 * k - (self.levels_per_axis - 1)) * (self.min_distance / 2.0)
 
-    @property
+    @cached_property
     def mean_symbol_power(self) -> float:
         """Mean |s|^2 over the constellation (10.0 for M=16, d=2)."""
         pts = constellation_points(self)
@@ -198,41 +201,143 @@ def rrc_taps(cfg: ModemConfig) -> np.ndarray:
     return h / np.sqrt(np.sum(h**2))
 
 
-def _overlap_save(x: np.ndarray, taps: np.ndarray, width: int, shift: int,
-                  n_out: int, rotation: Optional[_Rotation] = None) -> np.ndarray:
-    """Polyphase FIR at symbol rate by block FFT convolution (overlap-save).
+class _OverlapSave:
+    """Polyphase FIR at symbol rate by block FFT convolution (overlap-save),
+    fed its input in order, in any pieces.
 
     Row ``j`` of the input is ``x[j*width - shift : (j+1)*width - shift]``
-    (reads outside ``x`` are 0).  Returns ``out[j, o] = sum_m sum_i
-    row[j - m][i] * taps[o, m, i]`` for ``j < n_out``.  Each segment of
-    ``FFT_BLOCK_SYMBOLS`` rows starts ``span`` rows before its first output;
-    it takes one forward transform down its columns, sums the products with
-    the tap spectra over ``i``, takes one inverse transform per output
-    branch ``o`` and keeps its last ``FFT_BLOCK_SYMBOLS - span`` rows.
-    With ``rotation`` (a :class:`~vsatlink.channel._Rotation` of ``x``)
-    each segment is filled with the rotated input instead of ``x``.
+    (reads outside the ``n_in`` input samples are 0).  Output row ``j`` is
+    ``out[j, o] = sum_m sum_i row[j - m][i] * taps[o, m, i]``, for ``j <
+    n_out``.  Each segment of ``FFT_BLOCK_SYMBOLS`` rows starts ``span`` rows
+    before its first output; it takes one forward transform down its
+    columns, sums the products with the tap spectra over ``i``, takes one
+    inverse transform per output branch ``o`` and keeps its last
+    ``FFT_BLOCK_SYMBOLS - span`` rows.  The segments are counted from input
+    row 0, so the pieces never change the output: a segment is transformed
+    once its input is in (or the input has ended), and its last ``span``
+    rows are carried into the next one.  With ``rotation`` (a
+    :class:`~vsatlink.channel._Rotation` of the input) each sample is
+    rotated as it enters a segment.
     """
-    k = FFT_BLOCK_SYMBOLS
-    span = taps.shape[1] - 1
-    hf = np.fft.fft(taps, k, axis=1)
-    out = np.empty((n_out, len(taps)), dtype=np.complex128)
-    # both reused by every segment
-    seg = np.zeros(k * width, dtype=np.complex128)
-    prod = np.empty(hf.shape, dtype=np.complex128)
-    for first in range(0, n_out, k - span):
-        lo = (first - span) * width - shift
-        src = x[max(lo, 0) : lo + seg.size]
-        head = max(-lo, 0)
-        if rotation is None:
-            seg[head : head + src.size] = src
-        else:
-            rotation.apply(max(lo, 0), src, seg[head : head + src.size])
-        seg[head + src.size :] = 0.0
-        np.multiply(np.fft.fft(seg.reshape(k, width), axis=0), hf, out=prod)
-        # summing one input branch would only copy the products, at ~10% of tx_shape
-        y = np.fft.ifft(prod.sum(axis=2) if width > 1 else prod[..., 0], axis=1)
-        out[first : first + k - span] = y[:, span : span + n_out - first].T
-    return out
+
+    def __init__(self, taps: np.ndarray, width: int, shift: int, n_in: int, n_out: int,
+                 rotation: Optional[_Rotation] = None):
+        k = FFT_BLOCK_SYMBOLS
+        self._span = taps.shape[1] - 1
+        self._hf = np.fft.fft(taps, k, axis=1)
+        self._prod = np.empty(self._hf.shape, dtype=np.complex128)
+        self._seg = np.zeros(k * width, dtype=np.complex128)
+        self._fill = self._span * width + shift  # the zeros before input sample 0
+        self._width, self._n_in, self._n_out = width, n_in, n_out
+        self._taken = 0  # input samples in
+        self._first = 0  # the first output row of the segment being filled
+        self._rotation = rotation
+
+    def feed(self, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Take the next ``x.size`` input samples; yield ``(j, rows)`` for each
+        segment they complete, ``rows`` being output rows ``j, j + 1, ...``
+        (valid until the next step of the iteration).  The piece that ends
+        the input yields every remaining row."""
+        k, span, seg = FFT_BLOCK_SYMBOLS, self._span, self._seg
+        while self._first < self._n_out:
+            take = min(x.size, seg.size - self._fill)
+            if take:
+                dst = seg[self._fill : self._fill + take]
+                if self._rotation is None:
+                    dst[...] = x[:take]
+                else:
+                    self._rotation.apply(self._taken, x[:take], dst)
+                x = x[take:]
+            self._fill += take
+            self._taken += take
+            if self._fill < seg.size:
+                if self._taken < self._n_in:
+                    return
+                seg[self._fill :] = 0.0
+            np.multiply(np.fft.fft(seg.reshape(k, self._width), axis=0), self._hf,
+                        out=self._prod)
+            # summing one input branch would only copy the products, at ~10% of tx_shape
+            prod = self._prod
+            y = np.fft.ifft(prod.sum(axis=2) if self._width > 1 else prod[..., 0], axis=1)
+            first = self._first
+            yield first, y[:, span : span + self._n_out - first].T
+            keep = span * self._width
+            seg[:keep] = seg[seg.size - keep :]
+            self._fill = keep
+            self._first += k - span
+
+
+def _tx_taps(cfg: ModemConfig) -> np.ndarray:
+    """The RRC taps by output phase: output row j holds samples ``j*sps + p``,
+    phase p shaped by the taps ``h[p::sps]``."""
+    sps = cfg.samples_per_symbol
+    return np.pad(rrc_taps(cfg), (0, sps - 1)).reshape(-1, sps).T[:, :, None]
+
+
+def _rx_taps(cfg: ModemConfig) -> np.ndarray:
+    """The RRC taps by input column: row k holds ``x[k*sps - sps + 1 ..
+    k*sps]``, and its column c meets ``h[sps - 1 - c :: sps]``."""
+    sps = cfg.samples_per_symbol
+    return np.pad(rrc_taps(cfg), (0, sps - 1)).reshape(-1, sps)[None, :, ::-1]
+
+
+class TxShaper:
+    """:func:`tx_shape` of ``n_symbols`` symbols fed in order, in any pieces:
+    :meth:`feed` yields the waveform one overlap-save segment at a time, as
+    rows of ``samples_per_symbol`` samples, and the rows it yields join to
+    the :func:`tx_shape` output bit for bit."""
+
+    def __init__(self, n_symbols: int, cfg: ModemConfig):
+        self._rows = n_symbols + cfg.filter_span_symbols
+        self._filter = _OverlapSave(_tx_taps(cfg), 1, 0, n_symbols, self._rows)
+
+    def feed(self, symbols: np.ndarray) -> Iterator[np.ndarray]:
+        """Take the next symbols; yield each block of rows they complete (a
+        view, valid until the next step of the iteration)."""
+        for first, rows in self._filter.feed(symbols):
+            if first + len(rows) == self._rows:
+                rows[-1, 1:] = 0.0  # the sps - 1 positions no tap reaches
+            yield rows
+
+
+class RxMatcher:
+    """:func:`rx_match` of a ``n_samples``-sample waveform fed in order, in
+    any pieces: :meth:`feed` yields the symbols one overlap-save segment at a
+    time, and the pieces join to the :func:`rx_match` output bit for bit.
+    ``start_sample`` is the waveform's first sample on the global clock,
+    which ``derotate`` counts from."""
+
+    def __init__(self, n_samples: int, cfg: ModemConfig, *,
+                 derotate: Optional[tuple[float, float]] = None, start_sample: int = 0):
+        sps = cfg.samples_per_symbol
+        group_delay_samples = cfg.filter_span_symbols * sps
+        if n_samples <= group_delay_samples:
+            raise InsufficientDataError(
+                f"need more than {group_delay_samples} samples "
+                f"(total group delay), got {n_samples}"
+            )
+        rotation = None
+        if derotate is not None:
+            phase_deg, freq_hz = derotate
+            rotation = _Rotation(start_sample, n_samples, cfg.sample_rate_hz, -phase_deg,
+                                 -freq_hz)
+        n_out = (n_samples + group_delay_samples - 1) // sps + 1
+        self._filter = _OverlapSave(_rx_taps(cfg), sps, sps - 1, n_samples, n_out, rotation)
+
+    def feed(self, samples: np.ndarray) -> Iterator[np.ndarray]:
+        """Take the next samples; yield each piece of symbols they complete."""
+        for _, rows in self._filter.feed(samples):
+            yield rows.reshape(-1)
+
+
+def _joined(pieces: Iterator[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The rows of ``pieces`` in one array of ``shape``, flattened."""
+    out = np.empty(shape, dtype=np.complex128)
+    filled = 0
+    for piece in pieces:
+        out[filled : filled + len(piece)] = piece
+        filled += len(piece)
+    return out.reshape(-1)
 
 
 def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
@@ -242,20 +347,16 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
     makes the cascade gain at symbol instants exactly one, so recovered
     symbols land directly on the constellation grid.  The filter tail
     (span * sps samples) is retained; alignment is owned by the analysis
-    stage.
+    stage.  This is :class:`TxShaper` fed every symbol at once.
     """
     if not np.isclose(symbols.sample_rate_hz, cfg.symbol_rate_hz, rtol=1e-9):
         raise ParameterError(
             f"tx_shape expects symbol-rate input ({cfg.symbol_rate_hz} Hz), "
             f"got {symbols.sample_rate_hz} Hz"
         )
-    sps = cfg.samples_per_symbol
-    h = rrc_taps(cfg)
-    s = symbols.samples
-    # output row j holds samples j*sps + p, phase p shaped by the taps h[p::sps]
-    taps = np.pad(h, (0, sps - 1)).reshape(-1, sps).T[:, :, None]
-    shaped = _overlap_save(s, taps, 1, 0, tx_samples(len(s), cfg) // sps).reshape(-1)
-    shaped[(len(s) - 1) * sps + h.size :] = 0.0  # the sps - 1 positions no tap reaches
+    n = len(symbols)
+    shape = (n + cfg.filter_span_symbols, cfg.samples_per_symbol)
+    shaped = _joined(TxShaper(n, cfg).feed(symbols.samples), shape)
     return _unchecked(ComplexFrame, shaped, cfg.sample_rate_hz)
 
 
@@ -267,35 +368,24 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig, *,
     delay is ``filter_span_symbols`` symbols, so the first valid output
     symbol sits at index ``filter_span_symbols`` (head retained, trimmed
     centrally by the analysis stage).  Only the kept outputs
-    ``(x * h)[k * sps]`` are computed.
+    ``(x * h)[k * sps]`` are computed.  This is :class:`RxMatcher` fed the
+    whole waveform at once.
 
     ``derotate=(phase_deg, freq_hz)`` filters
     ``phase_freq_correct(waveform, phase_deg, freq_hz)`` bit for bit, without
     that waveform-sized array: each filter segment is filled with the
     de-rotated samples it reads.
     """
-    sps = cfg.samples_per_symbol
     if not np.isclose(waveform.sample_rate_hz, cfg.sample_rate_hz, rtol=1e-9):
         raise ParameterError(
             f"rx_match expects {cfg.sample_rate_hz} Hz input, "
             f"got {waveform.sample_rate_hz} Hz"
         )
-    group_delay_samples = cfg.filter_span_symbols * sps
-    if len(waveform) <= group_delay_samples:
-        raise InsufficientDataError(
-            f"need more than {group_delay_samples} samples "
-            f"(total group delay), got {len(waveform)}"
-        )
-    h = rrc_taps(cfg)
-    x = waveform.samples
-    # row k holds x[k*sps - sps + 1 .. k*sps]; its column c meets h[sps - 1 - c :: sps]
-    taps = np.pad(h, (0, sps - 1)).reshape(-1, sps)[None, :, ::-1]
-    rotation = None
-    if derotate is not None:
-        phase_deg, freq_hz = derotate
-        rotation = _Rotation(waveform, -phase_deg, -freq_hz, FFT_BLOCK_SYMBOLS * sps)
-    out = _overlap_save(x, taps, sps, sps - 1, (len(x) + h.size - 2) // sps + 1, rotation)
-    return _unchecked(ComplexFrame, out.reshape(-1), cfg.symbol_rate_hz)
+    n = len(waveform)
+    matcher = RxMatcher(n, cfg, derotate=derotate, start_sample=waveform.start_sample)
+    n_out = (n + cfg.filter_span_symbols * cfg.samples_per_symbol - 1) // cfg.samples_per_symbol + 1
+    return _unchecked(ComplexFrame, _joined(matcher.feed(waveform.samples), (n_out,)),
+                      cfg.symbol_rate_hz)
 
 
 def tx_samples(n_symbols: int, cfg: ModemConfig) -> int:

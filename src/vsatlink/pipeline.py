@@ -9,19 +9,34 @@ sweep of ``seed`` itself gives one run per swept value.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 from dataclasses import asdict, dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
-from . import __version__
-from .analysis import BerReport, constellation_snapshot, estimate_psd, measure_ber
-from .channel import SatelliteChannel
+from . import __version__, frames
+# simulate streams its stages through TxShaper, RxMatcher and WelchSum, and
+# de-rotates inside RxMatcher; perfbench/layertrace.py still wraps the names
+# tx_shape, rx_match, estimate_psd, measure_ber and phase_freq_correct here,
+# so they stay importable from this module
+from .analysis import (  # noqa: F401
+    BerReport,
+    WelchSum,
+    constellation_snapshot,
+    estimate_psd,
+    measure_ber,
+)
+from .channel import ChannelLog, SatelliteChannel
 from .errors import ParameterError, PipelineError
-from .frames import ComplexFrame
+from .frames import ComplexFrame, PowerSum, _unchecked
 from .linkbudget import LinkBudgetReport, compute_budget
-from .modem import (
+from .modem import (  # noqa: F401
+    ModemConfig,
+    RxMatcher,
+    TxShaper,
     generate_bits,
     pipeline_delay_bits,
     pipeline_delay_symbols,
@@ -31,10 +46,8 @@ from .modem import (
     tx_samples,
     tx_shape,
 )
-# simulate de-rotates inside rx_match; perfbench/layertrace.py still wraps the
-# name phase_freq_correct here, so it stays importable from this module
 from .receiver import AutomaticGainControl, DcOffsetCompensator, phase_freq_correct  # noqa: F401
-from .scenario import ScenarioConfig, replace_key, run_bits, scenario_to_dict
+from .scenario import CompensationFlags, ScenarioConfig, replace_key, run_bits, scenario_to_dict
 
 __all__ = [
     "derive_seed",
@@ -50,6 +63,15 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 SNAPSHOT_POINTS_DEFAULT = 1024
 SPECTRUM_SEGMENT_LEN = 1024
+# Blocks a tap's worker may have waiting (see _Tap)
+TAP_BLOCKS = 1
+# Channel blocks a streamed run begins while its first waits for the noise
+# worker, whose clone of the generator must first draw as many normals as
+# the real half of the noise (see channel._NoiseAhead); after that a block
+# ends as soon as its noise is drawn.  A fixed count, so that the look-ahead
+# does not grow with the run: it hides part of the advance (28 ms at 1e6
+# bits on 2 CPUs), not all of it.
+LOOK_AHEAD_BLOCKS = 4
 # a start:stop:step grid longer than this is refused before it is built
 MAX_SWEEP_POINTS = 10_000
 
@@ -85,18 +107,23 @@ class SimulationResult:
     spectrum_rx: tuple[np.ndarray, np.ndarray]
 
 
-@contextlib.contextmanager
-def _stage(name: str):
+class _stage:
     """Re-raise stage failures with the stage name attached.
 
     Only ``Exception`` is wrapped: an interrupt or exit passes through as is.
+    A class, not a generator context manager: the chain enters a stage a few
+    times per block.
     """
-    try:
-        yield
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(name, str(exc)) from exc
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, Exception) and not isinstance(exc, PipelineError):
+            raise PipelineError(self.name, str(exc)) from exc
 
 
 @contextlib.contextmanager
@@ -118,13 +145,20 @@ def simulate(
 ) -> SimulationResult:
     """Run the full pipeline once and collect BER plus figure artifacts.
 
-    With ``with_spectra`` two worker threads run beside the chain (numpy's
-    normal draws, FFTs and ufuncs release the GIL).  One draws the
-    imaginary half of the channel noise ahead, while bits, symbols and
-    ``tx_shape`` run and then block by block as the channel takes it; the
-    two Welch PSDs run as their waveforms are ready.  The threads are shut
-    down before this returns or raises.  Without, no thread starts and the
-    channel adds the noise on this thread.
+    The run is one chain of blocks: bits, symbols and ``tx_shape`` (one
+    overlap-save segment at a time) make the transmit waveform on the
+    ``frames.BLOCK_SAMPLES`` grid; each block passes the TWTA, the channel,
+    DC removal, AGC and the de-rotating ``rx_match``, and its symbols are
+    decided and counted against the transmitted bits.  The run log's powers,
+    the two spectra and the snapshots are taken from the blocks as they pass.
+
+    No waveform-sized array exists, unless the run must hold the TWTA output
+    (see :func:`_simulate`).  With ``with_spectra`` two worker threads run
+    beside the chain (numpy's normal draws, FFTs and ufuncs release the
+    GIL): one draws the channel noise ahead, and the other feeds the blocks
+    in order to the running transmit power and the two running Welch sums.
+    The threads are shut down before this returns or raises.  Without, no
+    thread starts.
     """
     with contextlib.ExitStack() as run:
         pool = run.enter_context(_threads(2)) if with_spectra else None
@@ -132,48 +166,263 @@ def simulate(
         return _simulate(scenario, snapshot_points, pool, run)
 
 
-class _Watermark:
-    """How far the transmit PSD has read: an index that only grows.  A
-    writer of the transmit waveform waits until it has passed its block."""
+class _Tap:
+    """Hands each block fed to it to ``consumers``, in feed order: on a pool
+    worker, one block at a time, or at once when ``pool`` is None.  At most
+    :data:`TAP_BLOCKS` blocks wait for the worker: a feeder at a full tap
+    waits, so a lagging worker holds up the chain, not memory.  A tap never
+    copies a block: the feeder hands it over and leaves it alone until the
+    tap hands it back.  With ``hand_back`` it does, in feed order, once the
+    consumers are done with it: :meth:`spent` returns those blocks, and
+    :meth:`spare` reuses one, so that the chain does not allocate (and
+    fault in) new blocks as it runs."""
 
-    def __init__(self):
+    def __init__(self, pool, consumers: list, hand_back: bool = True):
         import threading
 
-        self._cond = threading.Condition()
-        self._passed = 0
+        self._pool, self._consumers = pool, consumers
+        self._lock = threading.Lock()
+        self._room = threading.Semaphore(TAP_BLOCKS)
+        self._blocks: collections.deque = collections.deque()
+        self._spent: collections.deque | None = collections.deque() if hand_back else None
+        self._task = None  # the drain that takes the blocks, while there are any
+        self._error: Exception | None = None
+        self._closed = False
 
-    def advance(self, index: int) -> None:
-        with self._cond:
-            self._passed = max(self._passed, index)
-            self._cond.notify_all()
+    def feed(self, block: np.ndarray) -> None:
+        """Hand on ``block``; raise the error of a consumer that has failed."""
+        if self._pool is None:
+            for consume in self._consumers:
+                consume(block)
+            self._hand_back(block)
+            return
+        self._room.acquire()
+        with self._lock:
+            if self._error is not None:
+                raise self._error
+            self._blocks.append(block)
+            if self._task is None:
+                self._task = self._pool.submit(self._drain)
 
-    def wait(self, index: int) -> None:
-        with self._cond:
-            self._cond.wait_for(lambda: self._passed >= index)
+    def _drain(self) -> None:
+        while True:
+            with self._lock:
+                if not self._blocks:
+                    self._task = None
+                    return
+                block = self._blocks.popleft()
+            try:
+                if self._error is None and not self._closed:
+                    for consume in self._consumers:
+                        consume(block)
+            except Exception as exc:
+                self._error = exc
+            finally:
+                self._hand_back(block)
+                self._room.release()
+
+    def _hand_back(self, block: np.ndarray) -> None:
+        if self._spent is not None:
+            self._spent.append(block)
+
+    def spent(self) -> list[np.ndarray]:
+        """The blocks handed back since the last call, in feed order."""
+        blocks = []
+        while self._spent:
+            blocks.append(self._spent.popleft())
+        return blocks
+
+    def spare(self, size: int) -> np.ndarray:
+        """An array of ``size`` samples to fill: a block handed back, or a
+        new one."""
+        block = self._spent.popleft() if self._spent else np.empty(0, dtype=np.complex128)
+        return block[:size] if block.size >= size else np.empty(size, dtype=np.complex128)
+
+    def join(self) -> None:
+        """Return once every fed block is consumed; raise a consumer's error."""
+        with self._lock:
+            task = self._task
+        if task is not None:
+            task.result()
+        if self._error is not None:
+            raise self._error
+
+    def close(self) -> None:
+        """Drop the blocks still waiting, whatever has been fed."""
+        self._closed = True
+
+
+class _Rows:
+    """Rows ``lo, lo + 1, ...`` (fewer than ``hi``) of a stream of arrays,
+    kept as the arrays pass."""
+
+    def __init__(self, lo: int, hi: int):
+        self._lo, self._hi, self._seen = lo, hi, 0
+        self._parts: list[np.ndarray] = []
+
+    def add(self, x: np.ndarray) -> None:
+        a, b = self._lo - self._seen, self._hi - self._seen
+        if a < x.size and b > 0:
+            self._parts.append(x[max(a, 0) : b].copy())
+        self._seen += x.size
+
+    def frame(self, rate_hz: float) -> ComplexFrame:
+        rows = np.concatenate(self._parts) if self._parts else np.empty(0, dtype=np.complex128)
+        return _unchecked(ComplexFrame, rows, rate_hz)
+
+
+class _ErrorCount:
+    """Bit errors of a stream of decisions against the ``n`` transmitted bits:
+    decision ``i`` meets transmitted bit ``i - lag``.  Only the transmitted
+    bits not yet compared are kept, packed eight to a byte."""
+
+    def __init__(self, n: int, lag: int):
+        self._n, self._lag = n, lag
+        self._waiting: collections.deque = collections.deque()  # (packed, count)
+        self._sent = np.empty(0, dtype=np.uint8)  # unpacked head of the waiting bits
+        self._decided = self._compared = self._errors = 0
+
+    def transmitted(self, bits: np.ndarray) -> None:
+        self._waiting.append((np.packbits(bits), bits.size))
+
+    def received(self, bits: np.ndarray) -> None:
+        skip = max(self._lag - self._decided, 0)
+        self._decided += bits.size
+        bits = bits[skip : skip + self._n - self._compared]
+        while bits.size:
+            if not self._sent.size:
+                packed, count = self._waiting.popleft()
+                self._sent = np.unpackbits(packed, count=count)
+            m = min(self._sent.size, bits.size)
+            self._errors += int(np.count_nonzero(self._sent[:m] != bits[:m]))
+            self._compared += m
+            bits, self._sent = bits[m:], self._sent[m:]
+
+    def report(self) -> BerReport:
+        return BerReport(self._errors, self._compared, self._lag)
+
+
+def _copy_flat(rows: np.ndarray, first: int, dst: np.ndarray) -> None:
+    """Fill ``dst`` with the samples ``first, first + 1, ...`` of ``rows``,
+    its rows joined, without joining them."""
+    width = rows.shape[1]
+    r, c = divmod(first, width)
+    if c:  # the rest of a row that began in the last block
+        head = min(width - c, dst.size)
+        dst[:head] = rows[r, c : c + head]
+        dst, r = dst[head:], r + 1
+    whole, tail = divmod(dst.size, width)
+    dst[: whole * width].reshape(whole, width)[...] = rows[r : r + whole]
+    if tail:  # the head of a row that ends in the next block
+        dst[whole * width :] = rows[r + whole, :tail]
+
+
+def _block_grid(pieces: Iterator[np.ndarray], n: int,
+                new_block: Callable[[int, int], np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, block)`` for the ``n`` samples of ``pieces`` (arrays whose
+    rows, joined, continue the stream) cut on the ``BLOCK_SAMPLES`` grid,
+    each block the array ``new_block(start, size)``."""
+    start, block, fill = 0, None, 0
+    for rows in pieces:
+        done = 0
+        while done < rows.size:
+            if block is None:
+                block, fill = new_block(start, min(frames.BLOCK_SAMPLES, n - start)), 0
+            take = min(rows.size - done, block.size - fill)
+            _copy_flat(rows, done, block[fill : fill + take])
+            done += take
+            fill += take
+            if fill == block.size:
+                yield start, block
+                start, block = start + block.size, None
+
+
+class _Receiver:
+    """The receive side of the chain for ``n`` channel output samples, fed in
+    order, block by block: DC removal and AGC in place, the pre-correction
+    filter over the snapshot window, the de-rotating matched filter, the
+    receive tap, the decisions and their error count."""
+
+    def __init__(self, cfg: ModemConfig, comp: CompensationFlags,
+                 derotate: tuple[float, float] | None, agc_reference: float, n: int,
+                 skip: int, points: int, tap: _Tap, errors: _ErrorCount):
+        self._cfg, self._tap, self._errors = cfg, tap, errors
+        self._dc = DcOffsetCompensator() if comp.dc else None
+        self._agc = None
+        if comp.agc:
+            with _stage("receiver.agc"):
+                self._agc = AutomaticGainControl(agc_reference)
+        # output symbol k reads input samples up to k * sps, so the
+        # pre-correction symbols of the snapshot need only this window
+        self._n_pre = min((skip + points) * cfg.samples_per_symbol, n)
+        with _stage("modem.rx_match"):
+            self._pre = RxMatcher(self._n_pre, cfg)
+            self._post = RxMatcher(n, cfg, derotate=derotate)
+        self.shown_pre = _Rows(skip, skip + points)
+        self.shown_post = _Rows(skip, skip + points)
+
+    def __call__(self, start: int, block: np.ndarray) -> None:
+        """Take the channel output samples ``start, start + 1, ...``; the
+        block then belongs to the receive tap."""
+        cfg = self._cfg
+        frame = _unchecked(ComplexFrame, block, cfg.sample_rate_hz, start)
+        if self._dc is not None:
+            with _stage("receiver.dc_offset_remove"):
+                self._dc.process_in_place(frame)
+        if self._agc is not None:
+            with _stage("receiver.agc"):
+                self._agc.process_in_place(frame)
+        with _stage("modem.rx_match"):
+            if self._pre is not None:
+                for symbols in self._pre.feed(block[: self._n_pre - start]):
+                    self.shown_pre.add(symbols)
+                if start + block.size >= self._n_pre:
+                    self._pre = None
+            pieces = list(self._post.feed(block))
+        with _stage("analysis.spectra"):
+            self._tap.feed(block)
+        if not pieces:
+            return
+        symbols = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        self.shown_post.add(symbols)
+        with _stage("modem.qam_demodulate"):
+            bits = qam_demodulate(_unchecked(ComplexFrame, symbols, cfg.symbol_rate_hz), cfg)
+        with _stage("analysis.measure_ber"):
+            self._errors.received(bits.bits)
 
 
 def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
               run: contextlib.ExitStack) -> SimulationResult:
-    """The run of :func:`simulate`; ``pool`` draws the noise and computes the
-    spectra, or is None.  ``run`` closes what the run leaves open."""
+    """The run of :func:`simulate`; ``pool`` draws the noise and sums the
+    spectra, or is None.  ``run`` closes what the run leaves open.
+
+    The chain holds the TWTA output whole (one waveform-sized array) in two
+    cases: when the channel plan or the AGC reference needs the whole run's
+    powers before the first channel block (a non-linear TWTA under
+    normalized mode or auto-closure, or the AGC on), and when noise must be
+    drawn without a worker, which adds all real parts before the first
+    imaginary one.  The transmit side then fills the held array, the TWTA
+    overwrites each block once the transmit tap has read it, the plan is
+    made from the summed powers, and the receive side reads the array block
+    by block; the noise worker, idle until then, draws both halves of the
+    noise.  Otherwise each block passes the whole chain as it is made: the
+    plan is known up front, its powers are logged from the sums at the end,
+    and the worker draws only the imaginary half, the chain the real one.
+    """
     cfg = scenario.modem
     if snapshot_points <= 0:
         raise ParameterError(f"snapshot_points must be > 0, got {snapshot_points}")
     n_bits = run_bits(scenario.total_bits, cfg.bits_per_symbol)
-
     bits_seed = derive_seed(scenario.seed, _STREAM_BITS)
     impairments = scenario.impairments
     if impairments.seed == 0:  # 0: derive the noise stream from the master seed
         impairments = replace(impairments, seed=derive_seed(scenario.seed, _STREAM_NOISE))
     noise_seed = impairments.seed
+    comp = scenario.compensation
+    bps, sps, fs = cfg.bits_per_symbol, cfg.samples_per_symbol, cfg.sample_rate_hz
+    n_symbols = n_bits // bps
+    n = tx_samples(n_symbols, cfg)
 
-    # One waveform-sized array carries the run from tx_shape to rx_match.
-    # Stages overwrite it in this order: the TWTA, rotate(gain*y) + noise,
-    # the I/Q step, DC removal and AGC; the receive PSD and rx_match (which
-    # de-rotates as it reads) only read it.  The transmit PSD reads it while
-    # the TWTA and the channel write: each of their blocks waits until the
-    # PSD has passed it, so the writers trail the PSD.  The noise worker
-    # holds a few blocks, not a waveform.
     with _stage("channel.run"):
         channel = SatelliteChannel(
             scenario.gains,
@@ -183,84 +432,154 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
             target_es_n0_db=scenario.target_es_n0_db,
             reference_symbol_power=cfg.mean_symbol_power,
         )
-        noise = None
-        if pool is not None:
-            n = tx_samples(n_bits // cfg.bits_per_symbol, cfg)
-            noise = channel.noise_ahead(pool, n, cfg.sample_rate_hz)
-            if noise is not None:
-                run.callback(noise.close)
+        plan = channel.plan(1.0, 1.0, fs)  # the gain and noise when no power is read
+        held = channel.plan_reads_powers or comp.agc or (
+            pool is None and plan.noise_variance_w != 0.0)
+        # a held run's worker waits for the transmit side, so it has the time
+        # to draw the real parts too; a streamed run's worker does not
+        noise = channel.noise_ahead(pool, n, fs, real=held) if pool is not None else None
+        if noise is not None:
+            run.callback(noise.close)
 
-    with _stage("modem.generate_bits"):
-        tx_bits = generate_bits(n_bits, bits_seed)
-    with _stage("modem.qam_modulate"):
-        symbols = qam_modulate(tx_bits, cfg)
-    with _stage("modem.tx_shape"):
-        wave = tx_shape(symbols, cfg)
-    with _stage("analysis.snapshots"):
-        cons_tx = constellation_snapshot(symbols, snapshot_points)
-    del symbols
-
-    seg = min(SPECTRUM_SEGMENT_LEN, len(wave))
-    spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
-    wait = None
+    p_in = PowerSum(n)
+    welch = []
     if pool is not None:
-        watermark = _Watermark()
-        wait = watermark.wait
-        tx_psd = pool.submit(_spectrum, wave, seg, watermark)
-    with _stage("channel.run"):
-        plan = channel.amplify(wave, wait)
-        wave = channel.propagate(wave, plan, wait, noise)
-    if pool is not None:
-        with _stage("analysis.spectra"):
-            spectrum_tx = tx_psd.result()
+        seg = min(SPECTRUM_SEGMENT_LEN, n)
+        welch = [WelchSum(n, seg, fs), WelchSum(n, seg, fs)]
+    # the transmit power is summed beside the transmit spectrum; a held run
+    # reads its receive blocks from the held waveform, so nothing comes back
+    taps = [_Tap(pool, [p_in.add] + [w.add for w in welch[:1]]),
+            _Tap(pool, [w.add for w in welch[1:]], hand_back=not held)]
+    for tap in taps:
+        run.callback(tap.close)
 
-    # AGC drives total power to its reference; the corrections here are
-    # data-aided, so the reference is the known signal power plus the known
-    # injected noise power - otherwise the noise share would shrink the
-    # recovered constellation below the decision grid.
-    agc_reference = plan.input_power_w + plan.noise_variance_w
-
-    comp = scenario.compensation
-    with _stage("receiver.dc_offset_remove"):
-        if comp.dc:
-            DcOffsetCompensator().process_in_place(wave)
-    with _stage("receiver.agc"):
-        if comp.agc:
-            AutomaticGainControl(agc_reference).process_in_place(wave)
-    if pool is not None:
-        rx_psd = pool.submit(_spectrum, wave, seg)
+    delay_bits = pipeline_delay_bits(cfg)
+    errors = _ErrorCount(n_bits, delay_bits)
+    # figure artifacts: skip the filter transients (2 x span symbols)
+    skip = 2 * pipeline_delay_symbols(cfg)
+    shown_tx = _Rows(0, snapshot_points)
     derotate = None
     if comp.phase_freq:
         derotate = (impairments.phase_offset_deg, impairments.freq_offset_hz)
 
-    # figure artifacts: skip the filter transients (2 x span symbols).  The
-    # pre-correction symbols feed only their snapshot, and output symbol k
-    # reads input samples up to k * sps, so only that window is filtered.
-    skip = 2 * pipeline_delay_symbols(cfg)
-    window = (skip + snapshot_points) * cfg.samples_per_symbol
-    with _stage("modem.rx_match"):
-        pre_window = wave.with_samples(wave.samples[:window])
-        pre_symbols = rx_match(pre_window, cfg)
-        post_symbols = rx_match(wave, cfg, derotate=derotate)
-    del pre_window, wave
-    with _stage("modem.qam_demodulate"):
-        rx_bits = qam_demodulate(post_symbols, cfg)
+    def receiver(plan: ChannelLog) -> _Receiver:
+        # AGC drives total power to its reference; the corrections here are
+        # data-aided, so the reference is the known signal power plus the
+        # known injected noise power - otherwise the noise share would shrink
+        # the recovered constellation below the decision grid.
+        return _Receiver(cfg, comp, derotate, plan.input_power_w + plan.noise_variance_w, n,
+                         skip, snapshot_points, taps[1], errors)
 
-    delay_bits = pipeline_delay_bits(cfg)
-    with _stage("analysis.measure_ber"):
-        report = measure_ber(tx_bits, rx_bits, delay_bits=delay_bits)
+    def transmitted(new_block) -> Iterator[tuple[int, np.ndarray]]:
+        """The transmit waveform's blocks, filled into ``new_block(start,
+        size)``; their bits wait in ``errors``.  The caller hands each block
+        to the transmit tap once it is done with it."""
+        rng = np.random.default_rng(bits_seed)
+        chunk = max(frames.BLOCK_SAMPLES // sps, 1)  # symbols
+        with _stage("modem.tx_shape"):
+            shaper = TxShaper(n_symbols, cfg)
 
-    with _stage("analysis.snapshots"):
-        shown = slice(skip, skip + snapshot_points)
-        cons_pre = constellation_snapshot(
-            pre_symbols.with_samples(pre_symbols.samples[shown]), snapshot_points
-        )
-        cons_post = constellation_snapshot(
-            post_symbols.with_samples(post_symbols.samples[shown]), snapshot_points
-        )
-    if pool is not None:
+        def pieces():
+            for first in range(0, n_symbols, chunk):
+                with _stage("modem.generate_bits"):
+                    bits = generate_bits(min(chunk, n_symbols - first) * bps, rng)
+                with _stage("modem.qam_modulate"):
+                    symbols = qam_modulate(bits, cfg).samples
+                errors.transmitted(bits.bits)
+                shown_tx.add(symbols)
+                with _stage("modem.tx_shape"):
+                    yield from shaper.feed(symbols)
+
+        yield from _block_grid(pieces(), n, new_block)
+
+    p_sig = None if channel.linear_twta else PowerSum(n)
+
+    def summed_plan() -> ChannelLog:
+        """The plan of the run's powers (``p_sig`` is ``p_in`` when the TWTA
+        is skipped, as in :meth:`SatelliteChannel.amplify`)."""
+        p = p_in.mean
+        return channel.plan(p, p if p_sig is None else p_sig.mean, fs)
+
+    if held:
+        # the transmit side fills the held waveform, and the TWTA overwrites
+        # each block of it once the transmit tap has handed it back
+        wave = np.empty(n, dtype=np.complex128)
+
+        def amplify_spent() -> None:
+            for twta in taps[0].spent():
+                if p_sig is not None:
+                    with _stage("channel.run"):
+                        channel.amplify_block(twta, twta)
+                        p_sig.add(twta)
+
+        for _, block in transmitted(lambda start, size: wave[start : start + size]):
+            with _stage("analysis.spectra"):
+                taps[0].feed(block)
+            amplify_spent()
         with _stage("analysis.spectra"):
-            spectrum_rx = rx_psd.result()
+            taps[0].join()
+        amplify_spent()
+        with _stage("channel.run"):
+            plan = summed_plan()
+            link = channel.propagation(plan, n, fs, noise)
+            if link.inline:
+                channel.propagate(_unchecked(ComplexFrame, wave, fs), plan)
+        receive = receiver(plan)
+        for sl in frames.block_slices(n):
+            block = wave[sl]
+            if not link.inline:
+                with _stage("channel.run"):
+                    link(sl.start, block, block)
+            receive(sl.start, block)
+        del wave, block
+    else:
+        link = channel.propagation(plan, n, fs, noise)
+        receive = receiver(plan)
+        begun: collections.deque = collections.deque()  # channel blocks not yet ended
+
+        def end_first() -> None:
+            start, out = begun.popleft()
+            with _stage("channel.run"):
+                link.end(out)
+            receive(start, out)
+
+        for k, (start, block) in enumerate(transmitted(lambda start, size: taps[0].spare(size))):
+            with _stage("channel.run"):
+                out = taps[1].spare(block.size)
+                if p_sig is not None:
+                    channel.amplify_block(block, out)
+                    p_sig.add(out)
+                link.begin(start, block if p_sig is None else out, out)
+            with _stage("analysis.spectra"):
+                taps[0].feed(block)
+            begun.append((start, out))
+            # the first block waits for the noise worker's advance, and
+            # LOOK_AHEAD_BLOCKS more begin meanwhile; after that a block ends
+            # as soon as its noise is drawn
+            while len(begun) > LOOK_AHEAD_BLOCKS or (
+                    begun and k >= LOOK_AHEAD_BLOCKS and link.ready()):
+                end_first()
+        while begun:
+            end_first()
+        with _stage("analysis.spectra"):
+            taps[0].join()
+        with _stage("channel.run"):
+            plan = summed_plan()
+
+    spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
+    if welch:
+        with _stage("analysis.spectra"):
+            for tap in taps:
+                tap.join()
+            spectrum_tx, spectrum_rx = ((s.frequencies_hz, s.psd_w_per_hz)
+                                        for s in (w.estimate() for w in welch))
+    with _stage("analysis.snapshots"):
+        cons_tx = constellation_snapshot(shown_tx.frame(cfg.symbol_rate_hz), snapshot_points)
+        cons_pre = constellation_snapshot(receive.shown_pre.frame(cfg.symbol_rate_hz),
+                                          snapshot_points)
+        cons_post = constellation_snapshot(receive.shown_post.frame(cfg.symbol_rate_hz),
+                                           snapshot_points)
+    report = errors.report()
     run_log = {
         "vsatlink_version": __version__,
         "scenario": scenario_to_dict(scenario),
@@ -273,7 +592,7 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
             "symbol_rate_hz": cfg.symbol_rate_hz,
             "sample_rate_hz": cfg.sample_rate_hz,
             "tx_waveform_power_w": plan.input_power_w,
-            "agc_reference_power": agc_reference,
+            "agc_reference_power": plan.input_power_w + plan.noise_variance_w,
             "alignment_delay_bits": delay_bits,
             "snapshot_skip_symbols": skip,
             "channel": asdict(plan),
@@ -289,19 +608,6 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
         spectrum_tx=spectrum_tx,
         spectrum_rx=spectrum_rx,
     )
-
-
-def _spectrum(x: ComplexFrame, segment_len: int,
-              watermark: _Watermark | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The PSD of ``x``; it reports its progress to ``watermark``, which it
-    sets to the end when it stops, so that a failing PSD frees the writers
-    and its error surfaces from the future."""
-    try:
-        spec = estimate_psd(x, segment_len, progress=watermark and watermark.advance)
-    finally:
-        if watermark is not None:
-            watermark.advance(len(x))
-    return spec.frequencies_hz, spec.psd_w_per_hz
 
 
 def run_linkbudget(scenario: ScenarioConfig) -> list[LinkBudgetReport]:

@@ -19,6 +19,7 @@ from vsatlink import (
     theoretical_qam_ber,
     tx_shape,
 )
+from vsatlink.analysis import WelchSum
 
 FS = 50_000.0
 
@@ -99,22 +100,35 @@ class TestEstimatePsd:
         assert np.all(np.diff(spec.frequencies_hz) > 0)
         assert np.all(spec.psd_w_per_hz >= 0)
 
-    @pytest.mark.parametrize("n, segment_len", [(100_000, 1024), (4097, 256), (300, 3)])
-    def test_progress_marks_what_no_later_segment_reads(self, n, segment_len):
-        # a writer that overwrites everything before each reported sample
-        # as soon as it is reported leaves the estimate as it was
+    @pytest.mark.parametrize("n, segment_len, pieces", [
+        (100_000, 1024, [511, 512, 513, 8192, 8193, 65536]),
+        # one group's span (15 steps and a segment) and either side of it
+        (8704, 1024, [8703, 8704, 8705, 1]),
+        (8705, 1024, [8704, 1]),
+        (4097, 256, [1, 7, 128, 2049]),
+        (300, 3, [1, 2, 299]),
+    ])
+    def test_welch_sum_fed_in_pieces_equals_estimate_psd(self, n, segment_len, pieces):
+        # the segments and their groups are counted from the stream's first
+        # sample, so pieces that cut a segment or a group change nothing
         rng = np.random.default_rng(n)
-        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        expected = estimate_psd(ComplexFrame(samples, FS), segment_len).psd_w_per_hz
-        reported = []
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expected = estimate_psd(ComplexFrame(x, FS), segment_len)
+        welch, start = WelchSum(n, segment_len, FS), 0
+        while start < n:
+            for size in pieces:
+                welch.add(x[start : start + size])
+                start += size
+        got = welch.estimate()
+        assert np.array_equal(got.psd_w_per_hz, expected.psd_w_per_hz)
+        assert np.array_equal(got.frequencies_hz, expected.frequencies_hz)
+        assert got.resolution_bw_hz == expected.resolution_bw_hz
 
-        def overwrite(i):
-            reported.append(i)
-            samples[:i] = np.nan
-
-        got = estimate_psd(ComplexFrame(samples, FS), segment_len, progress=overwrite)
-        assert np.array_equal(got.psd_w_per_hz, expected)
-        assert reported == sorted(reported) and reported[-1] >= n - segment_len
+    def test_welch_sum_of_a_partial_stream_is_refused(self):
+        welch = WelchSum(4096, 256, FS)
+        welch.add(np.ones(4000, dtype=complex))
+        with pytest.raises(ParameterError, match="segments"):
+            welch.estimate()
 
     def test_segment_longer_than_data_rejected(self):
         with pytest.raises(ParameterError):

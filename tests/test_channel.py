@@ -480,11 +480,18 @@ class _ThreadPerTask:
         return future
 
 
+# the noise drawn inline, its imaginary half on a worker, or both halves there
+AHEAD = [None, "imag", "both"]
+AHEAD_IDS = ["inline", "worker", "worker-both"]
+
+
 def _propagated(chan, y, ahead):
     """``chan``'s two steps over ``y``, the noise drawn ahead on a worker
-    thread when ``ahead``."""
+    thread when ``ahead``: its imaginary half, or ``"both"`` halves."""
     with ThreadPoolExecutor(1) as pool:
-        noise = chan.noise_ahead(pool, len(y), y.sample_rate_hz) if ahead else None
+        noise = None
+        if ahead:
+            noise = chan.noise_ahead(pool, len(y), y.sample_rate_hz, real=ahead == "both")
         try:
             return chan.propagate(y, chan.amplify(y), noise=noise)
         finally:
@@ -518,7 +525,7 @@ class TestInPlaceSteps:
         assert np.array_equal(x.samples, kept)  # run leaves its input alone
         again = reference.run(x)[0].samples
 
-        for ahead in (False, True):
+        for ahead in AHEAD:
             chan = _scenario_channel(scenario)
             y = ComplexFrame(kept.copy(), x.sample_rate_hz, x.start_sample)
             stepped = _propagated(chan, y, ahead)
@@ -527,7 +534,7 @@ class TestInPlaceSteps:
             # the noise stream carries on from where the worker left it
             assert np.array_equal(chan.run(x)[0].samples, again), ahead
 
-    @pytest.mark.parametrize("ahead", [False, True], ids=["inline", "worker"])
+    @pytest.mark.parametrize("ahead", AHEAD, ids=AHEAD_IDS)
     @pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default"])
     def test_output_is_the_signal_plus_the_documented_noise(self, monkeypatch, block, ahead):
         # every real part of the stream is drawn before every imaginary part
@@ -553,18 +560,19 @@ class TestInPlaceSteps:
                 raise MemoryError("synthetic")
 
         with ThreadPoolExecutor(1) as pool:
-            noise = _NoiseAhead(FailingGenerator(), 1000, 1.0, pool)
+            noise = _NoiseAhead(FailingGenerator(), 1000, 1.0, pool, False)
             with pytest.raises(MemoryError, match="synthetic"):
                 noise.next()
             noise.close()
 
+    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("taken", [0, 1, 99])
-    def test_close_ends_the_worker_whatever_was_taken(self, monkeypatch, taken):
+    def test_close_ends_the_worker_whatever_was_taken(self, monkeypatch, taken, real):
         # a run that fails before or while the channel takes the noise closes
         # it; a worker left waiting on a full queue would hang the pool's shutdown
         monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", 64)
         pool = _ThreadPerTask()
-        noise = _NoiseAhead(np.random.default_rng(1), 64 * 100, 1.0, pool)
+        noise = _NoiseAhead(np.random.default_rng(1), 64 * 100, 1.0, pool, real)
         for _ in range(taken):
             noise.next()
         time.sleep(0.05)  # the worker fills the queue and waits
@@ -573,17 +581,87 @@ class TestInPlaceSteps:
         worker.join(timeout=10)
         assert not worker.is_alive()
 
+    @pytest.mark.parametrize("ahead", AHEAD, ids=AHEAD_IDS)
+    @pytest.mark.parametrize("block", [7, None], ids=["block-7", "default"])
+    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    def test_propagation_by_blocks_equals_propagate(self, monkeypatch, name, block, ahead):
+        # a streaming caller writes each block into an array of its own, may
+        # begin a few blocks before it ends the first, and adds the inline
+        # noise to the whole stream at the end
+        x, scenario = self._frame_and_scenario(name, noise_temperature_k=1e6,
+                                               iq_amplitude_imbalance_db=0.8)
+        if block is not None:
+            monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", block)
+        def copy():
+            return ComplexFrame(x.samples.copy(), x.sample_rate_hz, x.start_sample)
+
+        reference = _scenario_channel(scenario)
+        expected = _propagated(reference, copy(), ahead).samples
+        chan = _scenario_channel(scenario)
+        plan = chan.amplify(copy())
+        twta = np.empty_like(x.samples)
+        for sl in vsatlink.frames.block_slices(len(x)):
+            chan.amplify_block(x.samples[sl], twta[sl])
+        out = np.empty_like(twta)
+        with ThreadPoolExecutor(1) as pool:
+            noise = None
+            if ahead:
+                noise = chan.noise_ahead(pool, len(x), x.sample_rate_hz, real=ahead == "both")
+            step = chan.propagation(plan, len(x), x.sample_rate_hz, noise, x.start_sample)
+            begun = []
+            for sl in vsatlink.frames.block_slices(len(x)):
+                step.begin(sl.start, twta[sl], out[sl])
+                begun.append(out[sl])
+                if not step.inline and len(begun) > 3:
+                    step.end(begun.pop(0))
+            if step.inline:
+                step.add_inline_noise(out)
+            else:
+                for blk in begun:
+                    step.end(blk)
+        assert step.inline is (ahead is None)
+        assert np.array_equal(out, expected)
+        # the noise stream carries on from where the blocks left it
+        assert np.array_equal(chan.run(x)[0].samples, reference.run(x)[0].samples)
+
     def test_saleh_amplify_equals_the_twta_in_place(self, reference_scenario):
         x, _ = self._frame_and_scenario("kptcl-cband")
         kept = x.samples.copy()
         out = saleh_amplify(x, reference_scenario.saleh)
         assert np.array_equal(x.samples, kept)
         chan = _scenario_channel(reference_scenario)
+        into = np.empty_like(kept)
+        chan.amplify_block(x.samples, into)
+        assert np.array_equal(x.samples, kept)
+        assert np.array_equal(into, out.samples)
         chan.amplify(x)
         assert np.array_equal(x.samples, out.samples)
 
 
 class TestPlan:
+    @given(p=st.floats(1e-30, 1e30), p_sig=st.floats(1e-30, 1e30),
+           mode=st.sampled_from(["physical", "normalized"]),
+           transponder_db=st.sampled_from([None, 60.0]),
+           saleh=st.sampled_from([SalehParams.linear(), PAPER_SALEH]))
+    @settings(max_examples=100, deadline=None)
+    def test_a_plan_that_reads_no_power_is_known_up_front(self, p, p_sig, mode,
+                                                          transponder_db, saleh):
+        # a streamed run makes its plan before it has any power: the gain and
+        # noise of plan(1, 1) must be those of the run's own powers, which are
+        # equal when the TWTA is skipped
+        chan = SatelliteChannel(LinkGains(transponder_amp_gain_db=transponder_db), saleh,
+                                ImpairmentConfig(noise_temperature_k=290.0), mode=mode,
+                                target_es_n0_db=10.0)
+        if chan.linear_twta:
+            p_sig = p
+        up_front, run = chan.plan(1.0, 1.0, FS), chan.plan(p, p_sig, FS)
+        same = (up_front.gain, up_front.noise_variance_w) == (run.gain, run.noise_variance_w)
+        assert chan.plan_reads_powers == (
+            not chan.linear_twta and (mode == "normalized" or transponder_db is None))
+        if not chan.plan_reads_powers:
+            assert same
+            assert replace(up_front, input_power_w=p, twta_output_power_w=p_sig) == run
+
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_plan_of_the_logged_powers_is_the_logged_plan(self, name):
         scenario = replace(load_scenario(name), total_bits=20_000)

@@ -29,6 +29,7 @@ from vsatlink import (
     saleh_amplify,
     tx_shape,
 )
+from vsatlink.frames import PowerSum
 
 
 class TestBitFrame:
@@ -76,6 +77,25 @@ class TestMeanPower:
             monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", block)
         x = self._samples(n, n, zeros=0.05)
         assert ComplexFrame(x, 50e3).mean_power == self._numpy_mean(x)
+
+    @given(n=st.integers(0, 200_000), seed=st.integers(0, 2**32 - 1),
+           pieces=st.lists(st.integers(1, 70_000), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_power_sum_fed_in_pieces_equals_mean_power(self, n, seed, pieces):
+        # the leaves are fixed by n, so pieces that cut them change nothing
+        x = self._samples(n, seed, zeros=0.05)
+        power, start = PowerSum(n), 0
+        while start < n:
+            for size in pieces:
+                power.add(x[start : start + size])
+                start += size
+        assert power.mean == ComplexFrame(x, 50e3).mean_power
+
+    def test_power_sum_refuses_samples_past_its_stream(self):
+        power = PowerSum(3)
+        power.add(np.ones(3, dtype=complex))
+        with pytest.raises(ParameterError, match="more than the 3 samples"):
+            power.add(np.ones(1, dtype=complex))
 
 
 class TestComplexFrame:

@@ -22,7 +22,7 @@ from vsatlink import (
     rx_match,
     tx_shape,
 )
-from vsatlink.modem import FFT_BLOCK_SYMBOLS
+from vsatlink.modem import FFT_BLOCK_SYMBOLS, RxMatcher, TxShaper
 
 CFG = ModemConfig()
 SPS = CFG.samples_per_symbol
@@ -345,6 +345,49 @@ class TestPolyphaseOracles:
         cfg = ModemConfig(samples_per_symbol=sps, filter_span_symbols=256)
         self._check_tx(cfg, 53, sps)
         self._check_rx(cfg, 2 * 256 + 53, sps)  # inputs ~53 symbols past the group delay
+
+
+class TestStreamingFilters:
+    """``TxShaper`` and ``RxMatcher`` fed in pieces give the whole-frame
+    filters' output bit for bit: their segments are counted from the first
+    input row, whatever the pieces."""
+
+    @staticmethod
+    def _fed(stream, x, pieces):
+        out, start = [], 0
+        while start < x.size:
+            for size in pieces:
+                out += [piece.reshape(-1) for piece in stream.feed(x[start : start + size])]
+                start += size
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize("sps", [3, 8])
+    @pytest.mark.parametrize("n", [1, 5] + TX_BLOCK_EDGES)
+    @pytest.mark.parametrize("pieces", [[1, 7], [BLOCK], [BLOCK + 1, 5000]])
+    def test_tx_shaper_equals_tx_shape(self, sps, n, pieces):
+        cfg = ModemConfig(samples_per_symbol=sps)
+        rng = np.random.default_rng(n)
+        s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expected = tx_shape(ComplexFrame(s, cfg.symbol_rate_hz), cfg).samples
+        assert np.array_equal(self._fed(TxShaper(n, cfg), s, pieces), expected)
+
+    @pytest.mark.parametrize("sps", [3, 8])
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    @pytest.mark.parametrize("pieces", [[1000, 7], [FFT_BLOCK_SYMBOLS * 8], [65536]])
+    @pytest.mark.parametrize("derotate", [None, (15.0, 2.0)])
+    def test_rx_matcher_equals_rx_match(self, sps, n, pieces, derotate):
+        cfg = ModemConfig(samples_per_symbol=sps)
+        length = (n - cfg.filter_span_symbols) * sps
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        frame = ComplexFrame(x, cfg.sample_rate_hz, start_sample=123_457)
+        expected = rx_match(frame, cfg, derotate=derotate).samples
+        matcher = RxMatcher(length, cfg, derotate=derotate, start_sample=123_457)
+        assert np.array_equal(self._fed(matcher, x, pieces), expected)
+
+    def test_rx_matcher_needs_more_than_the_group_delay(self):
+        with pytest.raises(InsufficientDataError):
+            RxMatcher(SPAN * SPS, CFG)
 
 
 class TestDerotatingMatchedFilter:

@@ -5,26 +5,45 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import vsatlink.pipeline as pipeline_mod
 from vsatlink import (
+    AutomaticGainControl,
+    DcOffsetCompensator,
     ModemConfig,
     SalehParams,
+    SatelliteChannel,
+    constellation_snapshot,
     estimate_psd,
     generate_bits,
     load_scenario,
+    measure_ber,
+    phase_freq_correct,
+    qam_demodulate,
     qam_modulate,
+    rx_match,
     theoretical_qam_ber,
     tx_shape,
 )
+from vsatlink import frames
+from vsatlink.analysis import WelchSum
 from vsatlink.channel import _NoiseAhead
 from vsatlink.cli import EXIT_OK, EXIT_PIPELINE, main
 from vsatlink.errors import PipelineError
-from vsatlink.pipeline import SPECTRUM_SEGMENT_LEN, run_linkbudget, simulate
+from vsatlink.frames import PowerSum
+from vsatlink.modem import tx_samples
+from vsatlink.pipeline import (
+    SNAPSHOT_POINTS_DEFAULT,
+    SPECTRUM_SEGMENT_LEN,
+    derive_seed,
+    run_linkbudget,
+    simulate,
+)
+from vsatlink.scenario import run_bits
 
 
 class TestEndToEnd:
@@ -104,69 +123,68 @@ class TestEndToEnd:
         assert chan["noise_variance_w"] == pytest.approx(1.380649e-23 * 45 * 50_000, rel=1e-9)
 
 
-def _late(fn):
-    """``fn`` starting 0.2 s late, as a worker that lags the chain."""
-    def late(*args, **kwargs):
-        time.sleep(0.2)
-        return fn(*args, **kwargs)
+def _late_once(fn):
+    """``fn`` whose first call on each object starts 0.2 s late, as a worker
+    that lags the chain."""
+    def late(self, *args, **kwargs):
+        if not getattr(self, "_lagged", False):
+            self._lagged = True
+            time.sleep(0.2)
+        return fn(self, *args, **kwargs)
 
     return late
 
 
-def _late_tx_psd(*args, progress=None):
-    """``estimate_psd`` with the transmit PSD, the one that reports its
-    progress to the writers, starting 0.2 s late."""
-    if progress is not None:
-        time.sleep(0.2)
-    return estimate_psd(*args, progress=progress)
-
-
 def _lag(monkeypatch, worker):
-    """Make ``worker`` start 0.2 s late: the noise worker, both spectra or
-    the transmit spectrum."""
+    """Make ``worker`` start 0.2 s late: the noise worker, the two Welch sums
+    (both taps), or the transmit tap, which sums the input power first."""
     if worker == "noise":
-        monkeypatch.setattr(_NoiseAhead, "_produce", _late(_NoiseAhead._produce))
+        monkeypatch.setattr(_NoiseAhead, "_produce", _late_once(_NoiseAhead._produce))
     elif worker == "spectra":
-        monkeypatch.setattr(pipeline_mod, "estimate_psd", _late(estimate_psd))
+        monkeypatch.setattr(WelchSum, "add", _late_once(WelchSum.add))
     else:
-        monkeypatch.setattr(pipeline_mod, "estimate_psd", _late_tx_psd)
+        monkeypatch.setattr(PowerSum, "add", _late_once(PowerSum.add))
+
+
+def _waveform_bytes(scenario, bits):
+    cfg = scenario.modem
+    return tx_samples(run_bits(bits, cfg.bits_per_symbol) // cfg.bits_per_symbol, cfg) * 16
+
+
+def _peak(scenario, bits):
+    """The tracemalloc peak of one ``simulate`` of ``bits`` bits."""
+    tracemalloc.start()
+    try:
+        simulate(replace(scenario, total_bits=bits))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMemory:
-    @pytest.mark.parametrize("bits, bound", [(200_000, 2.25), (1_000_000, 1.5)])
-    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
-    def test_peak_is_under_the_bound(self, name, bits, bound):
-        # one waveform carries the run from tx_shape to rx_match: at the peak
-        # it lives beside a few smaller arrays and the block scratch of the
-        # stages and workers, which weighs more at 2e5 bits
-        self._assert_peak_under_bound(load_scenario(name), bits, bound)
+    """``awgn-validation`` streams: no waveform-sized array exists, so its
+    peak does not grow with the run.  ``kptcl-cband`` holds its TWTA output
+    (the plan and the AGC need the run's powers first): one waveform plus
+    the chain's block scratch."""
 
-    @pytest.mark.parametrize("worker", ["spectra", "tx-spectrum"])
-    def test_peak_holds_while_the_spectrum_worker_lags(self, reference_scenario, monkeypatch,
-                                                       worker):
-        # the writers wait for a late transmit PSD instead of copying its
-        # input, and the receive PSD reads the waveform rx_match reads
+    def test_streamed_peak_does_not_grow_with_the_run(self, awgn_scenario):
+        small, large = _peak(awgn_scenario, 1_000_000), _peak(awgn_scenario, 4_000_000)
+        assert large <= 1.1 * small, f"{small / 1e6:.2f} MB -> {large / 1e6:.2f} MB"
+        assert small <= 0.75 * _waveform_bytes(awgn_scenario, 1_000_000)
+
+    def test_held_peak_is_one_waveform_and_block_scratch(self, reference_scenario):
+        ratio = _peak(reference_scenario, 1_000_000) / _waveform_bytes(reference_scenario,
+                                                                        1_000_000)
+        assert ratio <= 1.3, f"peak {ratio:.3f} waveforms"
+
+    @pytest.mark.parametrize("worker", ["noise", "spectra", "tx-tap"])
+    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    def test_peak_holds_while_a_worker_lags(self, name, worker, monkeypatch):
+        # a late worker holds up the chain at its full queue, not memory
+        scenario = load_scenario(name)
         _lag(monkeypatch, worker)
-        self._assert_peak_under_bound(reference_scenario)
-
-    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
-    def test_peak_holds_while_the_noise_worker_lags(self, name, monkeypatch):
-        # a late noise worker holds at most its queue of blocks
-        _lag(monkeypatch, "noise")
-        self._assert_peak_under_bound(load_scenario(name))
-
-    @staticmethod
-    def _assert_peak_under_bound(scenario, bits=200_000, bound=2.25):
-        cfg = scenario.modem
-        wave_bytes = tx_shape(qam_modulate(generate_bits(bits, 0), cfg), cfg).samples.nbytes
-        tracemalloc.start()
-        try:
-            simulate(replace(scenario, total_bits=bits))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        ratio = peak / wave_bytes
-        assert ratio <= bound, f"peak {ratio:.3f} waveforms"
+        ratio = _peak(scenario, 1_000_000) / _waveform_bytes(scenario, 1_000_000)
+        assert ratio <= (1.3 if name == "kptcl-cband" else 0.75), f"peak {ratio:.3f} waveforms"
 
 
 def _assert_same_decisions(a, b):
@@ -176,26 +194,99 @@ def _assert_same_decisions(a, b):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
-class TestSpectrumWorker:
-    """The noise draw and the two Welch PSDs run on two worker threads that
-    end with the run."""
+def _composed(scenario, points):
+    """What ``simulate`` computes, from the public whole-frame stages."""
+    cfg = scenario.modem
+    bits = generate_bits(run_bits(scenario.total_bits, cfg.bits_per_symbol),
+                         derive_seed(scenario.seed, 1))
+    symbols = qam_modulate(bits, cfg)
+    wave = tx_shape(symbols, cfg)
+    imp = replace(scenario.impairments, seed=derive_seed(scenario.seed, 2))
+    channel = SatelliteChannel(scenario.gains, scenario.saleh, imp, mode=scenario.mode,
+                               target_es_n0_db=scenario.target_es_n0_db,
+                               reference_symbol_power=cfg.mean_symbol_power)
+    rx, plan = channel.run(wave)
+    comp = scenario.compensation
+    if comp.dc:
+        rx = DcOffsetCompensator().process(rx)
+    if comp.agc:
+        rx = AutomaticGainControl(plan.input_power_w + plan.noise_variance_w).process(rx)
+    skip = 2 * cfg.filter_span_symbols
+    pre = rx_match(rx.with_samples(rx.samples[: (skip + points) * cfg.samples_per_symbol]), cfg)
+    corrected = rx
+    if comp.phase_freq:
+        corrected = phase_freq_correct(rx, imp.phase_offset_deg, imp.freq_offset_hz)
+    post = rx_match(corrected, cfg)
+    shown = slice(skip, skip + points)
+    seg = min(SPECTRUM_SEGMENT_LEN, len(wave))
+    return {
+        "ber": measure_ber(bits, qam_demodulate(post, cfg), cfg.filter_span_symbols * 4),
+        "plan": asdict(plan),
+        "constellation_tx": constellation_snapshot(symbols, points),
+        "constellation_rx_precorrection": constellation_snapshot(
+            pre.with_samples(pre.samples[shown]), points),
+        "constellation_rx_postcorrection": constellation_snapshot(
+            post.with_samples(post.samples[shown]), points),
+        "spectrum_tx": estimate_psd(wave, seg),
+        "spectrum_rx": estimate_psd(rx, seg),
+    }
+
+
+# Symbol counts whose waveform ((n + 30) * 8 samples) ends just before, on
+# and just after a block of 65536 or 4099 samples (eight blocks make a
+# multiple of 8), and whose transmit filter output (n + 30 rows) or receive
+# filter output (n + 60 symbols) ends at the edge of a 2018-row overlap-save
+# segment; with the default 1024 snapshot points and with more than the run.
+STREAM_EDGES = [
+    (65536, n) for n in (8161, 8162, 8163, 2 * 2018 - 31, 2 * 2018 - 30, 3 * 2018 - 59)
+] + [
+    (4099, n) for n in (4098, 4099, 4100, 3 * 2018 - 61, 3 * 2018 - 60, 2 * 2018 - 29)
+]
+
+
+class TestStreaming:
+    """``simulate`` runs one chain of blocks; it must equal the public
+    whole-frame stages composed, bit for bit, whatever the block size and
+    wherever the run ends against the blocks and filter segments."""
+
+    @pytest.mark.parametrize("block, symbols", STREAM_EDGES)
+    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    def test_simulate_equals_the_composed_stages(self, name, block, symbols, monkeypatch):
+        monkeypatch.setattr(frames, "BLOCK_SAMPLES", block)
+        points = 10**6 if symbols % 2 else SNAPSHOT_POINTS_DEFAULT
+        scenario = replace(load_scenario(name), total_bits=4 * symbols)
+        result = simulate(scenario, snapshot_points=points)
+        expected = _composed(scenario, points)
+        assert result.ber == expected["ber"]
+        effective = result.run_log["effective"]
+        assert effective["channel"] == expected["plan"]
+        assert effective["tx_waveform_power_w"] == expected["plan"]["input_power_w"]
+        assert effective["agc_reference_power"] == (expected["plan"]["input_power_w"]
+                                                    + expected["plan"]["noise_variance_w"])
+        for field in ("constellation_tx", "constellation_rx_precorrection",
+                      "constellation_rx_postcorrection"):
+            assert np.array_equal(getattr(result, field), expected[field]), field
+        for field in ("spectrum_tx", "spectrum_rx"):
+            freqs, psd = getattr(result, field)
+            assert np.array_equal(freqs, expected[field].frequencies_hz), field
+            assert np.array_equal(psd, expected[field].psd_w_per_hz), field
 
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
-    def test_tx_spectrum_equals_serial_estimate(self, name, monkeypatch):
-        shaped = []
+    def test_block_size_changes_nothing(self, name, monkeypatch):
+        scenario = replace(load_scenario(name), total_bits=40_000)
+        default = simulate(scenario)
+        monkeypatch.setattr(frames, "BLOCK_SAMPLES", 1000)
+        small = simulate(scenario)
+        _assert_same_decisions(small, default)
+        assert small.run_log == default.run_log
+        for x, y in ((small.spectrum_tx, default.spectrum_tx),
+                     (small.spectrum_rx, default.spectrum_rx)):
+            assert np.array_equal(x[1], y[1])
 
-        def keep_tx_shape(*args):
-            # a copy: simulate overwrites its waveform with the TWTA output
-            wave = tx_shape(*args)
-            shaped.append(wave.with_samples(wave.samples.copy()))
-            return wave
 
-        monkeypatch.setattr(pipeline_mod, "tx_shape", keep_tx_shape)
-        result = simulate(replace(load_scenario(name), total_bits=20_000))
-        (wave,) = shaped
-        serial = estimate_psd(wave, min(SPECTRUM_SEGMENT_LEN, len(wave)))
-        assert np.array_equal(result.spectrum_tx[0], serial.frequencies_hz)
-        assert np.array_equal(result.spectrum_tx[1], serial.psd_w_per_hz)
+class TestSpectrumWorker:
+    """The noise draw and the two Welch sums run on two worker threads that
+    end with the run."""
 
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_two_runs_give_identical_spectra(self, name):
@@ -214,24 +305,26 @@ class TestSpectrumWorker:
             assert np.array_equal(x[1], y[1])
         _assert_same_decisions(a, b)
 
-    @pytest.mark.parametrize("lagging", ["noise", "spectra", "tx-spectrum"])
+    @pytest.mark.parametrize("lagging", ["noise", "spectra", "tx-tap"])
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_a_lagging_worker_changes_nothing(self, name, lagging, monkeypatch):
-        # the TWTA and the channel overwrite each block of the transmit
-        # waveform only after its PSD has read it, and take the noise blocks
-        # in order, so a late worker only makes the chain wait
+        # a tap reuses a block only once its consumers are done with it, and
+        # the channel takes the noise blocks in order, so a late worker only
+        # makes the chain wait
         sc = replace(load_scenario(name), total_bits=20_000)
         reference = simulate(sc)
         _lag(monkeypatch, lagging)
         late = simulate(sc)
         _assert_same_decisions(late, reference)
+        assert late.run_log == reference.run_log
         for x, y in ((late.spectrum_tx, reference.spectrum_tx),
                      (late.spectrum_rx, reference.spectrum_rx)):
             assert np.array_equal(x[1], y[1])
 
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_inline_noise_equals_the_noise_worker(self, name):
-        # without spectra no thread starts and the channel draws the noise inline
+        # without spectra no thread starts and the channel draws the noise
+        # inline, over the held waveform; with them awgn-validation streams
         sc = replace(load_scenario(name), total_bits=20_000)
         _assert_same_decisions(simulate(sc), simulate(sc, with_spectra=False))
 
@@ -250,7 +343,7 @@ class TestSpectrumWorker:
         assert result.spectrum_tx[1].size == result.spectrum_rx[1].size == 0
         before = threading.active_count()
         simulate(sc)
-        # the noise worker and the spectra share two workers; whether the
+        # the noise worker and the taps share two workers; whether the
         # second one starts depends on whether the first is still busy
         assert 1 <= len(started) <= 2
         assert threading.active_count() == before
@@ -261,32 +354,32 @@ class TestSpectrumWorker:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("stage, attr", [
-        ("modem.rx_match", "rx_match"),
+        ("modem.rx_match", "RxMatcher"),
         # fails while the noise worker is still advancing or filling its queue
-        ("modem.tx_shape", "tx_shape"),
+        ("modem.tx_shape", "TxShaper"),
     ])
-    def test_failing_stage_is_named_and_thread_ends(self, reference_scenario, monkeypatch,
-                                                    stage, attr):
+    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    def test_failing_stage_is_named_and_thread_ends(self, name, monkeypatch, stage, attr):
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic")
 
         monkeypatch.setattr(pipeline_mod, attr, boom)
         before = threading.active_count()
         with pytest.raises(PipelineError) as info:
-            simulate(replace(reference_scenario, total_bits=20_000))
+            simulate(replace(load_scenario(name), total_bits=20_000))
         assert info.value.stage == stage
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_failing_spectrum_is_named_and_thread_ends(self, name, monkeypatch, tmp_path):
-        # the failing transmit PSD frees the writers that wait for it
+        # the chain feeding a failed tap stops at its next block
         def boom(*args, **kwargs):
             raise ValueError("synthetic")
 
-        monkeypatch.setattr(pipeline_mod, "estimate_psd", boom)
+        monkeypatch.setattr(WelchSum, "add", boom)
         before = threading.active_count()
         with pytest.raises(PipelineError) as info:
-            simulate(replace(load_scenario(name), total_bits=20_000))
+            simulate(replace(load_scenario(name), total_bits=200_000))
         assert info.value.stage == "analysis.spectra"
         assert threading.active_count() == before
         argv = ["simulate", name, "--bits", "20000", "--out", str(tmp_path / "o")]

@@ -563,10 +563,10 @@ class TestSweepHelpers:
                                             jobs):
         import vsatlink.pipeline as pipeline_mod
 
-        def boom(*args):
+        def boom(*args, **kwargs):
             raise RuntimeError("synthetic")
 
-        monkeypatch.setattr(pipeline_mod, "rx_match", boom)
+        monkeypatch.setattr(pipeline_mod, "RxMatcher", boom)
         sc = replace(awgn_scenario, total_bits=10_000)
         with pytest.raises(PipelineError) as info:
             run_sweep(sc, "target_es_n0_db", [10.0, 12.0], jobs=jobs)
@@ -586,13 +586,14 @@ class TestSweepHelpers:
 
         started = []
 
-        def slow_bits(n, seed):
-            # point i draws 20 000 + 4i bits; point 0 fails, the others are slow
+        def slow_bits(n, rng):
+            # point i draws its 20 000 + 4i bits from its generator in one
+            # call (they fit one chain block); point 0 fails, the others are slow
             started.append(n)
             if n == 20_000:
                 raise RuntimeError("synthetic")
             time.sleep(0.2)
-            return generate_bits(n, seed)
+            return generate_bits(n, rng)
 
         sc = replace(awgn_scenario, total_bits=10_000)
         before = threading.active_count()
@@ -993,6 +994,6 @@ class TestPipelineErrorWrapping:
         def interrupt(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(pipeline_mod, "tx_shape", interrupt)
+        monkeypatch.setattr(pipeline_mod, "TxShaper", interrupt)
         with pytest.raises(exc):
             pipeline_mod.simulate(replace(awgn_scenario, total_bits=12_000), with_spectra=False)
