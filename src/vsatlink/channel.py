@@ -90,7 +90,7 @@ AMPLITUDE_RANGE = (-1e6, 1e6)  # volts across 1 ohm
 ROTATION_ROW_SAMPLES = 4096
 
 # Blocks of noise a noise worker may have drawn ahead of the channel (see
-# _NoiseAhead); it draws the next only once the channel has taken one.
+# _NoiseAhead).
 NOISE_AHEAD_BLOCKS = 1
 
 
@@ -299,29 +299,27 @@ def _add_normals(part: np.ndarray, std: float, rng: np.random.Generator,
 
 
 class _NoiseAhead:
-    """The next ``n`` noise samples, drawn on a worker a block at a time.
+    """The imaginary half of the next ``n`` noise samples, drawn on a worker
+    a block at a time.
 
     The stream is ``std * z`` for all ``n`` real parts, then all ``n``
     imaginary parts.  A clone of the channel's generator, made here before
     the channel draws from its own, is advanced by the worker by ``n``
     normals (drawing blocks and dropping them), so that it sits exactly at
     the start of the imaginary half; the worker then draws the imaginary
-    parts block by block.  With ``real`` it draws each block's real parts
-    too, from a second clone, into one complex block; otherwise a block
-    holds the imaginary parts, and the channel draws the real parts from
-    its own generator.  :meth:`next` hands the blocks out in order.  The
-    worker draws a block only once the queue has room for it, so at most
-    :data:`NOISE_AHEAD_BLOCKS` blocks exist ahead of the caller.  It always
-    ends by queueing None, after the last block or in place of the rest.
+    parts block by block, and :meth:`add_next` adds them in order.  The
+    blocks take turns in :data:`NOISE_AHEAD_BLOCKS` block-sized arrays,
+    made as the worker starts, and the worker draws over one only once the
+    caller has added it: the noise's memory does not depend on how the
+    threads interleave.  The worker always ends by queueing None, after the
+    last block or in place of the rest.
     """
 
-    def __init__(self, rng: np.random.Generator, n: int, std: float, pool, real: bool):
+    def __init__(self, rng: np.random.Generator, n: int, std: float, pool):
         import copy
         import queue
         import threading
 
-        self.real = real
-        self._real = copy.deepcopy(rng) if real else None
         self.rng = copy.deepcopy(rng)
         self._n, self._std = n, std
         self._blocks: queue.SimpleQueue = queue.SimpleQueue()
@@ -331,43 +329,31 @@ class _NoiseAhead:
 
     def _produce(self) -> None:
         try:
-            normals = np.empty(min(self._n, frames.BLOCK_SAMPLES))
+            size = min(self._n, frames.BLOCK_SAMPLES)
+            arrays = [np.empty(size) for _ in range(NOISE_AHEAD_BLOCKS)]
             for sl in block_slices(self._n):
                 if self._stop.is_set():
                     return
-                self.rng.standard_normal(out=normals[: sl.stop - sl.start])
-            if self._real is None:
-                del normals  # each imaginary block is drawn into an array of its own
-            for sl in block_slices(self._n):
+                self.rng.standard_normal(out=arrays[0][: sl.stop - sl.start])
+            for k, sl in enumerate(block_slices(self._n)):
                 self._room.acquire()
                 if self._stop.is_set():
                     return
-                if self._real is None:
-                    block = self.rng.standard_normal(sl.stop - sl.start)
-                    block *= self._std
-                else:
-                    z = normals[: sl.stop - sl.start]
-                    block = np.empty(z.size, dtype=np.complex128)
-                    for rng, part in ((self._real, block.real), (self.rng, block.imag)):
-                        rng.standard_normal(out=z)
-                        np.multiply(z, self._std, out=part)
-                self._blocks.put(block)
+                z = arrays[k % len(arrays)][: sl.stop - sl.start]
+                self.rng.standard_normal(out=z)
+                z *= self._std
+                self._blocks.put(z)
         finally:
             self._blocks.put(None)
 
-    def ready(self) -> bool:
-        """Whether :meth:`next` would return without waiting."""
-        return not self._blocks.empty()
-
-    def next(self) -> np.ndarray:
-        """The next block of noise, ``std * z``: complex with ``real``, else
-        the imaginary parts."""
+    def add_next(self, part: np.ndarray) -> None:
+        """``part += `` the next block of imaginary parts, ``std * z``."""
         block = self._blocks.get()
         if block is None:  # the worker ended early: raise its error
             self._done.result()
             raise PipelineError("channel", "the noise worker stopped before the stream ended")
-        self._room.release()
-        return block
+        part += block
+        self._room.release()  # its array is free to draw over
 
     def finish(self) -> np.random.Generator:
         """The generator after the whole stream, once every block is taken."""
@@ -411,14 +397,10 @@ class _Propagation:
     Each call writes one block: in order, on the ``frames.BLOCK_SAMPLES``
     grid counted from the stream's first sample, the grid on which a noise
     worker queues its blocks.  With a noise worker, or at zero noise
-    variance, each block leaves finished and checked.  A call is
-    :meth:`begin` (the signal, and the real parts of the noise unless the
-    worker draws them) then :meth:`end` (the worker's noise, which may have
-    to wait for it, and the I/Q step); a caller may begin a few blocks
-    before it ends the first.  Without a worker (:attr:`inline`) only the
-    signal is written: the noise needs every real part before the first
-    imaginary one, so :meth:`add_inline_noise` adds it, and the I/Q step,
-    to the whole stream afterwards.
+    variance, each block leaves finished and checked.  Without a worker
+    (:attr:`inline`) only the signal is written: the noise needs every real
+    part before the first imaginary one, so :meth:`add_inline_noise` adds
+    it, and the I/Q step, to the whole stream afterwards.
     """
 
     def __init__(self, channel: "SatelliteChannel", plan: ChannelLog, n: int, fs: float,
@@ -437,13 +419,6 @@ class _Propagation:
     def __call__(self, first: int, src: np.ndarray, dst: np.ndarray) -> None:
         """Write the output for the samples ``first, first + 1, ...`` of the
         stream, the TWTA output ``src``, into ``dst`` (which may be ``src``)."""
-        self.begin(first, src, dst)
-        if not self.inline:
-            self.end(dst)
-
-    def begin(self, first: int, src: np.ndarray, dst: np.ndarray) -> None:
-        """The first part of a call: ``rotate(gain * src)`` and, unless the
-        worker draws them, the real parts of its noise."""
         if self._rotation is None and src is not dst:
             np.multiply(src, self._plan.gain, out=dst)
         else:
@@ -455,32 +430,23 @@ class _Propagation:
                 dst[...] = signal
             else:
                 self._rotation.apply(first, signal, dst)
-        if self._noise is not None and not self._noise.real:
+        if self.inline:
+            return
+        channel, noise = self._channel, self._noise
+        if noise is not None:
             self._add_normals(dst.real)
+            noise.add_next(dst.imag)
+        _iq_imbalance(dst, channel.impairments)
+        _check_finite(dst)
+        self._written += dst.size
+        if noise is not None and self._written == self._n:
+            channel._rng = noise.finish()
 
     def _add_normals(self, part: np.ndarray) -> None:
         """``part += std * z``, the next normals of the channel's generator."""
         if self._normals is None:
             self._normals = np.empty(min(self._n, frames.BLOCK_SAMPLES))
         _add_normals(part, self._std, self._channel._rng, self._normals)
-
-    def ready(self) -> bool:
-        """Whether :meth:`end` would go ahead without waiting for the worker."""
-        return self._noise is None or self._noise.ready()
-
-    def end(self, dst: np.ndarray) -> None:
-        """The rest of a call, for the blocks in the order they began."""
-        channel, noise = self._channel, self._noise
-        if noise is not None:
-            if noise.real:
-                dst += noise.next()
-            else:
-                dst.imag += noise.next()
-        _iq_imbalance(dst, channel.impairments)
-        _check_finite(dst)
-        self._written += dst.size
-        if noise is not None and self._written == self._n:
-            channel._rng = noise.finish()
 
     def add_inline_noise(self, samples: np.ndarray) -> None:
         """Add the noise, real parts then imaginary parts, and the I/Q step
@@ -583,17 +549,15 @@ class SatelliteChannel:
             return 0.0
         return self.reference_symbol_power / 10.0 ** (self.target_es_n0_db / 10.0)
 
-    def noise_ahead(self, pool, n: int, sample_rate_hz: float,
-                    real: bool = False) -> Optional[_NoiseAhead]:
+    def noise_ahead(self, pool, n: int, sample_rate_hz: float) -> Optional[_NoiseAhead]:
         """Start a worker on ``pool`` that draws the imaginary half of the next
-        ``n`` noise samples ahead (and, with ``real``, the real half too), for
-        :meth:`propagate` over ``n`` samples; None at zero noise variance,
-        where nothing is drawn.  The caller calls its ``close`` before the
-        pool shuts down."""
+        ``n`` noise samples ahead, for :meth:`propagate` over ``n`` samples;
+        None at zero noise variance, where nothing is drawn.  The caller
+        calls its ``close`` before the pool shuts down."""
         variance = self._noise_variance(sample_rate_hz)
         if variance == 0.0:
             return None
-        return _NoiseAhead(self._rng, n, np.sqrt(variance / 2.0), pool, real)
+        return _NoiseAhead(self._rng, n, np.sqrt(variance / 2.0), pool)
 
     @property
     def plan_reads_powers(self) -> bool:

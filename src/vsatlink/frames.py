@@ -79,14 +79,15 @@ class PowerSum:
     """:attr:`ComplexFrame.mean_power` of a stream of ``n`` samples fed in
     order, in any pieces.  The leaves are fixed by ``n``, not by the pieces:
     a leaf that spans two pieces is gathered in a leaf-sized buffer, and
-    each leaf's ``|x|**2`` is summed by numpy as the whole-frame sum does."""
+    each leaf's ``|x|**2`` is summed by numpy as the whole-frame sum does,
+    in one reused leaf-sized array."""
 
     def __init__(self, n: int):
         self._n = n
         self._sizes = _leaf_sizes(n)
-        self._leaf = np.empty(min(n, MEAN_POWER_LEAF_SAMPLES), dtype=np.complex128)
         self._size = next(self._sizes, 0)  # of the leaf being gathered
         self._fill = 0
+        self._leaf = self._power = None  # leaf-sized scratch, made on first use
         self._sums: list[float] = []
 
     def add(self, x: np.ndarray) -> None:
@@ -98,17 +99,22 @@ class PowerSum:
             if self._fill == 0 and take == self._size:
                 leaf = x[:take]  # a whole leaf in place: no copy
             else:
+                if self._leaf is None:
+                    self._leaf = np.empty(min(self._n, MEAN_POWER_LEAF_SAMPLES),
+                                          dtype=np.complex128)
                 self._leaf[self._fill : self._fill + take] = x[:take]
                 leaf = self._leaf[: self._fill + take]
             x = x[take:]
             self._fill += take
             if self._fill == self._size:
-                power = np.abs(leaf)
+                if self._power is None:
+                    self._power = np.empty(min(self._n, MEAN_POWER_LEAF_SAMPLES))
+                power = np.abs(leaf, out=self._power[: self._size])
                 np.multiply(power, power, out=power)
                 self._sums.append(float(np.add.reduce(power)))
                 self._size, self._fill = next(self._sizes, 0), 0
                 if not self._size:
-                    self._leaf = None  # the stream is complete
+                    self._leaf = self._power = None  # the stream is complete
 
     @property
     def mean(self) -> float:

@@ -11,8 +11,7 @@ e.g. ``0000 -> -3-3j``, ``1010 -> +3+3j``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -76,19 +75,19 @@ class ModemConfig(CheckedConfig):
         if self.filter_span_symbols % 2:
             raise ParameterError("filter_span_symbols must be even")
 
-    @cached_property
+    @property
     def bits_per_symbol(self) -> int:
         return int(round(np.log2(self.m_ary)))
 
-    @cached_property
+    @property
     def levels_per_axis(self) -> int:
         return int(round(np.sqrt(self.m_ary)))
 
-    @cached_property
+    @property
     def symbol_rate_hz(self) -> float:
         return 1.0 / (self.bits_per_symbol * self.bit_sample_time_s)
 
-    @cached_property
+    @property
     def sample_rate_hz(self) -> float:
         """Waveform rate after pulse shaping."""
         return self.symbol_rate_hz * self.samples_per_symbol
@@ -98,7 +97,7 @@ class ModemConfig(CheckedConfig):
         k = np.arange(self.levels_per_axis)
         return (2 * k - (self.levels_per_axis - 1)) * (self.min_distance / 2.0)
 
-    @cached_property
+    @property
     def mean_symbol_power(self) -> float:
         """Mean |s|^2 over the constellation (10.0 for M=16, d=2)."""
         pts = constellation_points(self)
@@ -133,6 +132,28 @@ def generate_bits(n: int, seed: int) -> BitFrame:
     return _unchecked(BitFrame, (rng.random(n) < 0.5).astype(np.int8))
 
 
+def _qam_tables(cfg: ModemConfig) -> tuple[np.ndarray, ...]:
+    """The tables :func:`qam_modulate` and :func:`qam_demodulate` look up:
+    the label weights (first bit the MSB), the lattice points by label, the
+    decision boundaries of one axis, the axis codes and the bits of each
+    label.  Built once per mapping, as ``simulate`` maps and decides a run
+    block by block."""
+    key = (cfg.m_ary, cfg.min_distance, cfg.gray_coding)
+    tables = _QAM_TABLES.get(key)
+    if tables is None:
+        k = cfg.bits_per_symbol
+        weights = 1 << np.arange(k - 1, -1, -1)
+        lv = cfg.axis_levels
+        label_bits = (np.arange(cfg.m_ary)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        tables = _QAM_TABLES[key] = (weights, constellation_points(cfg), (lv[:-1] + lv[1:]) / 2.0,
+                                     _axis_codes(cfg), label_bits.astype(np.int8))
+    return tables
+
+
+# _qam_tables by (m_ary, min_distance, gray_coding)
+_QAM_TABLES: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+
 def qam_modulate(bits: BitFrame, cfg: ModemConfig) -> ComplexFrame:
     """Map a bit frame to one lattice point per ``log2(M)`` bits.
 
@@ -144,8 +165,9 @@ def qam_modulate(bits: BitFrame, cfg: ModemConfig) -> ComplexFrame:
         raise FramingError(
             f"bit count {b.size} is not divisible by bits/symbol {k}"
         )
-    labels = b.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))  # first bit is the MSB
-    return _unchecked(ComplexFrame, constellation_points(cfg)[labels], cfg.symbol_rate_hz)
+    weights, points = _qam_tables(cfg)[:2]
+    labels = b.reshape(-1, k) @ weights
+    return _unchecked(ComplexFrame, points[labels], cfg.symbol_rate_hz)
 
 
 def qam_demodulate(symbols: ComplexFrame, cfg: ModemConfig) -> BitFrame:
@@ -157,15 +179,11 @@ def qam_demodulate(symbols: ComplexFrame, cfg: ModemConfig) -> BitFrame:
     the inverse of :func:`constellation_points`.
     """
     s = symbols.samples
-    k = cfg.bits_per_symbol
-    lv = cfg.axis_levels
-    boundaries = (lv[:-1] + lv[1:]) / 2.0
-    codes = _axis_codes(cfg)
+    boundaries, codes, label_bits = _qam_tables(cfg)[2:]
     li = np.searchsorted(boundaries, s.real, side="left")
     lq = np.searchsorted(boundaries, s.imag, side="left")
-    labels = codes[li] << k // 2 | codes[lq]
-    label_bits = (np.arange(cfg.m_ary)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return _unchecked(BitFrame, label_bits.astype(np.int8).take(labels, axis=0).reshape(-1))
+    labels = codes[li] << cfg.bits_per_symbol // 2 | codes[lq]
+    return _unchecked(BitFrame, label_bits.take(labels, axis=0).reshape(-1))
 
 
 def rrc_taps(cfg: ModemConfig) -> np.ndarray:
@@ -233,11 +251,12 @@ class _OverlapSave:
         self._first = 0  # the first output row of the segment being filled
         self._rotation = rotation
 
-    def feed(self, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    def feed(self, x: np.ndarray):
         """Take the next ``x.size`` input samples; yield ``(j, rows)`` for each
-        segment they complete, ``rows`` being output rows ``j, j + 1, ...``
-        (valid until the next step of the iteration).  The piece that ends
-        the input yields every remaining row."""
+        segment they complete, ``rows`` being output rows ``j, j + 1, ...``:
+        a view of an array made for that segment, which the filter does not
+        touch again.  The piece that ends the input yields every remaining
+        row."""
         k, span, seg = FFT_BLOCK_SYMBOLS, self._span, self._seg
         while self._first < self._n_out:
             take = min(x.size, seg.size - self._fill)
@@ -291,9 +310,9 @@ class TxShaper:
         self._rows = n_symbols + cfg.filter_span_symbols
         self._filter = _OverlapSave(_tx_taps(cfg), 1, 0, n_symbols, self._rows)
 
-    def feed(self, symbols: np.ndarray) -> Iterator[np.ndarray]:
+    def feed(self, symbols: np.ndarray):
         """Take the next symbols; yield each block of rows they complete (a
-        view, valid until the next step of the iteration)."""
+        view the shaper does not touch again)."""
         for first, rows in self._filter.feed(symbols):
             if first + len(rows) == self._rows:
                 rows[-1, 1:] = 0.0  # the sps - 1 positions no tap reaches
@@ -324,13 +343,14 @@ class RxMatcher:
         n_out = (n_samples + group_delay_samples - 1) // sps + 1
         self._filter = _OverlapSave(_rx_taps(cfg), sps, sps - 1, n_samples, n_out, rotation)
 
-    def feed(self, samples: np.ndarray) -> Iterator[np.ndarray]:
-        """Take the next samples; yield each piece of symbols they complete."""
+    def feed(self, samples: np.ndarray):
+        """Take the next samples; yield each piece of symbols they complete,
+        which the matcher does not touch again."""
         for _, rows in self._filter.feed(samples):
             yield rows.reshape(-1)
 
 
-def _joined(pieces: Iterator[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+def _joined(pieces, shape: tuple[int, ...]) -> np.ndarray:
     """The rows of ``pieces`` in one array of ``shape``, flattened."""
     out = np.empty(shape, dtype=np.complex128)
     filled = 0

@@ -9,11 +9,9 @@ sweep of ``seed`` itself gives one run per swept value.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -65,13 +63,6 @@ SNAPSHOT_POINTS_DEFAULT = 1024
 SPECTRUM_SEGMENT_LEN = 1024
 # Blocks a tap's worker may have waiting (see _Tap)
 TAP_BLOCKS = 1
-# Channel blocks a streamed run begins while its first waits for the noise
-# worker, whose clone of the generator must first draw as many normals as
-# the real half of the noise (see channel._NoiseAhead); after that a block
-# ends as soon as its noise is drawn.  A fixed count, so that the look-ahead
-# does not grow with the run: it hides part of the advance (28 ms at 1e6
-# bits on 2 CPUs), not all of it.
-LOOK_AHEAD_BLOCKS = 4
 # a start:stop:step grid longer than this is refused before it is built
 MAX_SWEEP_POINTS = 10_000
 
@@ -171,13 +162,14 @@ class _Tap:
     worker, one block at a time, or at once when ``pool`` is None.  At most
     :data:`TAP_BLOCKS` blocks wait for the worker: a feeder at a full tap
     waits, so a lagging worker holds up the chain, not memory.  A tap never
-    copies a block: the feeder hands it over and leaves it alone until the
-    tap hands it back.  With ``hand_back`` it does, in feed order, once the
-    consumers are done with it: :meth:`spent` returns those blocks, and
+    copies a block: the feeder hands it over and writes no more to it until
+    the tap hands it back.  With ``hand_back`` it does, in feed order, once
+    the consumers are done with it: :meth:`spent` returns those blocks, and
     :meth:`spare` reuses one, so that the chain does not allocate (and
     fault in) new blocks as it runs."""
 
     def __init__(self, pool, consumers: list, hand_back: bool = True):
+        import collections
         import threading
 
         self._pool, self._consumers = pool, consumers
@@ -185,6 +177,7 @@ class _Tap:
         self._room = threading.Semaphore(TAP_BLOCKS)
         self._blocks: collections.deque = collections.deque()
         self._spent: collections.deque | None = collections.deque() if hand_back else None
+        self._made = 0  # blocks made by spare
         self._task = None  # the drain that takes the blocks, while there are any
         self._error: Exception | None = None
         self._closed = False
@@ -233,10 +226,15 @@ class _Tap:
         return blocks
 
     def spare(self, size: int) -> np.ndarray:
-        """An array of ``size`` samples to fill: a block handed back, or a
-        new one."""
-        block = self._spent.popleft() if self._spent else np.empty(0, dtype=np.complex128)
-        return block[:size] if block.size >= size else np.empty(size, dtype=np.complex128)
+        """An array of ``size`` samples to fill, for a feeder that takes one
+        before each feed.  The first :data:`TAP_BLOCKS` + 1 are new, as many
+        as such a feeder has out at once; then it is the oldest block handed
+        back, which a feed that has returned guarantees.  So the blocks a run
+        makes do not depend on how fast the worker is."""
+        if self._made <= TAP_BLOCKS:
+            self._made += 1
+            return np.empty(size, dtype=np.complex128)
+        return self._spent.popleft()[:size]
 
     def join(self) -> None:
         """Return once every fed block is consumed; raise a consumer's error."""
@@ -277,6 +275,8 @@ class _ErrorCount:
     bits not yet compared are kept, packed eight to a byte."""
 
     def __init__(self, n: int, lag: int):
+        import collections
+
         self._n, self._lag = n, lag
         self._waiting: collections.deque = collections.deque()  # (packed, count)
         self._sent = np.empty(0, dtype=np.uint8)  # unpacked head of the waiting bits
@@ -317,11 +317,10 @@ def _copy_flat(rows: np.ndarray, first: int, dst: np.ndarray) -> None:
         dst[whole * width :] = rows[r + whole, :tail]
 
 
-def _block_grid(pieces: Iterator[np.ndarray], n: int,
-                new_block: Callable[[int, int], np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-    """``(start, block)`` for the ``n`` samples of ``pieces`` (arrays whose
-    rows, joined, continue the stream) cut on the ``BLOCK_SAMPLES`` grid,
-    each block the array ``new_block(start, size)``."""
+def _block_grid(pieces, n: int, new_block):
+    """Yield ``(start, block)`` for the ``n`` samples of the iterable
+    ``pieces`` (arrays whose rows, joined, continue the stream) cut on the
+    ``BLOCK_SAMPLES`` grid, each block the array ``new_block(start, size)``."""
     start, block, fill = 0, None, 0
     for rows in pieces:
         done = 0
@@ -347,6 +346,7 @@ class _Receiver:
                  derotate: tuple[float, float] | None, agc_reference: float, n: int,
                  skip: int, points: int, tap: _Tap, errors: _ErrorCount):
         self._cfg, self._tap, self._errors = cfg, tap, errors
+        self._rates = cfg.sample_rate_hz, cfg.symbol_rate_hz
         self._dc = DcOffsetCompensator() if comp.dc else None
         self._agc = None
         if comp.agc:
@@ -364,8 +364,8 @@ class _Receiver:
     def __call__(self, start: int, block: np.ndarray) -> None:
         """Take the channel output samples ``start, start + 1, ...``; the
         block then belongs to the receive tap."""
-        cfg = self._cfg
-        frame = _unchecked(ComplexFrame, block, cfg.sample_rate_hz, start)
+        cfg, (fs, rs) = self._cfg, self._rates
+        frame = _unchecked(ComplexFrame, block, fs, start)
         if self._dc is not None:
             with _stage("receiver.dc_offset_remove"):
                 self._dc.process_in_place(frame)
@@ -383,10 +383,11 @@ class _Receiver:
             self._tap.feed(block)
         if not pieces:
             return
+        # one decision per block: each piece is an array of its own
         symbols = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
         self.shown_post.add(symbols)
         with _stage("modem.qam_demodulate"):
-            bits = qam_demodulate(_unchecked(ComplexFrame, symbols, cfg.symbol_rate_hz), cfg)
+            bits = qam_demodulate(_unchecked(ComplexFrame, symbols, rs), cfg)
         with _stage("analysis.measure_ber"):
             self._errors.received(bits.bits)
 
@@ -404,10 +405,10 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
     imaginary one.  The transmit side then fills the held array, the TWTA
     overwrites each block once the transmit tap has read it, the plan is
     made from the summed powers, and the receive side reads the array block
-    by block; the noise worker, idle until then, draws both halves of the
-    noise.  Otherwise each block passes the whole chain as it is made: the
-    plan is known up front, its powers are logged from the sums at the end,
-    and the worker draws only the imaginary half, the chain the real one.
+    by block.  Otherwise each block passes the whole chain as it is made:
+    the plan is known up front, and its powers are logged from the sums at
+    the end.  Either way a noise worker, where there is one, draws the
+    noise.
     """
     cfg = scenario.modem
     if snapshot_points <= 0:
@@ -435,9 +436,7 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
         plan = channel.plan(1.0, 1.0, fs)  # the gain and noise when no power is read
         held = channel.plan_reads_powers or comp.agc or (
             pool is None and plan.noise_variance_w != 0.0)
-        # a held run's worker waits for the transmit side, so it has the time
-        # to draw the real parts too; a streamed run's worker does not
-        noise = channel.noise_ahead(pool, n, fs, real=held) if pool is not None else None
+        noise = channel.noise_ahead(pool, n, fs) if pool is not None else None
         if noise is not None:
             run.callback(noise.close)
 
@@ -470,10 +469,10 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
         return _Receiver(cfg, comp, derotate, plan.input_power_w + plan.noise_variance_w, n,
                          skip, snapshot_points, taps[1], errors)
 
-    def transmitted(new_block) -> Iterator[tuple[int, np.ndarray]]:
-        """The transmit waveform's blocks, filled into ``new_block(start,
+    def transmitted(new_block):
+        """Yield the transmit waveform's blocks, filled into ``new_block(start,
         size)``; their bits wait in ``errors``.  The caller hands each block
-        to the transmit tap once it is done with it."""
+        to the transmit tap, and writes no more to it."""
         rng = np.random.default_rng(bits_seed)
         chunk = max(frames.BLOCK_SAMPLES // sps, 1)  # symbols
         with _stage("modem.tx_shape"):
@@ -535,32 +534,16 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
     else:
         link = channel.propagation(plan, n, fs, noise)
         receive = receiver(plan)
-        begun: collections.deque = collections.deque()  # channel blocks not yet ended
-
-        def end_first() -> None:
-            start, out = begun.popleft()
-            with _stage("channel.run"):
-                link.end(out)
-            receive(start, out)
-
-        for k, (start, block) in enumerate(transmitted(lambda start, size: taps[0].spare(size))):
+        for start, block in transmitted(lambda start, size: taps[0].spare(size)):
+            with _stage("analysis.spectra"):
+                taps[0].feed(block)  # the chain only reads it from here on
             with _stage("channel.run"):
                 out = taps[1].spare(block.size)
                 if p_sig is not None:
                     channel.amplify_block(block, out)
                     p_sig.add(out)
-                link.begin(start, block if p_sig is None else out, out)
-            with _stage("analysis.spectra"):
-                taps[0].feed(block)
-            begun.append((start, out))
-            # the first block waits for the noise worker's advance, and
-            # LOOK_AHEAD_BLOCKS more begin meanwhile; after that a block ends
-            # as soon as its noise is drawn
-            while len(begun) > LOOK_AHEAD_BLOCKS or (
-                    begun and k >= LOOK_AHEAD_BLOCKS and link.ready()):
-                end_first()
-        while begun:
-            end_first()
+                link(start, block if p_sig is None else out, out)
+            receive(start, out)
         with _stage("analysis.spectra"):
             taps[0].join()
         with _stage("channel.run"):

@@ -480,18 +480,11 @@ class _ThreadPerTask:
         return future
 
 
-# the noise drawn inline, its imaginary half on a worker, or both halves there
-AHEAD = [None, "imag", "both"]
-AHEAD_IDS = ["inline", "worker", "worker-both"]
-
-
 def _propagated(chan, y, ahead):
     """``chan``'s two steps over ``y``, the noise drawn ahead on a worker
-    thread when ``ahead``: its imaginary half, or ``"both"`` halves."""
+    thread when ``ahead``."""
     with ThreadPoolExecutor(1) as pool:
-        noise = None
-        if ahead:
-            noise = chan.noise_ahead(pool, len(y), y.sample_rate_hz, real=ahead == "both")
+        noise = chan.noise_ahead(pool, len(y), y.sample_rate_hz) if ahead else None
         try:
             return chan.propagate(y, chan.amplify(y), noise=noise)
         finally:
@@ -525,7 +518,7 @@ class TestInPlaceSteps:
         assert np.array_equal(x.samples, kept)  # run leaves its input alone
         again = reference.run(x)[0].samples
 
-        for ahead in AHEAD:
+        for ahead in (False, True):
             chan = _scenario_channel(scenario)
             y = ComplexFrame(kept.copy(), x.sample_rate_hz, x.start_sample)
             stepped = _propagated(chan, y, ahead)
@@ -534,7 +527,7 @@ class TestInPlaceSteps:
             # the noise stream carries on from where the worker left it
             assert np.array_equal(chan.run(x)[0].samples, again), ahead
 
-    @pytest.mark.parametrize("ahead", AHEAD, ids=AHEAD_IDS)
+    @pytest.mark.parametrize("ahead", [False, True], ids=["inline", "worker"])
     @pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default"])
     def test_output_is_the_signal_plus_the_documented_noise(self, monkeypatch, block, ahead):
         # every real part of the stream is drawn before every imaginary part
@@ -560,34 +553,32 @@ class TestInPlaceSteps:
                 raise MemoryError("synthetic")
 
         with ThreadPoolExecutor(1) as pool:
-            noise = _NoiseAhead(FailingGenerator(), 1000, 1.0, pool, False)
+            noise = _NoiseAhead(FailingGenerator(), 1000, 1.0, pool)
             with pytest.raises(MemoryError, match="synthetic"):
-                noise.next()
+                noise.add_next(np.zeros(1000))
             noise.close()
 
-    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("taken", [0, 1, 99])
-    def test_close_ends_the_worker_whatever_was_taken(self, monkeypatch, taken, real):
+    def test_close_ends_the_worker_whatever_was_taken(self, monkeypatch, taken):
         # a run that fails before or while the channel takes the noise closes
         # it; a worker left waiting on a full queue would hang the pool's shutdown
         monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", 64)
         pool = _ThreadPerTask()
-        noise = _NoiseAhead(np.random.default_rng(1), 64 * 100, 1.0, pool, real)
+        noise = _NoiseAhead(np.random.default_rng(1), 64 * 100, 1.0, pool)
         for _ in range(taken):
-            noise.next()
+            noise.add_next(np.zeros(64))
         time.sleep(0.05)  # the worker fills the queue and waits
         noise.close()
         (worker,) = pool.threads
         worker.join(timeout=10)
         assert not worker.is_alive()
 
-    @pytest.mark.parametrize("ahead", AHEAD, ids=AHEAD_IDS)
+    @pytest.mark.parametrize("ahead", [False, True], ids=["inline", "worker"])
     @pytest.mark.parametrize("block", [7, None], ids=["block-7", "default"])
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_propagation_by_blocks_equals_propagate(self, monkeypatch, name, block, ahead):
-        # a streaming caller writes each block into an array of its own, may
-        # begin a few blocks before it ends the first, and adds the inline
-        # noise to the whole stream at the end
+        # a streaming caller writes each block into an array of its own and
+        # adds the inline noise to the whole stream at the end
         x, scenario = self._frame_and_scenario(name, noise_temperature_k=1e6,
                                                iq_amplitude_imbalance_db=0.8)
         if block is not None:
@@ -604,22 +595,13 @@ class TestInPlaceSteps:
             chan.amplify_block(x.samples[sl], twta[sl])
         out = np.empty_like(twta)
         with ThreadPoolExecutor(1) as pool:
-            noise = None
-            if ahead:
-                noise = chan.noise_ahead(pool, len(x), x.sample_rate_hz, real=ahead == "both")
+            noise = chan.noise_ahead(pool, len(x), x.sample_rate_hz) if ahead else None
             step = chan.propagation(plan, len(x), x.sample_rate_hz, noise, x.start_sample)
-            begun = []
             for sl in vsatlink.frames.block_slices(len(x)):
-                step.begin(sl.start, twta[sl], out[sl])
-                begun.append(out[sl])
-                if not step.inline and len(begun) > 3:
-                    step.end(begun.pop(0))
+                step(sl.start, twta[sl], out[sl])
             if step.inline:
                 step.add_inline_noise(out)
-            else:
-                for blk in begun:
-                    step.end(blk)
-        assert step.inline is (ahead is None)
+        assert step.inline is not ahead
         assert np.array_equal(out, expected)
         # the noise stream carries on from where the blocks left it
         assert np.array_equal(chan.run(x)[0].samples, reference.run(x)[0].samples)

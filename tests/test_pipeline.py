@@ -172,10 +172,11 @@ class TestMemory:
         assert large <= 1.1 * small, f"{small / 1e6:.2f} MB -> {large / 1e6:.2f} MB"
         assert small <= 0.75 * _waveform_bytes(awgn_scenario, 1_000_000)
 
-    def test_held_peak_is_one_waveform_and_block_scratch(self, reference_scenario):
-        ratio = _peak(reference_scenario, 1_000_000) / _waveform_bytes(reference_scenario,
-                                                                        1_000_000)
-        assert ratio <= 1.3, f"peak {ratio:.3f} waveforms"
+    # a short run is where the chain's block scratch weighs most
+    @pytest.mark.parametrize("bits, bound", [(200_000, 2.25), (1_000_000, 1.3)])
+    def test_held_peak_is_one_waveform_and_block_scratch(self, reference_scenario, bits, bound):
+        ratio = _peak(reference_scenario, bits) / _waveform_bytes(reference_scenario, bits)
+        assert ratio <= bound, f"peak {ratio:.3f} waveforms"
 
     @pytest.mark.parametrize("worker", ["noise", "spectra", "tx-tap"])
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
