@@ -43,9 +43,10 @@ passes cannot merge; elsewhere the plan is known before the first sample,
 and each block can take both passes as it arrives.  The noise stream is
 ``std * z`` for all real parts, then all imaginary parts.
 A run without a worker writes the signal, then adds the real half and
-then the imaginary half in two sweeps; a run with one
+then the imaginary half in two sweeps; a run with a pool
 (:meth:`SatelliteChannel.noise_ahead`) adds each block's noise as it
-writes it.  Either way each sample takes the one sum ``signal +
+writes it, the imaginary parts drawn one block ahead, one pool task per
+block.  Either way each sample takes the one sum ``signal +
 noise`` of the chain run in stage order, possibly with its operands
 swapped; IEEE addition commutes, so the output keeps its bits.
 """
@@ -88,10 +89,6 @@ AMPLITUDE_RANGE = (-1e6, 1e6)  # volts across 1 ohm
 # anchored at global sample 0, so the table does not depend on
 # frames.BLOCK_SAMPLES or on how a stream is split into frames.
 ROTATION_ROW_SAMPLES = 4096
-
-# Blocks of noise a noise worker may have drawn ahead of the channel (see
-# _NoiseAhead).
-NOISE_AHEAD_BLOCKS = 1
 
 
 def _db_to_amplitude(db: float) -> float:
@@ -299,72 +296,59 @@ def _add_normals(part: np.ndarray, std: float, rng: np.random.Generator,
 
 
 class _NoiseAhead:
-    """The imaginary half of the next ``n`` noise samples, drawn on a worker
-    a block at a time.
+    """The imaginary half of the next ``n`` noise samples, drawn on a pool
+    worker a block at a time, one task per block.
 
     The stream is ``std * z`` for all ``n`` real parts, then all ``n``
     imaginary parts.  A clone of the channel's generator, made here before
-    the channel draws from its own, is advanced by the worker by ``n``
-    normals (drawing blocks and dropping them), so that it sits exactly at
-    the start of the imaginary half; the worker then draws the imaginary
-    parts block by block, and :meth:`add_next` adds them in order.  The
-    blocks take turns in :data:`NOISE_AHEAD_BLOCKS` block-sized arrays,
-    made as the worker starts, and the worker draws over one only once the
-    caller has added it: the noise's memory does not depend on how the
-    threads interleave.  The worker always ends by queueing None, after the
-    last block or in place of the rest.
+    the channel draws from its own, is first advanced by ``n`` normals
+    (drawing blocks and dropping them), so that it sits exactly at the
+    start of the imaginary half; that task then draws the first block of
+    imaginary parts.  :meth:`add_next` adds the drawn block and only then
+    submits the next draw, into the same block-sized array: at most one
+    task is in flight, so the noise's memory does not depend on how the
+    threads interleave.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, std: float, pool):
         import copy
-        import queue
-        import threading
 
         self.rng = copy.deepcopy(rng)
-        self._n, self._std = n, std
-        self._blocks: queue.SimpleQueue = queue.SimpleQueue()
-        self._room = threading.Semaphore(NOISE_AHEAD_BLOCKS)
-        self._stop = threading.Event()
-        self._done = pool.submit(self._produce)
+        """The generator; past the whole stream once every block is added."""
+        self._n, self._std, self._pool = n, std, pool
+        self._z = np.empty(min(n, frames.BLOCK_SAMPLES))
+        self._taken = 0
+        self._closed = False
+        self._drawn = pool.submit(self._advance)
 
-    def _produce(self) -> None:
-        try:
-            size = min(self._n, frames.BLOCK_SAMPLES)
-            arrays = [np.empty(size) for _ in range(NOISE_AHEAD_BLOCKS)]
-            for sl in block_slices(self._n):
-                if self._stop.is_set():
-                    return
-                self.rng.standard_normal(out=arrays[0][: sl.stop - sl.start])
-            for k, sl in enumerate(block_slices(self._n)):
-                self._room.acquire()
-                if self._stop.is_set():
-                    return
-                z = arrays[k % len(arrays)][: sl.stop - sl.start]
-                self.rng.standard_normal(out=z)
-                z *= self._std
-                self._blocks.put(z)
-        finally:
-            self._blocks.put(None)
+    def _advance(self) -> Optional[np.ndarray]:
+        """Draw past the real half, looking for a close before each block,
+        then draw the first block of imaginary parts."""
+        for sl in block_slices(self._n):
+            if self._closed:
+                return None
+            self.rng.standard_normal(out=self._z[: sl.stop - sl.start])
+        return self._draw(self._z.size)
+
+    def _draw(self, size: int) -> np.ndarray:
+        z = self._z[:size]
+        self.rng.standard_normal(out=z)
+        z *= self._std
+        return z
 
     def add_next(self, part: np.ndarray) -> None:
-        """``part += `` the next block of imaginary parts, ``std * z``."""
-        block = self._blocks.get()
-        if block is None:  # the worker ended early: raise its error
-            self._done.result()
-            raise PipelineError("channel", "the noise worker stopped before the stream ended")
-        part += block
-        self._room.release()  # its array is free to draw over
-
-    def finish(self) -> np.random.Generator:
-        """The generator after the whole stream, once every block is taken."""
-        self._done.result()
-        return self.rng
+        """``part += `` the next block of imaginary parts, ``std * z``; raise
+        the error of a draw that failed."""
+        part += self._drawn.result()
+        self._taken += part.size
+        if self._taken < self._n:
+            size = min(self._n - self._taken, frames.BLOCK_SAMPLES)
+            self._drawn = self._pool.submit(self._draw, size)
 
     def close(self) -> None:
-        """Stop the worker and free it, whatever the caller has taken: a
-        worker waiting for room is let through, sees the stop and ends."""
-        self._stop.set()
-        self._room.release()
+        """Stop an advance that is still running, at its next block; a
+        block's draw in flight ends by itself."""
+        self._closed = True
 
 
 def _iq_imbalance(samples: np.ndarray, cfg: ImpairmentConfig) -> None:
@@ -396,7 +380,7 @@ class _Propagation:
 
     Each call writes one block: in order, on the ``frames.BLOCK_SAMPLES``
     grid counted from the stream's first sample, the grid on which a noise
-    worker queues its blocks.  With a noise worker, or at zero noise
+    worker draws its blocks.  With a noise worker, or at zero noise
     variance, each block leaves finished and checked.  Without a worker
     (:attr:`inline`) only the signal is written: the noise needs every real
     part before the first imaginary one, so :meth:`add_inline_noise` adds
@@ -419,17 +403,14 @@ class _Propagation:
     def __call__(self, first: int, src: np.ndarray, dst: np.ndarray) -> None:
         """Write the output for the samples ``first, first + 1, ...`` of the
         stream, the TWTA output ``src``, into ``dst`` (which may be ``src``)."""
-        if self._rotation is None and src is not dst:
+        if self._rotation is None:
             np.multiply(src, self._plan.gain, out=dst)
         else:
-            # in place, or rotated from a scaled copy that is neither operand
+            # rotated from a scaled copy that is neither operand
             if self._scaled is None:
                 self._scaled = np.empty(min(self._n, frames.BLOCK_SAMPLES), dtype=np.complex128)
             signal = np.multiply(src, self._plan.gain, out=self._scaled[: src.size])
-            if self._rotation is None:
-                dst[...] = signal
-            else:
-                self._rotation.apply(first, signal, dst)
+            self._rotation.apply(first, signal, dst)
         if self.inline:
             return
         channel, noise = self._channel, self._noise
@@ -440,7 +421,7 @@ class _Propagation:
         _check_finite(dst)
         self._written += dst.size
         if noise is not None and self._written == self._n:
-            channel._rng = noise.finish()
+            channel._rng = noise.rng
 
     def _add_normals(self, part: np.ndarray) -> None:
         """``part += std * z``, the next normals of the channel's generator."""

@@ -29,7 +29,7 @@ from .analysis import (  # noqa: F401
 )
 from .channel import ChannelLog, SatelliteChannel
 from .errors import ParameterError, PipelineError
-from .frames import ComplexFrame, PowerSum, _unchecked
+from .frames import MEAN_POWER_LEAF_SAMPLES, ComplexFrame, PowerSum, _unchecked
 from .linkbudget import LinkBudgetReport, compute_budget
 from .modem import (  # noqa: F401
     ModemConfig,
@@ -61,8 +61,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 SNAPSHOT_POINTS_DEFAULT = 1024
 SPECTRUM_SEGMENT_LEN = 1024
-# Blocks a tap's worker may have waiting (see _Tap)
-TAP_BLOCKS = 1
 # a start:stop:step grid longer than this is refused before it is built
 MAX_SWEEP_POINTS = 10_000
 
@@ -144,12 +142,14 @@ def simulate(
     the two spectra and the snapshots are taken from the blocks as they pass.
 
     No waveform-sized array exists, unless the run must hold the TWTA output
-    (see :func:`_simulate`).  With ``with_spectra`` two worker threads run
-    beside the chain (numpy's normal draws, FFTs and ufuncs release the
-    GIL): one draws the channel noise ahead, and the other feeds the blocks
-    in order to the running transmit power and the two running Welch sums.
-    The threads are shut down before this returns or raises.  Without, no
-    thread starts.
+    (see :func:`_simulate`).  With ``with_spectra`` a pool of two worker
+    threads runs beside the chain (numpy's normal draws, FFTs and ufuncs
+    release the GIL).  Each of its tasks takes one block: the next block of
+    channel noise, drawn ahead; or one block fed, in order, to the running
+    transmit power and transmit Welch sum (and, when held, the TWTA); or to
+    the running receive Welch sum.  Each of the three has at most one task
+    in flight.  The threads are shut down before this returns or raises.
+    Without, no thread starts.
     """
     with contextlib.ExitStack() as run:
         pool = run.enter_context(_threads(2)) if with_spectra else None
@@ -158,96 +158,46 @@ def simulate(
 
 
 class _Tap:
-    """Hands each block fed to it to ``consumers``, in feed order: on a pool
-    worker, one block at a time, or at once when ``pool`` is None.  At most
-    :data:`TAP_BLOCKS` blocks wait for the worker: a feeder at a full tap
-    waits, so a lagging worker holds up the chain, not memory.  A tap never
-    copies a block: the feeder hands it over and writes no more to it until
-    the tap hands it back.  With ``hand_back`` it does, in feed order, once
-    the consumers are done with it: :meth:`spent` returns those blocks, and
-    :meth:`spare` reuses one, so that the chain does not allocate (and
-    fault in) new blocks as it runs."""
+    """Hands each block fed to it to ``consumers``, in feed order: one pool
+    task per block, or at once when ``pool`` is None.  A feed first waits
+    for the previous block's task, so at most one block is with the worker,
+    and a lagging worker holds up the chain, not memory.  A tap never
+    copies a block: the feeder writes no more to it once fed.  :meth:`spare`
+    reuses the fed blocks, so that the chain does not allocate (and fault
+    in) new blocks as it runs."""
 
-    def __init__(self, pool, consumers: list, hand_back: bool = True):
-        import collections
-        import threading
-
+    def __init__(self, pool, consumers: list):
         self._pool, self._consumers = pool, consumers
-        self._lock = threading.Lock()
-        self._room = threading.Semaphore(TAP_BLOCKS)
-        self._blocks: collections.deque = collections.deque()
-        self._spent: collections.deque | None = collections.deque() if hand_back else None
-        self._made = 0  # blocks made by spare
-        self._task = None  # the drain that takes the blocks, while there are any
-        self._error: Exception | None = None
-        self._closed = False
+        self._task = None  # the last block's task
+        self._made: list[np.ndarray] = []  # the blocks of spare
+
+    def _consume(self, block: np.ndarray) -> None:
+        for consume in self._consumers:
+            consume(block)
 
     def feed(self, block: np.ndarray) -> None:
         """Hand on ``block``; raise the error of a consumer that has failed."""
         if self._pool is None:
-            for consume in self._consumers:
-                consume(block)
-            self._hand_back(block)
+            self._consume(block)
             return
-        self._room.acquire()
-        with self._lock:
-            if self._error is not None:
-                raise self._error
-            self._blocks.append(block)
-            if self._task is None:
-                self._task = self._pool.submit(self._drain)
-
-    def _drain(self) -> None:
-        while True:
-            with self._lock:
-                if not self._blocks:
-                    self._task = None
-                    return
-                block = self._blocks.popleft()
-            try:
-                if self._error is None and not self._closed:
-                    for consume in self._consumers:
-                        consume(block)
-            except Exception as exc:
-                self._error = exc
-            finally:
-                self._hand_back(block)
-                self._room.release()
-
-    def _hand_back(self, block: np.ndarray) -> None:
-        if self._spent is not None:
-            self._spent.append(block)
-
-    def spent(self) -> list[np.ndarray]:
-        """The blocks handed back since the last call, in feed order."""
-        blocks = []
-        while self._spent:
-            blocks.append(self._spent.popleft())
-        return blocks
+        self.join()
+        self._task = self._pool.submit(self._consume, block)
 
     def spare(self, size: int) -> np.ndarray:
         """An array of ``size`` samples to fill, for a feeder that takes one
-        before each feed.  The first :data:`TAP_BLOCKS` + 1 are new, as many
-        as such a feeder has out at once; then it is the oldest block handed
-        back, which a feed that has returned guarantees.  So the blocks a run
-        makes do not depend on how fast the worker is."""
-        if self._made <= TAP_BLOCKS:
-            self._made += 1
-            return np.empty(size, dtype=np.complex128)
-        return self._spent.popleft()[:size]
+        before each feed.  The first two are new; then it is the block fed
+        before last, whose task the last feed waited for.  So a run makes
+        two blocks, however fast the worker is."""
+        if len(self._made) < 2:
+            self._made.append(np.empty(size, dtype=np.complex128))
+        else:
+            self._made.reverse()
+        return self._made[-1][:size]
 
     def join(self) -> None:
         """Return once every fed block is consumed; raise a consumer's error."""
-        with self._lock:
-            task = self._task
-        if task is not None:
-            task.result()
-        if self._error is not None:
-            raise self._error
-
-    def close(self) -> None:
-        """Drop the blocks still waiting, whatever has been fed."""
-        self._closed = True
+        if self._task is not None:
+            self._task.result()
 
 
 class _Rows:
@@ -402,13 +352,13 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
     powers before the first channel block (a non-linear TWTA under
     normalized mode or auto-closure, or the AGC on), and when noise must be
     drawn without a worker, which adds all real parts before the first
-    imaginary one.  The transmit side then fills the held array, the TWTA
-    overwrites each block once the transmit tap has read it, the plan is
-    made from the summed powers, and the receive side reads the array block
-    by block.  Otherwise each block passes the whole chain as it is made:
-    the plan is known up front, and its powers are logged from the sums at
-    the end.  Either way a noise worker, where there is one, draws the
-    noise.
+    imaginary one.  The transmit side then fills the held array, the
+    transmit tap overwrites each block with its TWTA output once the
+    transmit power and spectrum have read it, the plan is made from the
+    summed powers, and the receive side reads the array block by block.
+    Otherwise each block passes the whole chain as it is made: the plan is
+    known up front, and its powers are logged from the sums at the end.
+    Either way a noise worker, where there is one, draws the noise.
     """
     cfg = scenario.modem
     if snapshot_points <= 0:
@@ -441,16 +391,27 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
             run.callback(noise.close)
 
     p_in = PowerSum(n)
+    p_sig = None if channel.linear_twta else PowerSum(n)
     welch = []
     if pool is not None:
         seg = min(SPECTRUM_SEGMENT_LEN, n)
         welch = [WelchSum(n, seg, fs), WelchSum(n, seg, fs)]
     # the transmit power is summed beside the transmit spectrum; a held run
-    # reads its receive blocks from the held waveform, so nothing comes back
-    taps = [_Tap(pool, [p_in.add] + [w.add for w in welch[:1]]),
-            _Tap(pool, [w.add for w in welch[1:]], hand_back=not held)]
-    for tap in taps:
-        run.callback(tap.close)
+    # then overwrites the block with its TWTA output, in the same task
+    tx = [p_in.add] + [w.add for w in welch[:1]]
+    if held and p_sig is not None:
+        def amplify(block: np.ndarray) -> None:
+            # in pieces of a power-sum leaf: a worker thread's heap keeps the
+            # most its temporaries ever took, beside the main thread's heap
+            # (whole blocks added 5 MB to the peak RSS of repeated 1e6-bit runs)
+            with _stage("channel.run"):
+                for i in range(0, block.size, MEAN_POWER_LEAF_SAMPLES):
+                    piece = block[i : i + MEAN_POWER_LEAF_SAMPLES]
+                    channel.amplify_block(piece, piece)
+                p_sig.add(block)
+
+        tx.append(amplify)
+    taps = [_Tap(pool, tx), _Tap(pool, [w.add for w in welch[1:]])]
 
     delay_bits = pipeline_delay_bits(cfg)
     errors = _ErrorCount(n_bits, delay_bits)
@@ -491,8 +452,6 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
 
         yield from _block_grid(pieces(), n, new_block)
 
-    p_sig = None if channel.linear_twta else PowerSum(n)
-
     def summed_plan() -> ChannelLog:
         """The plan of the run's powers (``p_sig`` is ``p_in`` when the TWTA
         is skipped, as in :meth:`SatelliteChannel.amplify`)."""
@@ -500,24 +459,14 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
         return channel.plan(p, p if p_sig is None else p_sig.mean, fs)
 
     if held:
-        # the transmit side fills the held waveform, and the TWTA overwrites
-        # each block of it once the transmit tap has handed it back
+        # the transmit side fills the held waveform, and the transmit tap
+        # overwrites each block of it with its TWTA output
         wave = np.empty(n, dtype=np.complex128)
-
-        def amplify_spent() -> None:
-            for twta in taps[0].spent():
-                if p_sig is not None:
-                    with _stage("channel.run"):
-                        channel.amplify_block(twta, twta)
-                        p_sig.add(twta)
-
         for _, block in transmitted(lambda start, size: wave[start : start + size]):
             with _stage("analysis.spectra"):
                 taps[0].feed(block)
-            amplify_spent()
         with _stage("analysis.spectra"):
             taps[0].join()
-        amplify_spent()
         with _stage("channel.run"):
             plan = summed_plan()
             link = channel.propagation(plan, n, fs, noise)

@@ -466,12 +466,12 @@ class _ThreadPerTask:
     def __init__(self):
         self.threads = []
 
-    def submit(self, fn):
+    def submit(self, fn, *args):
         future = Future()
 
         def run():
             try:
-                future.set_result(fn())
+                future.set_result(fn(*args))
             except BaseException as exc:
                 future.set_exception(exc)
 
@@ -558,20 +558,74 @@ class TestInPlaceSteps:
                 noise.add_next(np.zeros(1000))
             noise.close()
 
-    @pytest.mark.parametrize("taken", [0, 1, 99])
+    @pytest.mark.parametrize("k", [2, 13])
+    def test_a_draw_that_fails_raises_its_error_at_the_next_block(self, monkeypatch, k):
+        # the k-th call of the generator fails: the advance (ten blocks of
+        # 64) or the draw of the third block of imaginary parts
+        monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", 64)
+        rng = np.random.default_rng(1)
+        calls = []
+
+        class FailingGenerator:
+            def standard_normal(self, *args, **kwargs):
+                calls.append(None)
+                if len(calls) == k:
+                    raise MemoryError("synthetic")
+                return rng.standard_normal(*args, **kwargs)
+
+        pool = _ThreadPerTask()
+        noise = _NoiseAhead(FailingGenerator(), 64 * 10, 1.0, pool)
+        good = max(k - 11, 0)  # blocks drawn before the failing one
+        for _ in range(good):
+            noise.add_next(np.zeros(64))
+        with pytest.raises(MemoryError, match="synthetic"):
+            noise.add_next(np.zeros(64))
+        noise.close()
+        for worker in pool.threads:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert len(calls) == k
+
+    @pytest.mark.parametrize("taken", [0, 1, 99, 100])
     def test_close_ends_the_worker_whatever_was_taken(self, monkeypatch, taken):
         # a run that fails before or while the channel takes the noise closes
-        # it; a worker left waiting on a full queue would hang the pool's shutdown
+        # it; a task left running would hold up the pool's shutdown
         monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", 64)
         pool = _ThreadPerTask()
         noise = _NoiseAhead(np.random.default_rng(1), 64 * 100, 1.0, pool)
         for _ in range(taken):
             noise.add_next(np.zeros(64))
-        time.sleep(0.05)  # the worker fills the queue and waits
+        time.sleep(0.05)  # the last draw submitted runs or ends meanwhile
         noise.close()
+        assert len(pool.threads) == min(taken + 1, 100)
+        for worker in pool.threads:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+
+    def test_close_stops_the_advance_within_one_block(self, monkeypatch):
+        # the advance over a long stream's real half is one task: it looks
+        # for the close before each block it draws
+        monkeypatch.setattr(vsatlink.frames, "BLOCK_SAMPLES", 64)
+        rng = np.random.default_rng(1)
+        calls, reached, closed = [], threading.Event(), threading.Event()
+
+        class PausingGenerator:
+            def standard_normal(self, *args, **kwargs):
+                calls.append(None)
+                if len(calls) == 3:  # the third block of the advance
+                    reached.set()
+                    closed.wait(10)
+                return rng.standard_normal(*args, **kwargs)
+
+        pool = _ThreadPerTask()
+        noise = _NoiseAhead(PausingGenerator(), 64 * 10_000, 1.0, pool)
+        assert reached.wait(10)
+        noise.close()
+        closed.set()
         (worker,) = pool.threads
         worker.join(timeout=10)
         assert not worker.is_alive()
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("ahead", [False, True], ids=["inline", "worker"])
     @pytest.mark.parametrize("block", [7, None], ids=["block-7", "default"])

@@ -136,10 +136,11 @@ def _late_once(fn):
 
 
 def _lag(monkeypatch, worker):
-    """Make ``worker`` start 0.2 s late: the noise worker, the two Welch sums
-    (both taps), or the transmit tap, which sums the input power first."""
+    """Make ``worker`` start 0.2 s late: the first per-block noise draw, the
+    two Welch sums (both taps), or the transmit tap, which sums the input
+    power first."""
     if worker == "noise":
-        monkeypatch.setattr(_NoiseAhead, "_produce", _late_once(_NoiseAhead._produce))
+        monkeypatch.setattr(_NoiseAhead, "_draw", _late_once(_NoiseAhead._draw))
     elif worker == "spectra":
         monkeypatch.setattr(WelchSum, "add", _late_once(WelchSum.add))
     else:
@@ -290,9 +291,11 @@ class TestSpectrumWorker:
     end with the run."""
 
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
-    def test_two_runs_give_identical_spectra(self, name):
+    def test_two_runs_give_identical_spectra(self, name, monkeypatch):
         # the second run switches threads every microsecond, so the noise and
-        # spectrum workers interleave with every stage they overlap
+        # spectrum workers interleave with every stage they overlap; blocks
+        # of 4096 samples make about ten hand-offs from one block to the next
+        monkeypatch.setattr(frames, "BLOCK_SAMPLES", 4096)
         sc = replace(load_scenario(name), total_bits=20_000)
         a = simulate(sc)
         interval = sys.getswitchinterval()
@@ -311,7 +314,8 @@ class TestSpectrumWorker:
     def test_a_lagging_worker_changes_nothing(self, name, lagging, monkeypatch):
         # a tap reuses a block only once its consumers are done with it, and
         # the channel takes the noise blocks in order, so a late worker only
-        # makes the chain wait
+        # makes the chain wait, at each of about ten blocks
+        monkeypatch.setattr(frames, "BLOCK_SAMPLES", 4096)
         sc = replace(load_scenario(name), total_bits=20_000)
         reference = simulate(sc)
         _lag(monkeypatch, lagging)
@@ -369,6 +373,21 @@ class TestSpectrumWorker:
         with pytest.raises(PipelineError) as info:
             simulate(replace(load_scenario(name), total_bits=20_000))
         assert info.value.stage == stage
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("with_spectra", [True, False])
+    def test_failing_held_twta_is_named_and_thread_ends(self, reference_scenario, monkeypatch,
+                                                        with_spectra):
+        # a held run amplifies each block on the transmit tap, on a worker
+        # when there is a pool
+        def boom(*args, **kwargs):
+            raise ValueError("synthetic")
+
+        monkeypatch.setattr(SatelliteChannel, "amplify_block", boom)
+        before = threading.active_count()
+        with pytest.raises(PipelineError) as info:
+            simulate(replace(reference_scenario, total_bits=200_000), with_spectra=with_spectra)
+        assert info.value.stage == "channel.run"
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
