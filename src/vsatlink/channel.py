@@ -172,7 +172,8 @@ def saleh_amplify(x: ComplexFrame, p: SalehParams) -> ComplexFrame:
     which is the same A(r)*exp(j(arg x + phi)) without a polar round trip.
     The output is checked: ``r^2`` overflows for a finite input near 1e154,
     and the resulting NaN raises :class:`ParameterError` here.  ``x`` is
-    unchanged; :meth:`SatelliteChannel.amplify` runs the same steps in place.
+    unchanged; :meth:`SatelliteChannel.amplify_block` runs the same steps
+    into any array, ``x.samples`` included.
     """
     out = np.empty_like(x.samples)
     _saleh(x.samples, out, p)
@@ -184,7 +185,10 @@ def _saleh(src: np.ndarray, dst: np.ndarray, p: SalehParams) -> None:
     may be ``src`` itself, and check it."""
     scale_in = _db_to_amplitude(p.input_scale_db)
     scale_out = _db_to_amplitude(p.output_scale_db)
-    for sl in block_slices(src.size):
+    # in power-sum leaf pieces, not blocks: a worker thread's heap keeps the
+    # most its temporaries ever took (whole blocks: +5 MB peak RSS at 1e6 bits)
+    for i in range(0, src.size, frames.MEAN_POWER_LEAF_SAMPLES):
+        sl = slice(i, i + frames.MEAN_POWER_LEAF_SAMPLES)
         xs = src[sl] * scale_in
         r2 = xs.real * xs.real + xs.imag * xs.imag
         xs *= p.amam_alpha / (1.0 + p.amam_beta * r2)
@@ -383,8 +387,8 @@ class _Propagation:
     worker draws its blocks.  With a noise worker, or at zero noise
     variance, each block leaves finished and checked.  Without a worker
     (:attr:`inline`) only the signal is written: the noise needs every real
-    part before the first imaginary one, so :meth:`add_inline_noise` adds
-    it, and the I/Q step, to the whole stream afterwards.
+    part before the first imaginary one, so :meth:`SatelliteChannel.propagate`
+    adds it, and the I/Q step, to the whole stream afterwards.
     """
 
     def __init__(self, channel: "SatelliteChannel", plan: ChannelLog, n: int, fs: float,
@@ -429,14 +433,6 @@ class _Propagation:
             self._normals = np.empty(min(self._n, frames.BLOCK_SAMPLES))
         _add_normals(part, self._std, self._channel._rng, self._normals)
 
-    def add_inline_noise(self, samples: np.ndarray) -> None:
-        """Add the noise, real parts then imaginary parts, and the I/Q step
-        to the whole stream ``samples`` once every block is written."""
-        for part in (samples.real, samples.imag):
-            self._add_normals(part)
-        _iq_imbalance(samples, self._channel.impairments)
-        _check_finite(samples)
-
 
 @dataclass(frozen=True)
 class ChannelLog:
@@ -463,15 +459,15 @@ class SatelliteChannel:
     is counted from each frame's ``start_sample``, so a stream split into
     frames with consecutive clocks gets the same rotation as one frame.
 
-    :meth:`run` is two steps that a caller owning its buffer can also take
-    one by one, in this order, over the same input: :meth:`amplify` writes
-    the TWTA output over it and returns the plan, then :meth:`propagate`
-    writes ``rotate(gain * y) + noise`` and the I/Q step over it.  A caller
-    streaming the input takes the same steps per block:
-    :meth:`amplify_block`, then the blocks of :meth:`propagation`, with the
-    plan of the powers it has summed or, when not :attr:`plan_reads_powers`,
-    of any.  :meth:`noise_ahead` starts drawing the noise on a worker thread
-    before the input exists.
+    :meth:`run` is three steps that a caller owning its buffer can also
+    take one by one, in this order, over the same input: :meth:`amplify_block`
+    writes the TWTA output over it, :meth:`plan` takes the input and TWTA
+    output powers, then :meth:`propagate` writes ``rotate(gain * y) + noise``
+    and the I/Q step over it.  A caller streaming the input takes the same
+    steps per block: :meth:`amplify_block`, then the blocks of
+    :meth:`propagation`, with the plan of the powers it has summed or, when
+    not :attr:`plan_reads_powers`, of any.  :meth:`noise_ahead` starts
+    drawing the noise on a worker thread before the input exists.
     """
 
     def __init__(
@@ -492,7 +488,7 @@ class SatelliteChannel:
         self.target_es_n0_db = target_es_n0_db
         self.reference_symbol_power = float(reference_symbol_power)
         self.linear_twta = saleh == SalehParams.linear()
-        """True when :meth:`amplify` writes nothing: the TWTA is skipped."""
+        """True when the TWTA is skipped: :meth:`amplify_block` copies."""
         self._rng = np.random.default_rng(impairments.seed)
 
     def plan(self, p_in: float, p_sig: float, sample_rate_hz: float) -> ChannelLog:
@@ -550,19 +546,10 @@ class SatelliteChannel:
         return not self.linear_twta and (
             self.mode == "normalized" or self.gains.transponder_amp_gain_db is None)
 
-    def amplify(self, x: ComplexFrame) -> ChannelLog:
-        """Overwrite ``x.samples`` with the TWTA output (unless
-        :attr:`linear_twta`) and return the plan for ``x``."""
-        p_in = p_sig = x.mean_power
-        if not self.linear_twta:
-            self.amplify_block(x.samples, x.samples)
-            p_sig = x.mean_power
-        return self.plan(p_in, p_sig, x.sample_rate_hz)
-
     def amplify_block(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Write the TWTA output of the samples ``src`` into ``dst`` (which may
         be ``src``), checked; a copy when :attr:`linear_twta`.  The TWTA is
-        memoryless, so :meth:`amplify` is this over any split of a frame."""
+        memoryless, so this over any split of a frame gives the same bits."""
         if self.linear_twta:
             np.copyto(dst, src)
         else:
@@ -578,7 +565,7 @@ class SatelliteChannel:
 
     def propagate(self, y: ComplexFrame, plan: ChannelLog,
                   noise: Optional[_NoiseAhead] = None) -> ComplexFrame:
-        """Overwrite ``y.samples`` (the :meth:`amplify` output) with
+        """Overwrite ``y.samples`` (the :meth:`amplify_block` output) with
         ``rotate(gain * y) + noise``, then the I/Q step, and return ``y`` as
         the channel output (checked: the gain and offsets may overflow).
 
@@ -589,12 +576,17 @@ class SatelliteChannel:
         step = self.propagation(plan, len(y), y.sample_rate_hz, noise, y.start_sample)
         for sl in block_slices(len(y)):
             step(sl.start, samples[sl], samples[sl])
-        if step.inline:
-            step.add_inline_noise(samples)
+        if step.inline:  # real parts, then imaginary parts, then the I/Q step
+            for part in (samples.real, samples.imag):
+                step._add_normals(part)
+            _iq_imbalance(samples, self.impairments)
+            _check_finite(samples)
         return _unchecked(ComplexFrame, samples, y.sample_rate_hz, y.start_sample)
 
     def run(self, x: ComplexFrame) -> tuple[ComplexFrame, ChannelLog]:
         """The channel output for ``x`` and the plan it applied; ``x`` is unchanged."""
-        y = _unchecked(ComplexFrame, x.samples.copy(), x.sample_rate_hz, x.start_sample)
-        plan = self.amplify(y)
+        y = _unchecked(ComplexFrame, np.empty_like(x.samples), x.sample_rate_hz, x.start_sample)
+        self.amplify_block(x.samples, y.samples)
+        p_in = x.mean_power
+        plan = self.plan(p_in, p_in if self.linear_twta else y.mean_power, x.sample_rate_hz)
         return self.propagate(y, plan), plan

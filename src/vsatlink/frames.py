@@ -12,10 +12,10 @@ samples at a ``float`` rate (or ``int8`` 0/1 bits) by construction builds
 it with :func:`_unchecked` instead, so a waveform is not scanned again at
 every stage.  The two stages that can turn finite input into NaN/Inf keep
 the check, in place or not, and block by block where ``simulate`` streams
-them: the TWTA (``saleh_amplify``, ``SatelliteChannel.amplify`` and
-``amplify_block``; ``|x|**2`` overflows near 1e154) and the output of the
-whole transponder chain (``SatelliteChannel.propagate``, which ``run`` ends
-with, and each block of ``SatelliteChannel.propagation``).
+them: the TWTA (``saleh_amplify`` and ``SatelliteChannel.amplify_block``;
+``|x|**2`` overflows near 1e154) and the output of the whole transponder
+chain (``SatelliteChannel.propagate``, which ``run`` ends with, and each
+block of ``SatelliteChannel.propagation``).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from .analysis import (  # noqa: F401
 )
 from .channel import ChannelLog, SatelliteChannel
 from .errors import ParameterError, PipelineError
-from .frames import MEAN_POWER_LEAF_SAMPLES, ComplexFrame, PowerSum, _unchecked
+from .frames import ComplexFrame, PowerSum, _unchecked
 from .linkbudget import LinkBudgetReport, compute_budget
 from .modem import (  # noqa: F401
     ModemConfig,
@@ -355,7 +355,8 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
     imaginary one.  The transmit side then fills the held array, the
     transmit tap overwrites each block with its TWTA output once the
     transmit power and spectrum have read it, the plan is made from the
-    summed powers, and the receive side reads the array block by block.
+    summed powers, :meth:`SatelliteChannel.propagate` runs the channel over
+    the array, and the receive side reads it block by block.
     Otherwise each block passes the whole chain as it is made: the plan is
     known up front, and its powers are logged from the sums at the end.
     Either way a noise worker, where there is one, draws the noise.
@@ -401,13 +402,8 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
     tx = [p_in.add] + [w.add for w in welch[:1]]
     if held and p_sig is not None:
         def amplify(block: np.ndarray) -> None:
-            # in pieces of a power-sum leaf: a worker thread's heap keeps the
-            # most its temporaries ever took, beside the main thread's heap
-            # (whole blocks added 5 MB to the peak RSS of repeated 1e6-bit runs)
             with _stage("channel.run"):
-                for i in range(0, block.size, MEAN_POWER_LEAF_SAMPLES):
-                    piece = block[i : i + MEAN_POWER_LEAF_SAMPLES]
-                    channel.amplify_block(piece, piece)
+                channel.amplify_block(block, block)
                 p_sig.add(block)
 
         tx.append(amplify)
@@ -454,7 +450,7 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
 
     def summed_plan() -> ChannelLog:
         """The plan of the run's powers (``p_sig`` is ``p_in`` when the TWTA
-        is skipped, as in :meth:`SatelliteChannel.amplify`)."""
+        is skipped, as in :meth:`SatelliteChannel.run`)."""
         p = p_in.mean
         return channel.plan(p, p if p_sig is None else p_sig.mean, fs)
 
@@ -469,16 +465,10 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
             taps[0].join()
         with _stage("channel.run"):
             plan = summed_plan()
-            link = channel.propagation(plan, n, fs, noise)
-            if link.inline:
-                channel.propagate(_unchecked(ComplexFrame, wave, fs), plan)
+            channel.propagate(_unchecked(ComplexFrame, wave, fs), plan, noise)
         receive = receiver(plan)
         for sl in frames.block_slices(n):
-            block = wave[sl]
-            if not link.inline:
-                with _stage("channel.run"):
-                    link(sl.start, block, block)
-            receive(sl.start, block)
+            receive(sl.start, wave[sl])
         del wave, block
     else:
         link = channel.propagation(plan, n, fs, noise)
@@ -493,16 +483,15 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
                     p_sig.add(out)
                 link(start, block if p_sig is None else out, out)
             receive(start, out)
-        with _stage("analysis.spectra"):
-            taps[0].join()
-        with _stage("channel.run"):
-            plan = summed_plan()
 
+    with _stage("analysis.spectra"):
+        for tap in taps:
+            tap.join()
+    with _stage("channel.run"):
+        plan = summed_plan()
     spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
     if welch:
         with _stage("analysis.spectra"):
-            for tap in taps:
-                tap.join()
             spectrum_tx, spectrum_rx = ((s.frequencies_hz, s.psd_w_per_hz)
                                         for s in (w.estimate() for w in welch))
     with _stage("analysis.snapshots"):

@@ -481,20 +481,24 @@ class _ThreadPerTask:
 
 
 def _propagated(chan, y, ahead):
-    """``chan``'s two steps over ``y``, the noise drawn ahead on a worker
+    """``chan``'s steps over ``y``, in place: the TWTA, the plan of its
+    powers, then the rest of the chain, the noise drawn ahead on a worker
     thread when ``ahead``."""
+    p_in = y.mean_power
+    chan.amplify_block(y.samples, y.samples)
+    plan = chan.plan(p_in, p_in if chan.linear_twta else y.mean_power, y.sample_rate_hz)
     with ThreadPoolExecutor(1) as pool:
         noise = chan.noise_ahead(pool, len(y), y.sample_rate_hz) if ahead else None
         try:
-            return chan.propagate(y, chan.amplify(y), noise=noise)
+            return chan.propagate(y, plan, noise=noise)
         finally:
             if noise is not None:
                 noise.close()
 
 
 class TestInPlaceSteps:
-    """``run`` takes amplify and propagate on a copy of its input;
-    ``simulate`` takes the same two steps over the waveform it owns, with
+    """``run`` takes the TWTA, the plan and propagate on a copy of its
+    input; ``simulate`` takes the same steps over the waveform it owns, with
     the noise drawn ahead on a worker thread."""
 
     @staticmethod
@@ -631,8 +635,8 @@ class TestInPlaceSteps:
     @pytest.mark.parametrize("block", [7, None], ids=["block-7", "default"])
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_propagation_by_blocks_equals_propagate(self, monkeypatch, name, block, ahead):
-        # a streaming caller writes each block into an array of its own and
-        # adds the inline noise to the whole stream at the end
+        # a streaming caller with a noise worker writes each block into an
+        # array of its own; inline noise needs propagate over the whole stream
         x, scenario = self._frame_and_scenario(name, noise_temperature_k=1e6,
                                                iq_amplitude_imbalance_db=0.8)
         if block is not None:
@@ -643,7 +647,7 @@ class TestInPlaceSteps:
         reference = _scenario_channel(scenario)
         expected = _propagated(reference, copy(), ahead).samples
         chan = _scenario_channel(scenario)
-        plan = chan.amplify(copy())
+        plan = _scenario_channel(scenario).run(x)[1]
         twta = np.empty_like(x.samples)
         for sl in vsatlink.frames.block_slices(len(x)):
             chan.amplify_block(x.samples[sl], twta[sl])
@@ -651,11 +655,13 @@ class TestInPlaceSteps:
         with ThreadPoolExecutor(1) as pool:
             noise = chan.noise_ahead(pool, len(x), x.sample_rate_hz) if ahead else None
             step = chan.propagation(plan, len(x), x.sample_rate_hz, noise, x.start_sample)
-            for sl in vsatlink.frames.block_slices(len(x)):
-                step(sl.start, twta[sl], out[sl])
+            assert step.inline is not ahead
             if step.inline:
-                step.add_inline_noise(out)
-        assert step.inline is not ahead
+                out = chan.propagate(ComplexFrame(twta, x.sample_rate_hz, x.start_sample),
+                                     plan).samples
+            else:
+                for sl in vsatlink.frames.block_slices(len(x)):
+                    step(sl.start, twta[sl], out[sl])
         assert np.array_equal(out, expected)
         # the noise stream carries on from where the blocks left it
         assert np.array_equal(chan.run(x)[0].samples, reference.run(x)[0].samples)
@@ -670,7 +676,7 @@ class TestInPlaceSteps:
         chan.amplify_block(x.samples, into)
         assert np.array_equal(x.samples, kept)
         assert np.array_equal(into, out.samples)
-        chan.amplify(x)
+        chan.amplify_block(x.samples, x.samples)
         assert np.array_equal(x.samples, out.samples)
 
 

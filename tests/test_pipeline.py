@@ -1,16 +1,25 @@
 """Integration tests across the whole modem->channel->receiver stack."""
 
+import contextlib
+import itertools
 import json
 import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vsatlink.analysis as analysis_mod
+import vsatlink.channel as channel_mod
+import vsatlink.modem as modem_mod
 import vsatlink.pipeline as pipeline_mod
+import vsatlink.receiver as receiver_mod
 from vsatlink import (
     AutomaticGainControl,
     DcOffsetCompensator,
@@ -196,6 +205,47 @@ def _assert_same_decisions(a, b):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
+def _assert_same_run(a, b):
+    """``a`` and ``b`` are one run, bit for bit: decisions, log and spectra."""
+    _assert_same_decisions(a, b)
+    assert a.run_log == b.run_log
+    for field in ("spectrum_tx", "spectrum_rx"):
+        for x, y in zip(getattr(a, field), getattr(b, field)):
+            assert np.array_equal(x, y), field
+
+
+class _Serial:
+    """An executor that runs each task at once, on the caller's thread: the
+    pool's oracle, every stage of a run in program order on one thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@contextlib.contextmanager
+def _serial_threads(n):
+    yield _Serial()
+
+
+def _scenario(name):
+    """A builtin, or ``kptcl-streamed``: ``kptcl-cband`` with its transponder
+    gain fixed (near the 256.49 dB it auto-closes to) and the AGC off, so
+    that the plan reads no power and the run streams through the Saleh TWTA."""
+    if name != "kptcl-streamed":
+        return load_scenario(name)
+    sc = load_scenario("kptcl-cband")
+    return replace(sc, gains=replace(sc.gains, transponder_amp_gain_db=256.5),
+                   compensation=replace(sc.compensation, agc=False))
+
+
+SCENARIOS = ["kptcl-cband", "awgn-validation", "kptcl-streamed"]
+
+
 def _composed(scenario, points):
     """What ``simulate`` computes, from the public whole-frame stages."""
     cfg = scenario.modem
@@ -246,32 +296,35 @@ STREAM_EDGES = [
 ]
 
 
+def _assert_composed(result, expected):
+    """``result`` of ``simulate`` is the ``expected`` of :func:`_composed`."""
+    assert result.ber == expected["ber"]
+    effective = result.run_log["effective"]
+    assert effective["channel"] == expected["plan"]
+    assert effective["tx_waveform_power_w"] == expected["plan"]["input_power_w"]
+    assert effective["agc_reference_power"] == (expected["plan"]["input_power_w"]
+                                                + expected["plan"]["noise_variance_w"])
+    for field in ("constellation_tx", "constellation_rx_precorrection",
+                  "constellation_rx_postcorrection"):
+        assert np.array_equal(getattr(result, field), expected[field]), field
+    for field in ("spectrum_tx", "spectrum_rx"):
+        freqs, psd = getattr(result, field)
+        assert np.array_equal(freqs, expected[field].frequencies_hz), field
+        assert np.array_equal(psd, expected[field].psd_w_per_hz), field
+
+
 class TestStreaming:
     """``simulate`` runs one chain of blocks; it must equal the public
     whole-frame stages composed, bit for bit, whatever the block size and
     wherever the run ends against the blocks and filter segments."""
 
     @pytest.mark.parametrize("block, symbols", STREAM_EDGES)
-    @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_simulate_equals_the_composed_stages(self, name, block, symbols, monkeypatch):
         monkeypatch.setattr(frames, "BLOCK_SAMPLES", block)
         points = 10**6 if symbols % 2 else SNAPSHOT_POINTS_DEFAULT
-        scenario = replace(load_scenario(name), total_bits=4 * symbols)
-        result = simulate(scenario, snapshot_points=points)
-        expected = _composed(scenario, points)
-        assert result.ber == expected["ber"]
-        effective = result.run_log["effective"]
-        assert effective["channel"] == expected["plan"]
-        assert effective["tx_waveform_power_w"] == expected["plan"]["input_power_w"]
-        assert effective["agc_reference_power"] == (expected["plan"]["input_power_w"]
-                                                    + expected["plan"]["noise_variance_w"])
-        for field in ("constellation_tx", "constellation_rx_precorrection",
-                      "constellation_rx_postcorrection"):
-            assert np.array_equal(getattr(result, field), expected[field]), field
-        for field in ("spectrum_tx", "spectrum_rx"):
-            freqs, psd = getattr(result, field)
-            assert np.array_equal(freqs, expected[field].frequencies_hz), field
-            assert np.array_equal(psd, expected[field].psd_w_per_hz), field
+        scenario = replace(_scenario(name), total_bits=4 * symbols)
+        _assert_composed(simulate(scenario, snapshot_points=points), _composed(scenario, points))
 
     @pytest.mark.parametrize("name", ["kptcl-cband", "awgn-validation"])
     def test_block_size_changes_nothing(self, name, monkeypatch):
@@ -284,6 +337,88 @@ class TestStreaming:
         for x, y in ((small.spectrum_tx, default.spectrum_tx),
                      (small.spectrum_rx, default.spectrum_rx)):
             assert np.array_equal(x[1], y[1])
+
+
+class TestSerialOracle:
+    """The pool computes what one thread computes.  The chain cuts a run on
+    six grids; at any joint choice of them, a pooled run equals the same run
+    through :class:`_Serial`, and both equal the composed whole-frame stages."""
+
+    @given(
+        block=st.integers(1000, 2**16),
+        leaf=st.integers(128, 2**15),
+        rotation_row=st.integers(64, 8192),
+        one_pole_row=st.integers(64, 4096),
+        fft_block=st.integers(31, 4096),  # above the 30-symbol filter span
+        psd_segments=st.integers(1, 32),
+        name=st.sampled_from(SCENARIOS),
+        bits=st.integers(10_000, 40_000),
+        points=st.integers(1, 12_000),
+    )
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    def test_pool_equals_serial_equals_composed(self, block, leaf, rotation_row, one_pole_row,
+                                                fft_block, psd_segments, name, bits, points):
+        scenario = replace(_scenario(name), total_bits=bits)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frames, "BLOCK_SAMPLES", block)
+            mp.setattr(frames, "MEAN_POWER_LEAF_SAMPLES", leaf)
+            mp.setattr(channel_mod, "ROTATION_ROW_SAMPLES", rotation_row)
+            mp.setattr(receiver_mod, "ONE_POLE_ROW_SAMPLES", one_pole_row)
+            mp.setattr(modem_mod, "FFT_BLOCK_SYMBOLS", fft_block)
+            mp.setattr(analysis_mod, "PSD_BLOCK_SEGMENTS", psd_segments)
+            pooled = simulate(scenario, snapshot_points=points)
+            expected = _composed(scenario, points)
+            mp.setattr(pipeline_mod, "_threads", _serial_threads)
+            serial = simulate(scenario, snapshot_points=points)
+        _assert_same_run(pooled, serial)
+        _assert_composed(pooled, expected)
+
+
+def _fails_on_call(fn, k):
+    """``fn``, whose ``k``-th call, counted over every thread, raises."""
+    calls = itertools.count(1)
+
+    def failing(*args, **kwargs):
+        if next(calls) == k:
+            raise ValueError("synthetic")
+        return fn(*args, **kwargs)
+
+    return failing
+
+
+class TestFailureAtBlockK:
+    """A stage that fails on a later block, not the first, ends the run with
+    its stage named and no thread left, whether the failing call ran on a
+    pool worker or, through :class:`_Serial`, on the chain's own thread."""
+
+    # (what fails, the scenarios that call it, the stage that must be named);
+    # the power sum's third call is the transmit power of the second block,
+    # also where a held run sums its TWTA output on the same tap task
+    CASES = [
+        (WelchSum, "add", ["kptcl-cband", "awgn-validation", "kptcl-streamed"],
+         "analysis.spectra"),
+        (PowerSum, "add", ["kptcl-cband", "awgn-validation"], "analysis.spectra"),
+        (SatelliteChannel, "amplify_block", ["kptcl-cband", "kptcl-streamed"], "channel.run"),
+        (_NoiseAhead, "_draw", ["kptcl-cband", "awgn-validation", "kptcl-streamed"],
+         "channel.run"),
+    ]
+
+    @pytest.mark.parametrize("executor", ["pool", "serial"])
+    @pytest.mark.parametrize("owner, attr, name, stage", [
+        (owner, attr, name, stage) for owner, attr, names, stage in CASES for name in names
+    ])
+    def test_failure_at_block_k_is_named_and_thread_ends(self, owner, attr, name, stage,
+                                                         executor, monkeypatch):
+        monkeypatch.setattr(frames, "BLOCK_SAMPLES", 4096)  # about ten blocks
+        if executor == "serial":
+            monkeypatch.setattr(pipeline_mod, "_threads", _serial_threads)
+        monkeypatch.setattr(owner, attr, _fails_on_call(getattr(owner, attr), 3))
+        before = threading.active_count()
+        with pytest.raises(PipelineError) as info:
+            simulate(replace(_scenario(name), total_bits=20_000))
+        assert info.value.stage == stage
+        assert "synthetic" in str(info.value)
+        assert threading.active_count() == before
 
 
 class TestSpectrumWorker:
