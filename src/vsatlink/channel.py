@@ -41,14 +41,14 @@ The channel works block by block, in two passes: the TWTA, then
 whole TWTA output's power (:attr:`SatelliteChannel.plan_reads_powers`) the
 passes cannot merge; elsewhere the plan is known before the first sample,
 and each block can take both passes as it arrives.  The noise stream is
-``std * z`` for all real parts, then all imaginary parts.
-A run without a worker writes the signal, then adds the real half and
-then the imaginary half in two sweeps; a run with a pool
-(:meth:`SatelliteChannel.noise_ahead`) adds each block's noise as it
-writes it, the imaginary parts drawn one block ahead, one pool task per
-block.  Either way each sample takes the one sum ``signal +
-noise`` of the chain run in stage order, possibly with its operands
-swapped; IEEE addition commutes, so the output keeps its bits.
+``std * z`` for all real parts, then all imaginary parts.  Each block
+takes its real noise as it is written.  A run with a pool
+(:meth:`SatelliteChannel.noise_ahead`) adds its imaginary noise too, drawn
+one block ahead, one pool task per block; a run without a worker adds the
+imaginary half in one sweep once every real part is in.  Either way each
+sample takes the one sum ``signal + noise`` of the chain run in stage
+order, possibly with its operands swapped; IEEE addition commutes, so the
+output keeps its bits.
 """
 
 from __future__ import annotations
@@ -288,17 +288,6 @@ def _ktb_variance(temperature_k: float, bandwidth_hz: float) -> float:
     return BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz
 
 
-def _add_normals(part: np.ndarray, std: float, rng: np.random.Generator,
-                 normals: np.ndarray) -> None:
-    """``part += std * z`` for the next ``part.size`` normals ``z`` of ``rng``,
-    drawn into ``normals`` a block at a time."""
-    for sl in block_slices(part.size):
-        z = normals[: sl.stop - sl.start]
-        rng.standard_normal(out=z)
-        z *= std
-        part[sl] += z
-
-
 class _NoiseAhead:
     """The imaginary half of the next ``n`` noise samples, drawn on a pool
     worker a block at a time, one task per block.
@@ -384,11 +373,11 @@ class _Propagation:
 
     Each call writes one block: in order, on the ``frames.BLOCK_SAMPLES``
     grid counted from the stream's first sample, the grid on which a noise
-    worker draws its blocks.  With a noise worker, or at zero noise
-    variance, each block leaves finished and checked.  Without a worker
-    (:attr:`inline`) only the signal is written: the noise needs every real
-    part before the first imaginary one, so :meth:`SatelliteChannel.propagate`
-    adds it, and the I/Q step, to the whole stream afterwards.
+    worker draws its blocks.  Every block takes its real noise as it is
+    written.  With a noise worker, or at zero noise variance, each block
+    leaves finished and checked.  Without a worker the imaginary noise needs
+    every real part drawn first, so :meth:`SatelliteChannel.propagate` adds
+    it, and the I/Q step, to the whole stream afterwards.
     """
 
     def __init__(self, channel: "SatelliteChannel", plan: ChannelLog, n: int, fs: float,
@@ -401,7 +390,6 @@ class _Propagation:
         if imp.phase_offset_deg != 0.0 or imp.freq_offset_hz != 0.0:
             self._rotation = _Rotation(start_sample, n, fs, imp.phase_offset_deg,
                                        imp.freq_offset_hz)
-        self.inline = noise is None and plan.noise_variance_w != 0.0
         self._written = 0
 
     def __call__(self, first: int, src: np.ndarray, dst: np.ndarray) -> None:
@@ -415,11 +403,11 @@ class _Propagation:
                 self._scaled = np.empty(min(self._n, frames.BLOCK_SAMPLES), dtype=np.complex128)
             signal = np.multiply(src, self._plan.gain, out=self._scaled[: src.size])
             self._rotation.apply(first, signal, dst)
-        if self.inline:
-            return
         channel, noise = self._channel, self._noise
-        if noise is not None:
+        if self._plan.noise_variance_w != 0.0:
             self._add_normals(dst.real)
+            if noise is None:
+                return
             noise.add_next(dst.imag)
         _iq_imbalance(dst, channel.impairments)
         _check_finite(dst)
@@ -428,10 +416,15 @@ class _Propagation:
             channel._rng = noise.rng
 
     def _add_normals(self, part: np.ndarray) -> None:
-        """``part += std * z``, the next normals of the channel's generator."""
+        """``part += std * z``, the next normals of the channel's generator,
+        drawn a block at a time."""
         if self._normals is None:
             self._normals = np.empty(min(self._n, frames.BLOCK_SAMPLES))
-        _add_normals(part, self._std, self._channel._rng, self._normals)
+        for sl in block_slices(part.size):
+            z = self._normals[: sl.stop - sl.start]
+            self._channel._rng.standard_normal(out=z)
+            z *= self._std
+            part[sl] += z
 
 
 @dataclass(frozen=True)
@@ -576,9 +569,8 @@ class SatelliteChannel:
         step = self.propagation(plan, len(y), y.sample_rate_hz, noise, y.start_sample)
         for sl in block_slices(len(y)):
             step(sl.start, samples[sl], samples[sl])
-        if step.inline:  # real parts, then imaginary parts, then the I/Q step
-            for part in (samples.real, samples.imag):
-                step._add_normals(part)
+        if noise is None and plan.noise_variance_w != 0.0:  # every real part is in
+            step._add_normals(samples.imag)
             _iq_imbalance(samples, self.impairments)
             _check_finite(samples)
         return _unchecked(ComplexFrame, samples, y.sample_rate_hz, y.start_sample)

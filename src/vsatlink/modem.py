@@ -221,16 +221,16 @@ def rrc_taps(cfg: ModemConfig) -> np.ndarray:
 
 class _OverlapSave:
     """Polyphase FIR at symbol rate by block FFT convolution (overlap-save),
-    fed its input in order, in any pieces.
+    fed its input in order, in any pieces, its output yielded in stream order.
 
     Row ``j`` of the input is ``x[j*width - shift : (j+1)*width - shift]``
     (reads outside the ``n_in`` input samples are 0).  Output row ``j`` is
-    ``out[j, o] = sum_m sum_i row[j - m][i] * taps[o, m, i]``, for ``j <
+    ``out[j, o] = sum_m sum_i row[j - m][i] * taps[m, o, i]``, for ``j <
     n_out``.  Each segment of ``FFT_BLOCK_SYMBOLS`` rows starts ``span`` rows
     before its first output; it takes one forward transform down its
-    columns, sums the products with the tap spectra over ``i``, takes one
-    inverse transform per output branch ``o`` and keeps its last
-    ``FFT_BLOCK_SYMBOLS - span`` rows.  The segments are counted from input
+    columns, sums the products with the tap spectra (bin, ``o``, ``i``) over
+    ``i``, takes one inverse transform down the bins and keeps its last
+    ``FFT_BLOCK_SYMBOLS - span`` rows, each row's samples in sequence.  The segments are counted from input
     row 0, so the pieces never change the output: a segment is transformed
     once its input is in (or the input has ended), and its last ``span``
     rows are carried into the next one.  With ``rotation`` (a
@@ -241,8 +241,8 @@ class _OverlapSave:
     def __init__(self, taps: np.ndarray, width: int, shift: int, n_in: int, n_out: int,
                  rotation: Optional[_Rotation] = None):
         k = FFT_BLOCK_SYMBOLS
-        self._span = taps.shape[1] - 1
-        self._hf = np.fft.fft(taps, k, axis=1)
+        self._span = taps.shape[0] - 1
+        self._hf = np.fft.fft(taps, k, axis=0)
         self._prod = np.empty(self._hf.shape, dtype=np.complex128)
         self._seg = np.zeros(k * width, dtype=np.complex128)
         self._fill = self._span * width + shift  # the zeros before input sample 0
@@ -273,13 +273,13 @@ class _OverlapSave:
                 if self._taken < self._n_in:
                     return
                 seg[self._fill :] = 0.0
-            np.multiply(np.fft.fft(seg.reshape(k, self._width), axis=0), self._hf,
+            np.multiply(np.fft.fft(seg.reshape(k, self._width), axis=0)[:, None, :], self._hf,
                         out=self._prod)
             # summing one input branch would only copy the products, at ~10% of tx_shape
             prod = self._prod
-            y = np.fft.ifft(prod.sum(axis=2) if self._width > 1 else prod[..., 0], axis=1)
+            y = np.fft.ifft(prod.sum(axis=2) if self._width > 1 else prod[..., 0], axis=0)
             first = self._first
-            yield first, y[:, span : span + self._n_out - first].T
+            yield first, y[span : span + self._n_out - first]
             keep = span * self._width
             seg[:keep] = seg[seg.size - keep :]
             self._fill = keep
@@ -287,36 +287,35 @@ class _OverlapSave:
 
 
 def _tx_taps(cfg: ModemConfig) -> np.ndarray:
-    """The RRC taps by output phase: output row j holds samples ``j*sps + p``,
-    phase p shaped by the taps ``h[p::sps]``."""
+    """The RRC taps as (tap, output phase, input): output row j holds samples
+    ``j*sps + p``, phase p shaped by the taps ``h[p::sps]``."""
     sps = cfg.samples_per_symbol
-    return np.pad(rrc_taps(cfg), (0, sps - 1)).reshape(-1, sps).T[:, :, None]
+    return np.pad(rrc_taps(cfg), (0, sps - 1)).reshape(-1, sps)[:, :, None]
 
 
 def _rx_taps(cfg: ModemConfig) -> np.ndarray:
-    """The RRC taps by input column: row k holds ``x[k*sps - sps + 1 ..
-    k*sps]``, and its column c meets ``h[sps - 1 - c :: sps]``."""
+    """The RRC taps as (tap, output, input column): row k holds ``x[k*sps -
+    sps + 1 .. k*sps]``, and its column c meets ``h[sps - 1 - c :: sps]``."""
     sps = cfg.samples_per_symbol
-    return np.pad(rrc_taps(cfg), (0, sps - 1)).reshape(-1, sps)[None, :, ::-1]
+    return np.pad(rrc_taps(cfg), (0, sps - 1)).reshape(-1, sps)[:, None, ::-1]
 
 
 class TxShaper:
     """:func:`tx_shape` of ``n_symbols`` symbols fed in order, in any pieces:
-    :meth:`feed` yields the waveform one overlap-save segment at a time, as
-    rows of ``samples_per_symbol`` samples, and the rows it yields join to
-    the :func:`tx_shape` output bit for bit."""
+    :meth:`feed` yields the waveform one overlap-save segment at a time, and
+    the pieces join to the :func:`tx_shape` output bit for bit."""
 
     def __init__(self, n_symbols: int, cfg: ModemConfig):
         self._rows = n_symbols + cfg.filter_span_symbols
         self._filter = _OverlapSave(_tx_taps(cfg), 1, 0, n_symbols, self._rows)
 
     def feed(self, symbols: np.ndarray):
-        """Take the next symbols; yield each block of rows they complete (a
-        view the shaper does not touch again)."""
+        """Take the next symbols; yield each piece of the waveform they
+        complete (a view the shaper does not touch again)."""
         for first, rows in self._filter.feed(symbols):
             if first + len(rows) == self._rows:
                 rows[-1, 1:] = 0.0  # the sps - 1 positions no tap reaches
-            yield rows
+            yield rows.reshape(-1)
 
 
 class RxMatcher:
@@ -350,14 +349,14 @@ class RxMatcher:
             yield rows.reshape(-1)
 
 
-def _joined(pieces, shape: tuple[int, ...]) -> np.ndarray:
-    """The rows of ``pieces`` in one array of ``shape``, flattened."""
-    out = np.empty(shape, dtype=np.complex128)
+def _joined(pieces, n: int) -> np.ndarray:
+    """The ``n`` samples of ``pieces`` in one array."""
+    out = np.empty(n, dtype=np.complex128)
     filled = 0
     for piece in pieces:
         out[filled : filled + len(piece)] = piece
         filled += len(piece)
-    return out.reshape(-1)
+    return out
 
 
 def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
@@ -375,8 +374,7 @@ def tx_shape(symbols: ComplexFrame, cfg: ModemConfig) -> ComplexFrame:
             f"got {symbols.sample_rate_hz} Hz"
         )
     n = len(symbols)
-    shape = (n + cfg.filter_span_symbols, cfg.samples_per_symbol)
-    shaped = _joined(TxShaper(n, cfg).feed(symbols.samples), shape)
+    shaped = _joined(TxShaper(n, cfg).feed(symbols.samples), tx_samples(n, cfg))
     return _unchecked(ComplexFrame, shaped, cfg.sample_rate_hz)
 
 
@@ -404,7 +402,7 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig, *,
     n = len(waveform)
     matcher = RxMatcher(n, cfg, derotate=derotate, start_sample=waveform.start_sample)
     n_out = (n + cfg.filter_span_symbols * cfg.samples_per_symbol - 1) // cfg.samples_per_symbol + 1
-    return _unchecked(ComplexFrame, _joined(matcher.feed(waveform.samples), (n_out,)),
+    return _unchecked(ComplexFrame, _joined(matcher.feed(waveform.samples), n_out),
                       cfg.symbol_rate_hz)
 
 

@@ -252,33 +252,18 @@ class _ErrorCount:
         return BerReport(self._errors, self._compared, self._lag)
 
 
-def _copy_flat(rows: np.ndarray, first: int, dst: np.ndarray) -> None:
-    """Fill ``dst`` with the samples ``first, first + 1, ...`` of ``rows``,
-    its rows joined, without joining them."""
-    width = rows.shape[1]
-    r, c = divmod(first, width)
-    if c:  # the rest of a row that began in the last block
-        head = min(width - c, dst.size)
-        dst[:head] = rows[r, c : c + head]
-        dst, r = dst[head:], r + 1
-    whole, tail = divmod(dst.size, width)
-    dst[: whole * width].reshape(whole, width)[...] = rows[r : r + whole]
-    if tail:  # the head of a row that ends in the next block
-        dst[whole * width :] = rows[r + whole, :tail]
-
-
 def _block_grid(pieces, n: int, new_block):
     """Yield ``(start, block)`` for the ``n`` samples of the iterable
-    ``pieces`` (arrays whose rows, joined, continue the stream) cut on the
+    ``pieces`` (arrays that, joined, are the stream) cut on the
     ``BLOCK_SAMPLES`` grid, each block the array ``new_block(start, size)``."""
     start, block, fill = 0, None, 0
-    for rows in pieces:
+    for piece in pieces:
         done = 0
-        while done < rows.size:
+        while done < piece.size:
             if block is None:
                 block, fill = new_block(start, min(frames.BLOCK_SAMPLES, n - start)), 0
-            take = min(rows.size - done, block.size - fill)
-            _copy_flat(rows, done, block[fill : fill + take])
+            take = min(piece.size - done, block.size - fill)
+            block[fill : fill + take] = piece[done : done + take]
             done += take
             fill += take
             if fill == block.size:

@@ -61,6 +61,11 @@ class TestMeasureBer:
         with pytest.raises(InsufficientDataError):
             measure_ber(a, a, delay_bits=10)
 
+    def test_negative_delay_raises(self):
+        a = bitarr(1, 0, 1, 0)
+        with pytest.raises(ParameterError, match="delay_bits must be >= 0"):
+            measure_ber(a, a, delay_bits=-1)
+
     def test_report_invariant(self):
         a = generate_bits(2000, 7)
         b = generate_bits(2000, 8)

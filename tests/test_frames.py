@@ -115,6 +115,10 @@ class TestComplexFrame:
         with pytest.raises(ParameterError):
             ComplexFrame(np.array([np.inf + 0j]), 50e3)
 
+    def test_rejects_2d_samples(self):
+        with pytest.raises(ParameterError, match="samples must be 1-D"):
+            ComplexFrame(np.zeros((2, 2), dtype=complex), 50e3)
+
     def test_with_samples_keeps_clock(self):
         f = ComplexFrame(np.ones(4, dtype=complex), 50e3, start_sample=100)
         g = f.with_samples(np.zeros(4, dtype=complex))

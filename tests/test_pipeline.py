@@ -12,7 +12,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import vsatlink.analysis as analysis_mod
@@ -22,6 +22,7 @@ import vsatlink.pipeline as pipeline_mod
 import vsatlink.receiver as receiver_mod
 from vsatlink import (
     AutomaticGainControl,
+    BitFrame,
     DcOffsetCompensator,
     ModemConfig,
     SalehParams,
@@ -339,6 +340,36 @@ class TestStreaming:
             assert np.array_equal(x[1], y[1])
 
 
+class TestErrorCount:
+    """The error count keeps the sent bits until the decisions reach them:
+    any split of either stream counts what ``measure_ber`` counts on the
+    whole streams."""
+
+    @given(seed=st.integers(0, 2**32 - 1), lag=st.integers(0, 300), n=st.integers(1, 3000),
+           past=st.integers(0, 300))
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    def test_pieces_count_what_measure_ber_counts(self, seed, lag, n, past):
+        rng = np.random.default_rng(seed)
+        sent = generate_bits(n, rng)
+        # random before the lag and past the n bits; between, a tenth flipped
+        decided = rng.integers(0, 2, lag + n + past, dtype=np.int8)
+        decided[lag : lag + n] = sent.bits ^ (rng.random(n) < 0.1)
+        errors = pipeline_mod._ErrorCount(n, lag)
+        queued = start = 0
+        while start < decided.size:
+            if queued < n:  # the next piece of sent bits, from one bit to past the lag
+                size = int(rng.integers(1, 2 * lag + 2))
+                errors.transmitted(sent.bits[queued : queued + size])
+                queued += size
+            # then the decisions that meet them, in pieces of their own
+            stop = decided.size if queued >= n else queued + lag
+            while start < stop:
+                end = min(start + int(rng.integers(1, 2 * lag + 2)), stop)
+                errors.received(decided[start:end])
+                start = end
+        assert errors.report() == measure_ber(sent, BitFrame(decided), lag)
+
+
 class TestSerialOracle:
     """The pool computes what one thread computes.  The chain cuts a run on
     six grids; at any joint choice of them, a pooled run equals the same run
@@ -355,7 +386,10 @@ class TestSerialOracle:
         bits=st.integers(10_000, 40_000),
         points=st.integers(1, 12_000),
     )
-    @settings(derandomize=True, max_examples=25, deadline=None)
+    # no shrink phase: a failing example reports at once, where shrinking
+    # these nine draws, each a whole run, took minutes
+    @settings(derandomize=True, max_examples=25, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     def test_pool_equals_serial_equals_composed(self, block, leaf, rotation_row, one_pole_row,
                                                 fft_block, psd_segments, name, bits, points):
         scenario = replace(_scenario(name), total_bits=bits)

@@ -18,7 +18,15 @@ from hypothesis import strategies as st
 
 import vsatlink
 from vsatlink import ConfigError, SalehParams, load_scenario, scenario_from_dict
-from vsatlink.cli import _FLOAT_FMT, EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, _csv_text, main
+from vsatlink.cli import (
+    _FLOAT_FMT,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_PIPELINE,
+    _atomic_write,
+    _csv_text,
+    main,
+)
 from vsatlink.errors import ParameterError, PipelineError
 from vsatlink.linkbudget import combined_cn_db
 from vsatlink.modem import generate_bits
@@ -475,8 +483,12 @@ class TestSweepHelpers:
         assert parse_sweep_values("1.5,2.5") == [1.5, 2.5]
 
     def test_bad_step(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParameterError, match="sweep step must be > 0"):
             parse_sweep_values("0:10:0")
+
+    def test_no_values_are_refused(self, awgn_scenario, no_point_runs):
+        with pytest.raises(ParameterError, match="sweep produced no values"):
+            run_sweep(awgn_scenario, "target_es_n0_db", [])
 
     def test_grid_at_the_point_cap_is_built(self):
         values = parse_sweep_values(f"0:{MAX_SWEEP_POINTS - 1}:1")
@@ -671,6 +683,31 @@ class TestCli:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps(minimal_doc(mode="linear")),
+         "mode: must be 'physical' or 'normalized', got 'linear'"),
+        ("[1, 2]", "scenario: must be an object, got [1, 2]"),
+        ('{"mode": "normalized",', "scenario: {cfg} is not valid JSON: "),
+        (json.dumps(minimal_doc(budget_legs=5)), "budget_legs: must be a list, got 5"),
+    ], ids=["mode", "not-an-object", "malformed-json", "legs-not-a-list"])
+    def test_refused_scenario_names_its_key(self, tmp_path, capsys, no_point_runs, text,
+                                            message):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(text)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: " + message.format(cfg=cfg) in err
+        assert "Traceback" not in err
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("synthetic")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="synthetic"):
+            _atomic_write(tmp_path / "out" / "ber.json", "{}")
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_simulate_artifacts(self, tmp_path, capsys):
         cfg = tmp_path / "sc.json"
         cfg.write_text(json.dumps(minimal_doc()))
@@ -791,6 +828,9 @@ class TestCli:
         ("target_es_n0_db", "10,nan", "sweep values must be finite, got 'nan'"),
         ("modem.rolloff", "0.2,1.5", "rolloff must be in (0, 1]"),
         ("compensation.dc", "1,0", "config error: compensation.dc: not a scalar numeric key"),
+        ("target_es_n0_db", "abc", "config error: sweep value 'abc' is not a number"),
+        ("target_es_n0_db", "1:2", "config error: sweep values must be 'start:stop:step', "
+                                   "got '1:2'"),
     ])
     def test_bad_sweep_value_fails_before_simulating(self, tmp_path, monkeypatch, capsys,
                                                      param, values, message):
