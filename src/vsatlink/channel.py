@@ -42,9 +42,10 @@ whole TWTA output's power (:attr:`SatelliteChannel.plan_reads_powers`) the
 passes cannot merge; elsewhere the plan is known before the first sample,
 and each block can take both passes as it arrives.  The noise stream is
 ``std * z`` for all real parts, then all imaginary parts.  Each block
-takes its real noise as it is written.  A run with a pool
-(:meth:`SatelliteChannel.noise_ahead`) adds its imaginary noise too, drawn
-one block ahead, one pool task per block; a run without a worker adds the
+takes its real noise as it is written.  A run with a pool starts a noise
+worker from the plan (:meth:`SatelliteChannel.noise_ahead`), which draws
+the imaginary noise one block ahead, one pool task per block, so each block
+takes its imaginary noise too; noise that no worker draws is added as the
 imaginary half in one sweep once every real part is in.  Either way each
 sample takes the one sum ``signal + noise`` of the chain run in stage
 order, possibly with its operands swapped; IEEE addition commutes, so the
@@ -229,8 +230,7 @@ def phase_freq_offset(x: ComplexFrame, phase_deg: float, freq_hz: float) -> Comp
     """
     out = np.empty_like(x.samples)
     rotation = _Rotation(x.start_sample, len(x), x.sample_rate_hz, phase_deg, freq_hz)
-    for sl in block_slices(len(x)):
-        rotation.apply(sl.start, x.samples[sl], out[sl])
+    rotation.apply(0, x.samples, out)
     return _unchecked(ComplexFrame, out, x.sample_rate_hz, x.start_sample)
 
 
@@ -460,7 +460,8 @@ class SatelliteChannel:
     steps per block: :meth:`amplify_block`, then the blocks of
     :meth:`propagation`, with the plan of the powers it has summed or, when
     not :attr:`plan_reads_powers`, of any.  :meth:`noise_ahead` starts
-    drawing the noise on a worker thread before the input exists.
+    drawing a plan's noise on a pool's worker thread before the input
+    exists: the noise variance does not depend on the powers.
     """
 
     def __init__(
@@ -487,9 +488,11 @@ class SatelliteChannel:
     def plan(self, p_in: float, p_sig: float, sample_rate_hz: float) -> ChannelLog:
         """The plan for input power ``p_in`` and TWTA output power ``p_sig``: reads
         only the constructor's config, and is the one place the power modes differ."""
-        noise = self._noise_variance(sample_rate_hz)
         if self.mode == "normalized":
             factor = np.sqrt(p_in / p_sig) if p_in > 0.0 and p_sig > 0.0 else 1.0
+            noise = 0.0
+            if self.target_es_n0_db is not None:
+                noise = self.reference_symbol_power / 10.0 ** (self.target_es_n0_db / 10.0)
             return ChannelLog(self.mode, p_in, p_sig, normalization_factor=float(factor),
                               noise_variance_w=noise)
         g = self.gains
@@ -508,26 +511,19 @@ class SatelliteChannel:
         return ChannelLog(
             self.mode, p_in, p_sig,
             transponder_amp_gain_db=float(transponder_db),
-            noise_variance_w=noise,
+            noise_variance_w=_ktb_variance(self.impairments.noise_temperature_k, sample_rate_hz),
             net_fixed_gain_db=float(net_db(transponder_db)),
         )
 
-    def _noise_variance(self, sample_rate_hz: float) -> float:
-        if self.mode == "physical":
-            return _ktb_variance(self.impairments.noise_temperature_k, sample_rate_hz)
-        if self.target_es_n0_db is None:
-            return 0.0
-        return self.reference_symbol_power / 10.0 ** (self.target_es_n0_db / 10.0)
-
-    def noise_ahead(self, pool, n: int, sample_rate_hz: float) -> Optional[_NoiseAhead]:
+    def noise_ahead(self, pool, n: int, plan: ChannelLog) -> Optional[_NoiseAhead]:
         """Start a worker on ``pool`` that draws the imaginary half of the next
-        ``n`` noise samples ahead, for :meth:`propagate` over ``n`` samples;
-        None at zero noise variance, where nothing is drawn.  The caller
-        calls its ``close`` before the pool shuts down."""
-        variance = self._noise_variance(sample_rate_hz)
-        if variance == 0.0:
+        ``n`` noise samples of ``plan``'s variance ahead, for :meth:`propagate`
+        over ``n`` samples; None without a pool or at zero noise variance,
+        where no worker draws.  The caller calls its ``close`` before the
+        pool shuts down."""
+        if pool is None or plan.noise_variance_w == 0.0:
             return None
-        return _NoiseAhead(self._rng, n, np.sqrt(variance / 2.0), pool)
+        return _NoiseAhead(self._rng, n, np.sqrt(plan.noise_variance_w / 2.0), pool)
 
     @property
     def plan_reads_powers(self) -> bool:

@@ -39,11 +39,9 @@ __all__ = [
 FFT_BLOCK_SYMBOLS = 2048
 
 # numpy keeps the plan of each transform length for the life of the process.
-# Made here, while the heap is small, the filters' one plan cannot land
-# between waveform-sized arrays, where it kept glibc from reusing their space:
-# repeated 1e6-bit kptcl-cband runs in one process peaked at 164.6-164.9 MB
-# instead of 134-138 MB in 11 of 36 checkout directories without this line,
-# and in none of the same 36 with it.
+# The filters' one plan is made here, before any run allocates: without this
+# line the peak RSS of repeated 1e6-bit kptcl-cband runs in one process read
+# 0.3-0.5 MB higher in 2 of 3 checkout directories.
 np.fft.fft(np.zeros(FFT_BLOCK_SYMBOLS, dtype=np.complex128))
 
 

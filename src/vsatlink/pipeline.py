@@ -335,10 +335,10 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
     The chain holds the TWTA output whole (one waveform-sized array) in two
     cases: when the channel plan or the AGC reference needs the whole run's
     powers before the first channel block (a non-linear TWTA under
-    normalized mode or auto-closure, or the AGC on), and when noise must be
-    drawn without a worker, which adds all real parts before the first
-    imaginary one.  The transmit side then fills the held array, the
-    transmit tap overwrites each block with its TWTA output once the
+    normalized mode or auto-closure, or the AGC on), and when the plan has
+    noise that no worker draws (there is no pool), which adds all real parts
+    before the first imaginary one.  The transmit side then fills the held
+    array, the transmit tap overwrites each block with its TWTA output once the
     transmit power and spectrum have read it, the plan is made from the
     summed powers, :meth:`SatelliteChannel.propagate` runs the channel over
     the array, and the receive side reads it block by block.
@@ -370,9 +370,9 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
             reference_symbol_power=cfg.mean_symbol_power,
         )
         plan = channel.plan(1.0, 1.0, fs)  # the gain and noise when no power is read
+        noise = channel.noise_ahead(pool, n, plan)
         held = channel.plan_reads_powers or comp.agc or (
-            pool is None and plan.noise_variance_w != 0.0)
-        noise = channel.noise_ahead(pool, n, fs) if pool is not None else None
+            noise is None and plan.noise_variance_w != 0.0)
         if noise is not None:
             run.callback(noise.close)
 

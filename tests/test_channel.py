@@ -53,16 +53,18 @@ class TestSaleh:
         assert out.samples[0] == 0
 
     def test_amam_maximum_location_and_value(self):
-        # calculus: A(r) = a*r/(1+b*r^2) peaks at r = 1/sqrt(b), A = a/(2 sqrt(b))
+        # the grid's peak is the one the two properties name
         r = np.linspace(1e-4, 5.0, 400_000)
         out = saleh_amplify(frame(r), NO_SCALE)
         amp = np.abs(out.samples)
         k = int(np.argmax(amp))
-        assert amp[k] == pytest.approx(1.00576, abs=1e-5)
-        assert r[k] == pytest.approx(0.93177, abs=1e-4)  # grid-step limited
-        assert NO_SCALE.amam_peak_output == pytest.approx(
-            NO_SCALE.amam_alpha / (2 * np.sqrt(NO_SCALE.amam_beta)), abs=1e-12
-        )
+        assert r[k] == pytest.approx(NO_SCALE.amam_peak_input, abs=r[1] - r[0])
+        assert amp[k] == pytest.approx(NO_SCALE.amam_peak_output, rel=1e-9)
+
+    def test_linear_amam_has_no_peak(self):
+        linear = SalehParams.linear()
+        assert linear.amam_peak_input == np.inf
+        assert linear.amam_peak_output == np.inf
 
     def test_amam_monotone_rise_then_fall(self):
         r = np.linspace(1e-3, 5.0, 20_000)
@@ -488,7 +490,7 @@ def _propagated(chan, y, ahead):
     chan.amplify_block(y.samples, y.samples)
     plan = chan.plan(p_in, p_in if chan.linear_twta else y.mean_power, y.sample_rate_hz)
     with ThreadPoolExecutor(1) as pool:
-        noise = chan.noise_ahead(pool, len(y), y.sample_rate_hz) if ahead else None
+        noise = chan.noise_ahead(pool if ahead else None, len(y), plan)
         try:
             return chan.propagate(y, plan, noise=noise)
         finally:
@@ -653,7 +655,7 @@ class TestInPlaceSteps:
             chan.amplify_block(x.samples[sl], twta[sl])
         out = np.empty_like(twta)
         with ThreadPoolExecutor(1) as pool:
-            noise = chan.noise_ahead(pool, len(x), x.sample_rate_hz) if ahead else None
+            noise = chan.noise_ahead(pool if ahead else None, len(x), plan)
             step = chan.propagation(plan, len(x), x.sample_rate_hz, noise, x.start_sample)
             if not ahead:
                 out = chan.propagate(ComplexFrame(twta, x.sample_rate_hz, x.start_sample),

@@ -195,11 +195,12 @@ class TestComputeBudget:
         )
         assert report.rx_power_dbw == pytest.approx(10 * math.log10(pr_linear), abs=1e-9)
 
-    def test_rx_antenna_choice_is_exclusive(self):
-        with pytest.raises(ParameterError):
-            uplink_leg(rx_antenna=AntennaSpec(1.8, 0.63))  # both provided
-        with pytest.raises(ParameterError):
-            uplink_leg(rx_antenna_gain_db=None)  # neither provided
+    @pytest.mark.parametrize("side", ["tx", "rx"])
+    def test_antenna_choice_is_exclusive(self, side):
+        with pytest.raises(ParameterError, match=f"{side}_antenna"):
+            uplink_leg(**{f"{side}_antenna": AntennaSpec(1.8, 0.63)})  # both provided
+        with pytest.raises(ParameterError, match=f"{side}_antenna"):
+            uplink_leg(**{f"{side}_antenna_gain_db": None})  # neither provided
 
 
 class TestCombinedCn:
