@@ -46,10 +46,10 @@ takes its real noise as it is written.  A run with a pool starts a noise
 worker from the plan (:meth:`SatelliteChannel.noise_ahead`), which draws
 the imaginary noise one block ahead, one pool task per block, so each block
 takes its imaginary noise too; noise that no worker draws is added as the
-imaginary half in one sweep once every real part is in.  Either way each
-sample takes the one sum ``signal + noise`` of the chain run in stage
-order, possibly with its operands swapped; IEEE addition commutes, so the
-output keeps its bits.
+imaginary half in a second walk over the blocks, once every real part is
+in.  Either way each sample takes the one sum ``signal + noise`` of the
+chain run in stage order, possibly with its operands swapped; IEEE addition
+commutes, so the output keeps its bits.
 """
 
 from __future__ import annotations
@@ -344,9 +344,9 @@ class _NoiseAhead:
         self._closed = True
 
 
-def _iq_imbalance(samples: np.ndarray, cfg: ImpairmentConfig) -> None:
+def _iq_imbalance(blk: np.ndarray, cfg: ImpairmentConfig) -> None:
     """Apply the amplitude/phase mismatch between branches plus DC offsets
-    to ``samples`` in place.
+    to the one block ``blk`` in place.
 
     Split-phase convention with the amplitude imbalance on the Q branch:
         I' = Re(x) cos(t/2) + Im(x) g sin(t/2) + dc_i
@@ -358,12 +358,10 @@ def _iq_imbalance(samples: np.ndarray, cfg: ImpairmentConfig) -> None:
     g = _db_to_amplitude(cfg.iq_amplitude_imbalance_db)
     theta = np.deg2rad(cfg.iq_phase_imbalance_deg)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    for sl in block_slices(samples.size):
-        blk = samples[sl]
-        re, im = blk.real, blk.imag
-        i_out = re * c + im * g * s + cfg.dc_offset_i
-        q_out = re * s + im * g * c + cfg.dc_offset_q
-        blk.real, blk.imag = i_out, q_out
+    re, im = blk.real, blk.imag
+    i_out = re * c + im * g * s + cfg.dc_offset_i
+    q_out = re * s + im * g * c + cfg.dc_offset_q
+    blk.real, blk.imag = i_out, q_out
 
 
 class _Propagation:
@@ -377,7 +375,7 @@ class _Propagation:
     written.  With a noise worker, or at zero noise variance, each block
     leaves finished and checked.  Without a worker the imaginary noise needs
     every real part drawn first, so :meth:`SatelliteChannel.propagate` adds
-    it, and the I/Q step, to the whole stream afterwards.
+    it, and the I/Q step, in a second walk over the blocks.
     """
 
     def __init__(self, channel: "SatelliteChannel", plan: ChannelLog, n: int, fs: float,
@@ -416,15 +414,14 @@ class _Propagation:
             channel._rng = noise.rng
 
     def _add_normals(self, part: np.ndarray) -> None:
-        """``part += std * z``, the next normals of the channel's generator,
-        drawn a block at a time."""
+        """``part += std * z`` for one block's ``part``, ``z`` the next normals
+        of the channel's generator."""
         if self._normals is None:
             self._normals = np.empty(min(self._n, frames.BLOCK_SAMPLES))
-        for sl in block_slices(part.size):
-            z = self._normals[: sl.stop - sl.start]
-            self._channel._rng.standard_normal(out=z)
-            z *= self._std
-            part[sl] += z
+        z = self._normals[: part.size]
+        self._channel._rng.standard_normal(out=z)
+        z *= self._std
+        part += z
 
 
 @dataclass(frozen=True)
@@ -566,9 +563,11 @@ class SatelliteChannel:
         for sl in block_slices(len(y)):
             step(sl.start, samples[sl], samples[sl])
         if noise is None and plan.noise_variance_w != 0.0:  # every real part is in
-            step._add_normals(samples.imag)
-            _iq_imbalance(samples, self.impairments)
-            _check_finite(samples)
+            for sl in block_slices(len(y)):
+                blk = samples[sl]
+                step._add_normals(blk.imag)
+                _iq_imbalance(blk, self.impairments)
+                _check_finite(blk)
         return _unchecked(ComplexFrame, samples, y.sample_rate_hz, y.start_sample)
 
     def run(self, x: ComplexFrame) -> tuple[ComplexFrame, ChannelLog]:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, PipelineError, VsatLinkError
+from .errors import ConfigError, ParameterError, VsatLinkError
 from .linkbudget import combined_cn_db, format_report
 from .pipeline import (
     MAX_SWEEP_POINTS,
@@ -103,17 +103,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = simulate(scenario, snapshot_points=args.points)
     _atomic_write(out / "ber.json", _json_text(result.ber.as_dict()))
     _atomic_write(out / "run_log.json", _json_text(result.run_log))
-    for name, cons in (
-        ("constellation_tx.csv", result.constellation_tx),
-        ("constellation_rx_precorrection.csv", result.constellation_rx_precorrection),
-        ("constellation_rx_postcorrection.csv", result.constellation_rx_postcorrection),
+    for name, header, rows in (
+        ("constellation_tx.csv", "re,im", result.constellation_tx),
+        ("constellation_rx_precorrection.csv", "re,im", result.constellation_rx_precorrection),
+        ("constellation_rx_postcorrection.csv", "re,im", result.constellation_rx_postcorrection),
+        ("spectrum_tx.csv", "freq_hz,psd_w_per_hz", np.column_stack(result.spectrum_tx)),
+        ("spectrum_rx.csv", "freq_hz,psd_w_per_hz", np.column_stack(result.spectrum_rx)),
     ):
-        _atomic_write(out / name, _csv_text("re,im", cons))
-    for name, (freqs, psd) in (
-        ("spectrum_tx.csv", result.spectrum_tx),
-        ("spectrum_rx.csv", result.spectrum_rx),
-    ):
-        _atomic_write(out / name, _csv_text("freq_hz,psd_w_per_hz", np.column_stack([freqs, psd])))
+        _atomic_write(out / name, _csv_text(header, rows))
     r = result.ber
     print(
         f"BER = {r.ber:.6g} ({r.bit_errors} errors / {r.bits_compared} bits, "
@@ -165,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True,
                          help="dotted numeric key, e.g. target_es_n0_db or modem.m_ary")
     p_sweep.add_argument("--values", required=True,
-                         help=f"start:stop:step (at most {MAX_SWEEP_POINTS} points) or v1,v2,...")
+                         help=f"start:stop:step (at most {MAX_SWEEP_POINTS} points) or v1,v2,...; "
+                              "a value list that starts with '-' takes '=', as in --values=-2:2:2")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--bits", type=int, default=None, help="override total_bits per point")
     p_sweep.add_argument("--jobs", type=int, default=1,
@@ -182,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PipelineError, VsatLinkError) as exc:
+    except VsatLinkError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

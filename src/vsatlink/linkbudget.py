@@ -133,6 +133,15 @@ def noise_power_dbw(temperature_k: float, bandwidth_hz: float) -> float:
     return 10.0 * math.log10(BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz)
 
 
+def _side_gain(gain_db: Optional[float], antenna: Optional[AntennaSpec],
+               frequency_hz: float) -> tuple[float, float]:
+    """The gain and pointing loss of one antenna side: from ``antenna`` when
+    it is given, else the explicit ``gain_db`` with no pointing loss."""
+    if antenna is None:
+        return float(gain_db), 0.0
+    return antenna_gain_db(antenna, frequency_hz), antenna.pointing_loss_db
+
+
 def compute_budget(leg: BudgetLeg) -> LinkBudgetReport:
     """Evaluate the power balance for one leg.
 
@@ -142,25 +151,14 @@ def compute_budget(leg: BudgetLeg) -> LinkBudgetReport:
     in the balance when set.
     """
     f = leg.geometry.frequency_hz
-    if leg.tx_antenna is not None:
-        gt = antenna_gain_db(leg.tx_antenna, f)
-        pointing = leg.tx_antenna.pointing_loss_db
-    else:
-        gt = float(leg.tx_antenna_gain_db)
-        pointing = 0.0
+    gt, pointing = _side_gain(leg.tx_antenna_gain_db, leg.tx_antenna, f)
     pt_dbw = 10.0 * math.log10(leg.tx_power_w)
     eirp = pt_dbw + gt - pointing
 
     loss_computed = free_space_path_loss_db(leg.geometry)
     loss_used = leg.loss_override_db if leg.loss_override_db is not None else loss_computed
 
-    if leg.rx_antenna is not None:
-        gr = antenna_gain_db(leg.rx_antenna, f)
-        rx_pointing = leg.rx_antenna.pointing_loss_db
-    else:
-        gr = float(leg.rx_antenna_gain_db)
-        rx_pointing = 0.0
-
+    gr, rx_pointing = _side_gain(leg.rx_antenna_gain_db, leg.rx_antenna, f)
     pr = eirp - loss_used + gr - rx_pointing
     n = noise_power_dbw(leg.system_noise_temperature_k, leg.bandwidth_hz)
     return LinkBudgetReport(

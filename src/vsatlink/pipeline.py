@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__, frames
 # simulate streams its stages through TxShaper, RxMatcher and WelchSum, and
 # de-rotates inside RxMatcher; perfbench/layertrace.py still wraps the names
-# tx_shape, rx_match, estimate_psd, measure_ber and phase_freq_correct here,
-# so they stay importable from this module
+# tx_shape, estimate_psd, measure_ber and phase_freq_correct here, so they
+# stay importable from this module
 from .analysis import (  # noqa: F401
     BerReport,
     WelchSum,
@@ -125,36 +125,6 @@ def _threads(n: int):
         yield pool
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def simulate(
-    scenario: ScenarioConfig,
-    snapshot_points: int = SNAPSHOT_POINTS_DEFAULT,
-    with_spectra: bool = True,
-) -> SimulationResult:
-    """Run the full pipeline once and collect BER plus figure artifacts.
-
-    The run is one chain of blocks: bits, symbols and ``tx_shape`` (one
-    overlap-save segment at a time) make the transmit waveform on the
-    ``frames.BLOCK_SAMPLES`` grid; each block passes the TWTA, the channel,
-    DC removal, AGC and the de-rotating ``rx_match``, and its symbols are
-    decided and counted against the transmitted bits.  The run log's powers,
-    the two spectra and the snapshots are taken from the blocks as they pass.
-
-    No waveform-sized array exists, unless the run must hold the TWTA output
-    (see :func:`_simulate`).  With ``with_spectra`` a pool of two worker
-    threads runs beside the chain (numpy's normal draws, FFTs and ufuncs
-    release the GIL).  Each of its tasks takes one block: the next block of
-    channel noise, drawn ahead; or one block fed, in order, to the running
-    transmit power and transmit Welch sum (and, when held, the TWTA); or to
-    the running receive Welch sum.  Each of the three has at most one task
-    in flight.  The threads are shut down before this returns or raises.
-    Without, no thread starts.
-    """
-    with contextlib.ExitStack() as run:
-        pool = run.enter_context(_threads(2)) if with_spectra else None
-        # entered after the pool, so left before it shuts down
-        return _simulate(scenario, snapshot_points, pool, run)
 
 
 class _Tap:
@@ -273,9 +243,11 @@ def _block_grid(pieces, n: int, new_block):
 
 class _Receiver:
     """The receive side of the chain for ``n`` channel output samples, fed in
-    order, block by block: DC removal and AGC in place, the pre-correction
-    filter over the snapshot window, the de-rotating matched filter, the
-    receive tap, the decisions and their error count."""
+    order, block by block: DC removal and AGC in place, the de-rotating
+    matched filter, the receive tap, the decisions and their error count.
+    :attr:`window` keeps the DC/AGC-corrected samples of the snapshot
+    window, the first ``(skip + points) * samples_per_symbol``, for the
+    pre-correction snapshot."""
 
     def __init__(self, cfg: ModemConfig, comp: CompensationFlags,
                  derotate: tuple[float, float] | None, agc_reference: float, n: int,
@@ -287,14 +259,12 @@ class _Receiver:
         if comp.agc:
             with _stage("receiver.agc"):
                 self._agc = AutomaticGainControl(agc_reference)
+        with _stage("modem.rx_match"):
+            self._matcher = RxMatcher(n, cfg, derotate=derotate)
         # output symbol k reads input samples up to k * sps, so the
         # pre-correction symbols of the snapshot need only this window
-        self._n_pre = min((skip + points) * cfg.samples_per_symbol, n)
-        with _stage("modem.rx_match"):
-            self._pre = RxMatcher(self._n_pre, cfg)
-            self._post = RxMatcher(n, cfg, derotate=derotate)
-        self.shown_pre = _Rows(skip, skip + points)
-        self.shown_post = _Rows(skip, skip + points)
+        self.window = _Rows(0, min((skip + points) * cfg.samples_per_symbol, n))
+        self.shown = _Rows(skip, skip + points)
 
     def __call__(self, start: int, block: np.ndarray) -> None:
         """Take the channel output samples ``start, start + 1, ...``; the
@@ -307,30 +277,37 @@ class _Receiver:
         if self._agc is not None:
             with _stage("receiver.agc"):
                 self._agc.process_in_place(frame)
+        self.window.add(block)
         with _stage("modem.rx_match"):
-            if self._pre is not None:
-                for symbols in self._pre.feed(block[: self._n_pre - start]):
-                    self.shown_pre.add(symbols)
-                if start + block.size >= self._n_pre:
-                    self._pre = None
-            pieces = list(self._post.feed(block))
+            pieces = list(self._matcher.feed(block))
         with _stage("analysis.spectra"):
             self._tap.feed(block)
         if not pieces:
             return
         # one decision per block: each piece is an array of its own
         symbols = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        self.shown_post.add(symbols)
+        self.shown.add(symbols)
         with _stage("modem.qam_demodulate"):
             bits = qam_demodulate(_unchecked(ComplexFrame, symbols, rs), cfg)
         with _stage("analysis.measure_ber"):
             self._errors.received(bits.bits)
 
 
-def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
-              run: contextlib.ExitStack) -> SimulationResult:
-    """The run of :func:`simulate`; ``pool`` draws the noise and sums the
-    spectra, or is None.  ``run`` closes what the run leaves open.
+def simulate(
+    scenario: ScenarioConfig,
+    snapshot_points: int = SNAPSHOT_POINTS_DEFAULT,
+    with_spectra: bool = True,
+) -> SimulationResult:
+    """Run the full pipeline once and collect BER plus figure artifacts.
+
+    The run is one chain of blocks: bits, symbols and ``tx_shape`` (one
+    overlap-save segment at a time) make the transmit waveform on the
+    ``frames.BLOCK_SAMPLES`` grid; each block passes the TWTA, the channel,
+    DC removal, AGC and the de-rotating ``rx_match``, and its symbols are
+    decided and counted against the transmitted bits.  The run log's powers,
+    the two spectra and the snapshots are taken from the blocks as they
+    pass; the pre-correction snapshot is one ``rx_match`` of the DC/AGC
+    corrected samples of its window, kept as they pass.
 
     The chain holds the TWTA output whole (one waveform-sized array) in two
     cases: when the channel plan or the AGC reference needs the whole run's
@@ -343,8 +320,16 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
     summed powers, :meth:`SatelliteChannel.propagate` runs the channel over
     the array, and the receive side reads it block by block.
     Otherwise each block passes the whole chain as it is made: the plan is
-    known up front, and its powers are logged from the sums at the end.
-    Either way a noise worker, where there is one, draws the noise.
+    known up front, its powers are logged from the sums at the end, and no
+    waveform-sized array exists.
+
+    With ``with_spectra`` a pool of two worker threads runs beside the chain
+    (numpy's normal draws, FFTs and ufuncs release the GIL).  Each of its
+    tasks takes one block: the next block of channel noise, drawn ahead; or
+    one block fed, in order, to the running transmit power and transmit
+    Welch sum (and, when held, the TWTA); or to the running receive Welch
+    sum.  Each of the three has at most one task in flight.  The threads are
+    shut down before this returns or raises.  Without, no thread starts.
     """
     cfg = scenario.modem
     if snapshot_points <= 0:
@@ -360,118 +345,120 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
     n_symbols = n_bits // bps
     n = tx_samples(n_symbols, cfg)
 
-    with _stage("channel.run"):
-        channel = SatelliteChannel(
-            scenario.gains,
-            scenario.saleh,
-            impairments,
-            mode=scenario.mode,  # type: ignore[arg-type]
-            target_es_n0_db=scenario.target_es_n0_db,
-            reference_symbol_power=cfg.mean_symbol_power,
-        )
-        plan = channel.plan(1.0, 1.0, fs)  # the gain and noise when no power is read
-        noise = channel.noise_ahead(pool, n, plan)
-        held = channel.plan_reads_powers or comp.agc or (
-            noise is None and plan.noise_variance_w != 0.0)
-        if noise is not None:
-            run.callback(noise.close)
-
-    p_in = PowerSum(n)
-    p_sig = None if channel.linear_twta else PowerSum(n)
-    welch = []
-    if pool is not None:
-        seg = min(SPECTRUM_SEGMENT_LEN, n)
-        welch = [WelchSum(n, seg, fs), WelchSum(n, seg, fs)]
-    # the transmit power is summed beside the transmit spectrum; a held run
-    # then overwrites the block with its TWTA output, in the same task
-    tx = [p_in.add] + [w.add for w in welch[:1]]
-    if held and p_sig is not None:
-        def amplify(block: np.ndarray) -> None:
-            with _stage("channel.run"):
-                channel.amplify_block(block, block)
-                p_sig.add(block)
-
-        tx.append(amplify)
-    taps = [_Tap(pool, tx), _Tap(pool, [w.add for w in welch[1:]])]
-
-    delay_bits = pipeline_delay_bits(cfg)
-    errors = _ErrorCount(n_bits, delay_bits)
-    # figure artifacts: skip the filter transients (2 x span symbols)
-    skip = 2 * pipeline_delay_symbols(cfg)
-    shown_tx = _Rows(0, snapshot_points)
-    derotate = None
-    if comp.phase_freq:
-        derotate = (impairments.phase_offset_deg, impairments.freq_offset_hz)
-
-    def receiver(plan: ChannelLog) -> _Receiver:
-        # AGC drives total power to its reference; the corrections here are
-        # data-aided, so the reference is the known signal power plus the
-        # known injected noise power - otherwise the noise share would shrink
-        # the recovered constellation below the decision grid.
-        return _Receiver(cfg, comp, derotate, plan.input_power_w + plan.noise_variance_w, n,
-                         skip, snapshot_points, taps[1], errors)
-
-    def transmitted(new_block):
-        """Yield the transmit waveform's blocks, filled into ``new_block(start,
-        size)``; their bits wait in ``errors``.  The caller hands each block
-        to the transmit tap, and writes no more to it."""
-        rng = np.random.default_rng(bits_seed)
-        chunk = max(frames.BLOCK_SAMPLES // sps, 1)  # symbols
-        with _stage("modem.tx_shape"):
-            shaper = TxShaper(n_symbols, cfg)
-
-        def pieces():
-            for first in range(0, n_symbols, chunk):
-                with _stage("modem.generate_bits"):
-                    bits = generate_bits(min(chunk, n_symbols - first) * bps, rng)
-                with _stage("modem.qam_modulate"):
-                    symbols = qam_modulate(bits, cfg).samples
-                errors.transmitted(bits.bits)
-                shown_tx.add(symbols)
-                with _stage("modem.tx_shape"):
-                    yield from shaper.feed(symbols)
-
-        yield from _block_grid(pieces(), n, new_block)
-
-    def summed_plan() -> ChannelLog:
-        """The plan of the run's powers (``p_sig`` is ``p_in`` when the TWTA
-        is skipped, as in :meth:`SatelliteChannel.run`)."""
-        p = p_in.mean
-        return channel.plan(p, p if p_sig is None else p_sig.mean, fs)
-
-    if held:
-        # the transmit side fills the held waveform, and the transmit tap
-        # overwrites each block of it with its TWTA output
-        wave = np.empty(n, dtype=np.complex128)
-        for _, block in transmitted(lambda start, size: wave[start : start + size]):
-            with _stage("analysis.spectra"):
-                taps[0].feed(block)
-        with _stage("analysis.spectra"):
-            taps[0].join()
+    with contextlib.ExitStack() as run:
+        pool = run.enter_context(_threads(2)) if with_spectra else None
         with _stage("channel.run"):
-            plan = summed_plan()
-            channel.propagate(_unchecked(ComplexFrame, wave, fs), plan, noise)
-        receive = receiver(plan)
-        for sl in frames.block_slices(n):
-            receive(sl.start, wave[sl])
-        del wave, block
-    else:
-        link = channel.propagation(plan, n, fs, noise)
-        receive = receiver(plan)
-        for start, block in transmitted(lambda start, size: taps[0].spare(size)):
-            with _stage("analysis.spectra"):
-                taps[0].feed(block)  # the chain only reads it from here on
-            with _stage("channel.run"):
-                out = taps[1].spare(block.size)
-                if p_sig is not None:
-                    channel.amplify_block(block, out)
-                    p_sig.add(out)
-                link(start, block if p_sig is None else out, out)
-            receive(start, out)
+            channel = SatelliteChannel(
+                scenario.gains,
+                scenario.saleh,
+                impairments,
+                mode=scenario.mode,  # type: ignore[arg-type]
+                target_es_n0_db=scenario.target_es_n0_db,
+                reference_symbol_power=cfg.mean_symbol_power,
+            )
+            plan = channel.plan(1.0, 1.0, fs)  # the gain and noise when no power is read
+            noise = channel.noise_ahead(pool, n, plan)
+            held = channel.plan_reads_powers or comp.agc or (
+                noise is None and plan.noise_variance_w != 0.0)
+            if noise is not None:  # left before the pool shuts down
+                run.callback(noise.close)
 
-    with _stage("analysis.spectra"):
-        for tap in taps:
-            tap.join()
+        p_in = PowerSum(n)
+        p_sig = None if channel.linear_twta else PowerSum(n)
+        welch = []
+        if pool is not None:
+            seg = min(SPECTRUM_SEGMENT_LEN, n)
+            welch = [WelchSum(n, seg, fs), WelchSum(n, seg, fs)]
+        # the transmit power is summed beside the transmit spectrum; a held run
+        # then overwrites the block with its TWTA output, in the same task
+        tx = [p_in.add] + [w.add for w in welch[:1]]
+        if held and p_sig is not None:
+            def amplify(block: np.ndarray) -> None:
+                with _stage("channel.run"):
+                    channel.amplify_block(block, block)
+                    p_sig.add(block)
+
+            tx.append(amplify)
+        taps = [_Tap(pool, tx), _Tap(pool, [w.add for w in welch[1:]])]
+
+        delay_bits = pipeline_delay_bits(cfg)
+        errors = _ErrorCount(n_bits, delay_bits)
+        # figure artifacts: skip the filter transients (2 x span symbols)
+        skip = 2 * pipeline_delay_symbols(cfg)
+        shown_tx = _Rows(0, snapshot_points)
+        derotate = None
+        if comp.phase_freq:
+            derotate = (impairments.phase_offset_deg, impairments.freq_offset_hz)
+
+        def receiver(plan: ChannelLog) -> _Receiver:
+            # AGC drives total power to its reference; the corrections here are
+            # data-aided, so the reference is the known signal power plus the
+            # known injected noise power - otherwise the noise share would shrink
+            # the recovered constellation below the decision grid.
+            return _Receiver(cfg, comp, derotate, plan.input_power_w + plan.noise_variance_w, n,
+                             skip, snapshot_points, taps[1], errors)
+
+        def transmitted(new_block):
+            """Yield the transmit waveform's blocks, filled into ``new_block(start,
+            size)``; their bits wait in ``errors``.  The caller hands each block
+            to the transmit tap, and writes no more to it."""
+            rng = np.random.default_rng(bits_seed)
+            chunk = max(frames.BLOCK_SAMPLES // sps, 1)  # symbols
+            with _stage("modem.tx_shape"):
+                shaper = TxShaper(n_symbols, cfg)
+
+            def pieces():
+                for first in range(0, n_symbols, chunk):
+                    with _stage("modem.generate_bits"):
+                        bits = generate_bits(min(chunk, n_symbols - first) * bps, rng)
+                    with _stage("modem.qam_modulate"):
+                        symbols = qam_modulate(bits, cfg).samples
+                    errors.transmitted(bits.bits)
+                    shown_tx.add(symbols)
+                    with _stage("modem.tx_shape"):
+                        yield from shaper.feed(symbols)
+
+            yield from _block_grid(pieces(), n, new_block)
+
+        def summed_plan() -> ChannelLog:
+            """The plan of the run's powers (``p_sig`` is ``p_in`` when the TWTA
+            is skipped, as in :meth:`SatelliteChannel.run`)."""
+            p = p_in.mean
+            return channel.plan(p, p if p_sig is None else p_sig.mean, fs)
+
+        if held:
+            # the transmit side fills the held waveform, and the transmit tap
+            # overwrites each block of it with its TWTA output
+            wave = np.empty(n, dtype=np.complex128)
+            for _, block in transmitted(lambda start, size: wave[start : start + size]):
+                with _stage("analysis.spectra"):
+                    taps[0].feed(block)
+            with _stage("analysis.spectra"):
+                taps[0].join()
+            with _stage("channel.run"):
+                plan = summed_plan()
+                channel.propagate(_unchecked(ComplexFrame, wave, fs), plan, noise)
+            receive = receiver(plan)
+            for sl in frames.block_slices(n):
+                receive(sl.start, wave[sl])
+            del wave, block
+        else:
+            link = channel.propagation(plan, n, fs, noise)
+            receive = receiver(plan)
+            for start, block in transmitted(lambda start, size: taps[0].spare(size)):
+                with _stage("analysis.spectra"):
+                    taps[0].feed(block)  # the chain only reads it from here on
+                with _stage("channel.run"):
+                    out = taps[1].spare(block.size)
+                    if p_sig is not None:
+                        channel.amplify_block(block, out)
+                        p_sig.add(out)
+                    link(start, block if p_sig is None else out, out)
+                receive(start, out)
+
+        with _stage("analysis.spectra"):
+            for tap in taps:
+                tap.join()
     with _stage("channel.run"):
         plan = summed_plan()
     spectrum_tx = spectrum_rx = (np.empty(0), np.empty(0))
@@ -480,11 +467,11 @@ def _simulate(scenario: ScenarioConfig, snapshot_points: int, pool,
             spectrum_tx, spectrum_rx = ((s.frequencies_hz, s.psd_w_per_hz)
                                         for s in (w.estimate() for w in welch))
     with _stage("analysis.snapshots"):
-        cons_tx = constellation_snapshot(shown_tx.frame(cfg.symbol_rate_hz), snapshot_points)
-        cons_pre = constellation_snapshot(receive.shown_pre.frame(cfg.symbol_rate_hz),
-                                          snapshot_points)
-        cons_post = constellation_snapshot(receive.shown_post.frame(cfg.symbol_rate_hz),
-                                           snapshot_points)
+        rs = cfg.symbol_rate_hz
+        pre = rx_match(receive.window.frame(fs), cfg).samples[skip:]
+        cons_tx = constellation_snapshot(shown_tx.frame(rs), snapshot_points)
+        cons_pre = constellation_snapshot(_unchecked(ComplexFrame, pre, rs), snapshot_points)
+        cons_post = constellation_snapshot(receive.shown.frame(rs), snapshot_points)
     report = errors.report()
     run_log = {
         "vsatlink_version": __version__,

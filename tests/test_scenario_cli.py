@@ -7,7 +7,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -27,7 +27,7 @@ from vsatlink.cli import (
     _csv_text,
     main,
 )
-from vsatlink.errors import ParameterError, PipelineError
+from vsatlink.errors import CheckedConfig, ParameterError, PipelineError
 from vsatlink.linkbudget import combined_cn_db
 from vsatlink.modem import generate_bits
 from vsatlink.pipeline import (
@@ -465,6 +465,14 @@ class TestScenarioValidation:
                     if hint in numbers and "range" not in f.metadata}
         assert unranged == _OWN_RULE_FIELDS
 
+    def test_field_type_without_a_rule_is_refused(self):
+        @dataclass(frozen=True)
+        class Tagged(CheckedConfig):
+            tags: set
+
+        with pytest.raises(TypeError, match="^tags: no rule for fields of type"):
+            Tagged({"uplink"})
+
     @pytest.mark.parametrize("name, path", _REFUSED_KEYS, ids=_leaf_id)
     def test_replace_key_refuses_all_but_number_fields(self, name, path):
         doc = _BUILTIN_DOCS[name]
@@ -813,6 +821,15 @@ class TestCli:
         bers = [float(row[1]) for row in rows]
         assert [float(row[0]) for row in rows] == [4.0, 16.0, 64.0]
         assert bers[0] <= bers[1] <= bers[2]
+
+    def test_sweep_grid_below_zero_is_taken_after_equals(self, tmp_path):
+        # argparse reads "--values -2:2:2" as an option; "--values=" keeps it a value
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "awgn-validation", "--param", "target_es_n0_db",
+                     "--values=-2:2:2", "--out", str(out), "--bits", "10000"])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [-2.0, 0.0, 2.0]
 
     def test_sweep_integer_key_takes_integral_values(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
