@@ -186,8 +186,8 @@ def _saleh(src: np.ndarray, dst: np.ndarray, p: SalehParams) -> None:
     may be ``src`` itself, and check it."""
     scale_in = _db_to_amplitude(p.input_scale_db)
     scale_out = _db_to_amplitude(p.output_scale_db)
-    # in power-sum leaf pieces, not blocks: a worker thread's heap keeps the
-    # most its temporaries ever took (whole blocks: +5 MB peak RSS at 1e6 bits)
+    # in power-sum leaf pieces, not blocks: a whole-frame caller (SatelliteChannel.run)
+    # then makes a few leaf-sized temporaries, not a few frame-sized ones
     for i in range(0, src.size, frames.MEAN_POWER_LEAF_SAMPLES):
         sl = slice(i, i + frames.MEAN_POWER_LEAF_SAMPLES)
         xs = src[sl] * scale_in
@@ -307,7 +307,8 @@ class _NoiseAhead:
         import copy
 
         self.rng = copy.deepcopy(rng)
-        """The generator; past the whole stream once every block is added."""
+        """The generator; past the whole stream once every block is added,
+        and the channel's own from the start of the propagation it serves."""
         self._n, self._std, self._pool = n, std, pool
         self._z = np.empty(min(n, frames.BLOCK_SAMPLES))
         self._taken = 0
@@ -375,20 +376,24 @@ class _Propagation:
     written.  With a noise worker, or at zero noise variance, each block
     leaves finished and checked.  Without a worker the imaginary noise needs
     every real part drawn first, so :meth:`SatelliteChannel.propagate` adds
-    it, and the I/Q step, in a second walk over the blocks.
+    it, and the I/Q step, in a second walk over the blocks.  The channel's
+    generator draws what no worker draws; a worker's clone, which ends past
+    the stream, becomes the channel's generator as the propagation starts.
     """
 
     def __init__(self, channel: "SatelliteChannel", plan: ChannelLog, n: int, fs: float,
                  noise: Optional[_NoiseAhead], start_sample: int):
         imp = channel.impairments
-        self._channel, self._plan, self._noise, self._n = channel, plan, noise, n
+        self._imp, self._plan, self._noise, self._n = imp, plan, noise, n
+        self._rng = channel._rng
+        if noise is not None:
+            channel._rng = noise.rng
         self._scaled = self._normals = None  # block scratch, made on first use
         self._std = np.sqrt(plan.noise_variance_w / 2.0)
         self._rotation = None
         if imp.phase_offset_deg != 0.0 or imp.freq_offset_hz != 0.0:
             self._rotation = _Rotation(start_sample, n, fs, imp.phase_offset_deg,
                                        imp.freq_offset_hz)
-        self._written = 0
 
     def __call__(self, first: int, src: np.ndarray, dst: np.ndarray) -> None:
         """Write the output for the samples ``first, first + 1, ...`` of the
@@ -401,25 +406,21 @@ class _Propagation:
                 self._scaled = np.empty(min(self._n, frames.BLOCK_SAMPLES), dtype=np.complex128)
             signal = np.multiply(src, self._plan.gain, out=self._scaled[: src.size])
             self._rotation.apply(first, signal, dst)
-        channel, noise = self._channel, self._noise
         if self._plan.noise_variance_w != 0.0:
             self._add_normals(dst.real)
-            if noise is None:
+            if self._noise is None:
                 return
-            noise.add_next(dst.imag)
-        _iq_imbalance(dst, channel.impairments)
+            self._noise.add_next(dst.imag)
+        _iq_imbalance(dst, self._imp)
         _check_finite(dst)
-        self._written += dst.size
-        if noise is not None and self._written == self._n:
-            channel._rng = noise.rng
 
     def _add_normals(self, part: np.ndarray) -> None:
         """``part += std * z`` for one block's ``part``, ``z`` the next normals
-        of the channel's generator."""
+        of the generator the propagation started with."""
         if self._normals is None:
             self._normals = np.empty(min(self._n, frames.BLOCK_SAMPLES))
         z = self._normals[: part.size]
-        self._channel._rng.standard_normal(out=z)
+        self._rng.standard_normal(out=z)
         z *= self._std
         part += z
 

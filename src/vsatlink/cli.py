@@ -2,7 +2,7 @@
 
     vsatlink linkbudget <config> [--json PATH]
     vsatlink simulate <config> --out DIR [--bits N] [--seed S] [--points N]
-    vsatlink sweep <config> --param KEY --values a:b:step --out CSV [--bits N]
+    vsatlink sweep <config> --param KEY --values a:b:step --out CSV [--bits N] [--jobs N]
 
 ``<config>`` is a scenario file path or a builtin scenario name
 (``kptcl-cband``, ``awgn-validation``).  Exit codes: 0 success, 2 config error,

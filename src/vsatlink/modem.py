@@ -122,8 +122,9 @@ def constellation_points(cfg: ModemConfig) -> np.ndarray:
     return axis[labels >> half] + 1j * axis[labels & (cfg.levels_per_axis - 1)]
 
 
-def generate_bits(n: int, seed: int) -> BitFrame:
-    """Draw ``n`` i.i.d. equiprobable bits."""
+def generate_bits(n: int, seed: int | np.random.Generator) -> BitFrame:
+    """Draw ``n`` i.i.d. equiprobable bits from a new generator seeded with
+    ``seed``, or from the generator ``seed``, whose stream the next call carries on."""
     if n <= 0:
         raise ParameterError(f"bit count must be > 0, got {n}")
     rng = np.random.default_rng(seed)
@@ -321,7 +322,7 @@ class RxMatcher:
     any pieces: :meth:`feed` yields the symbols one overlap-save segment at a
     time, and the pieces join to the :func:`rx_match` output bit for bit.
     ``start_sample`` is the waveform's first sample on the global clock,
-    which ``derotate`` counts from."""
+    which ``derotate`` counts from; :attr:`n_out` is the number of symbols."""
 
     def __init__(self, n_samples: int, cfg: ModemConfig, *,
                  derotate: Optional[tuple[float, float]] = None, start_sample: int = 0):
@@ -337,7 +338,7 @@ class RxMatcher:
             phase_deg, freq_hz = derotate
             rotation = _Rotation(start_sample, n_samples, cfg.sample_rate_hz, -phase_deg,
                                  -freq_hz)
-        n_out = (n_samples + group_delay_samples - 1) // sps + 1
+        self.n_out = n_out = (n_samples + group_delay_samples - 1) // sps + 1
         self._filter = _OverlapSave(_rx_taps(cfg), sps, sps - 1, n_samples, n_out, rotation)
 
     def feed(self, samples: np.ndarray):
@@ -397,10 +398,9 @@ def rx_match(waveform: ComplexFrame, cfg: ModemConfig, *,
             f"rx_match expects {cfg.sample_rate_hz} Hz input, "
             f"got {waveform.sample_rate_hz} Hz"
         )
-    n = len(waveform)
-    matcher = RxMatcher(n, cfg, derotate=derotate, start_sample=waveform.start_sample)
-    n_out = (n + cfg.filter_span_symbols * cfg.samples_per_symbol - 1) // cfg.samples_per_symbol + 1
-    return _unchecked(ComplexFrame, _joined(matcher.feed(waveform.samples), n_out),
+    matcher = RxMatcher(len(waveform), cfg, derotate=derotate,
+                        start_sample=waveform.start_sample)
+    return _unchecked(ComplexFrame, _joined(matcher.feed(waveform.samples), matcher.n_out),
                       cfg.symbol_rate_hz)
 
 

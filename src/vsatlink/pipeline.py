@@ -131,10 +131,10 @@ class _Tap:
     """Hands each block fed to it to ``consumers``, in feed order: one pool
     task per block, or at once when ``pool`` is None.  A feed first waits
     for the previous block's task, so at most one block is with the worker,
-    and a lagging worker holds up the chain, not memory.  A tap never
-    copies a block: the feeder writes no more to it once fed.  :meth:`spare`
-    reuses the fed blocks, so that the chain does not allocate (and fault
-    in) new blocks as it runs."""
+    and a lagging worker holds up the chain, not memory.  A tap never copies
+    a block, and its consumers only read it; the feeder writes to it again
+    only once it is consumed.  :meth:`spare` reuses the fed blocks, so that
+    the chain does not allocate (and fault in) new blocks as it runs."""
 
     def __init__(self, pool, consumers: list):
         self._pool, self._consumers = pool, consumers
@@ -309,16 +309,16 @@ def simulate(
     pass; the pre-correction snapshot is one ``rx_match`` of the DC/AGC
     corrected samples of its window, kept as they pass.
 
-    The chain holds the TWTA output whole (one waveform-sized array) in two
+    The chain holds the waveform whole (one waveform-sized array) in two
     cases: when the channel plan or the AGC reference needs the whole run's
     powers before the first channel block (a non-linear TWTA under
     normalized mode or auto-closure, or the AGC on), and when the plan has
     noise that no worker draws (there is no pool), which adds all real parts
     before the first imaginary one.  The transmit side then fills the held
-    array, the transmit tap overwrites each block with its TWTA output once the
-    transmit power and spectrum have read it, the plan is made from the
-    summed powers, :meth:`SatelliteChannel.propagate` runs the channel over
-    the array, and the receive side reads it block by block.
+    array; once the transmit tap has read it, the chain takes the three
+    steps of :meth:`SatelliteChannel.run` over it (the TWTA block by block,
+    the plan of the summed powers, :meth:`SatelliteChannel.propagate`), and
+    the receive side reads it block by block.
     Otherwise each block passes the whole chain as it is made: the plan is
     known up front, its powers are logged from the sums at the end, and no
     waveform-sized array exists.
@@ -327,9 +327,10 @@ def simulate(
     (numpy's normal draws, FFTs and ufuncs release the GIL).  Each of its
     tasks takes one block: the next block of channel noise, drawn ahead; or
     one block fed, in order, to the running transmit power and transmit
-    Welch sum (and, when held, the TWTA); or to the running receive Welch
-    sum.  Each of the three has at most one task in flight.  The threads are
-    shut down before this returns or raises.  Without, no thread starts.
+    Welch sum; or to the running receive Welch sum; a tap's task only reads
+    its block.  Each of the three has at most one task in flight.  The
+    threads are shut down before this returns or raises.  Without, no
+    thread starts.
     """
     cfg = scenario.modem
     if snapshot_points <= 0:
@@ -369,17 +370,9 @@ def simulate(
         if pool is not None:
             seg = min(SPECTRUM_SEGMENT_LEN, n)
             welch = [WelchSum(n, seg, fs), WelchSum(n, seg, fs)]
-        # the transmit power is summed beside the transmit spectrum; a held run
-        # then overwrites the block with its TWTA output, in the same task
-        tx = [p_in.add] + [w.add for w in welch[:1]]
-        if held and p_sig is not None:
-            def amplify(block: np.ndarray) -> None:
-                with _stage("channel.run"):
-                    channel.amplify_block(block, block)
-                    p_sig.add(block)
-
-            tx.append(amplify)
-        taps = [_Tap(pool, tx), _Tap(pool, [w.add for w in welch[1:]])]
+        # the transmit power is summed beside the transmit spectrum
+        taps = [_Tap(pool, [p_in.add] + [w.add for w in welch[:1]]),
+                _Tap(pool, [w.add for w in welch[1:]])]
 
         delay_bits = pipeline_delay_bits(cfg)
         errors = _ErrorCount(n_bits, delay_bits)
@@ -401,7 +394,7 @@ def simulate(
         def transmitted(new_block):
             """Yield the transmit waveform's blocks, filled into ``new_block(start,
             size)``; their bits wait in ``errors``.  The caller hands each block
-            to the transmit tap, and writes no more to it."""
+            to the transmit tap, and writes to it again only once it is read."""
             rng = np.random.default_rng(bits_seed)
             chunk = max(frames.BLOCK_SAMPLES // sps, 1)  # symbols
             with _stage("modem.tx_shape"):
@@ -427,8 +420,7 @@ def simulate(
             return channel.plan(p, p if p_sig is None else p_sig.mean, fs)
 
         if held:
-            # the transmit side fills the held waveform, and the transmit tap
-            # overwrites each block of it with its TWTA output
+            # the transmit side fills the held waveform, for the transmit tap to read
             wave = np.empty(n, dtype=np.complex128)
             for _, block in transmitted(lambda start, size: wave[start : start + size]):
                 with _stage("analysis.spectra"):
@@ -436,6 +428,10 @@ def simulate(
             with _stage("analysis.spectra"):
                 taps[0].join()
             with _stage("channel.run"):
+                if p_sig is not None:
+                    for sl in frames.block_slices(n):
+                        channel.amplify_block(wave[sl], wave[sl])
+                        p_sig.add(wave[sl])
                 plan = summed_plan()
                 channel.propagate(_unchecked(ComplexFrame, wave, fs), plan, noise)
             receive = receiver(plan)

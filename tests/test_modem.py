@@ -51,6 +51,12 @@ class TestGenerateBits:
         with pytest.raises(ParameterError):
             generate_bits(0, 0)
 
+    def test_calls_on_one_generator_carry_its_stream_on(self):
+        # simulate draws a run's bits block by block from one generator
+        rng = np.random.default_rng(5)
+        pieces = [generate_bits(1000, rng).bits, generate_bits(2345, rng).bits]
+        assert np.array_equal(np.concatenate(pieces), generate_bits(3345, 5).bits)
+
     def test_bits_are_uniform_draws_below_one_half(self):
         expected = np.random.default_rng(13).random(1000) < 0.5
         bits = generate_bits(1000, 13).bits

@@ -426,8 +426,8 @@ class TestFailureAtBlockK:
     pool worker or, through :class:`_Serial`, on the chain's own thread."""
 
     # (what fails, the scenarios that call it, the stage that must be named);
-    # the power sum's third call is the transmit power of the second block,
-    # also where a held run sums its TWTA output on the same tap task
+    # the power sum's third call is the transmit power of the third block: a
+    # held run sums its TWTA output later, on the chain's thread
     CASES = [
         (WelchSum, "add", ["kptcl-cband", "awgn-validation", "kptcl-streamed"],
          "analysis.spectra"),
@@ -453,6 +453,41 @@ class TestFailureAtBlockK:
         assert info.value.stage == stage
         assert "synthetic" in str(info.value)
         assert threading.active_count() == before
+
+    # without a pool, as every sweep point runs (inline taps, no noise worker,
+    # held noise), only the power sums and the TWTA of CASES are called
+    @pytest.mark.parametrize("owner, attr, name, stage", [
+        (owner, attr, name, stage) for owner, attr, names, stage in CASES[1:3] for name in names
+    ])
+    def test_failure_at_block_k_without_a_pool(self, owner, attr, name, stage, monkeypatch):
+        monkeypatch.setattr(frames, "BLOCK_SAMPLES", 4096)
+        monkeypatch.setattr(owner, attr, _fails_on_call(getattr(owner, attr), 3))
+        before = threading.active_count()
+        with pytest.raises(PipelineError) as info:
+            simulate(replace(_scenario(name), total_bits=20_000), with_spectra=False)
+        assert info.value.stage == stage
+        assert "synthetic" in str(info.value)
+        assert threading.active_count() == before
+
+
+class TestTapsOnlyRead:
+    """A tap's task reads the block it is handed and writes nothing to it:
+    the chain owns every block it feeds."""
+
+    @pytest.mark.parametrize("with_spectra", [True, False])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_a_tap_task_leaves_its_block_unchanged(self, name, with_spectra, monkeypatch):
+        consume = pipeline_mod._Tap._consume
+
+        def checked(tap, block):
+            before = block.tobytes()
+            consume(tap, block)
+            if block.tobytes() != before:
+                raise AssertionError("a tap task wrote its block")
+
+        monkeypatch.setattr(frames, "BLOCK_SAMPLES", 4096)
+        monkeypatch.setattr(pipeline_mod._Tap, "_consume", checked)
+        simulate(replace(_scenario(name), total_bits=20_000), with_spectra=with_spectra)
 
 
 class TestSpectrumWorker:
@@ -547,8 +582,8 @@ class TestSpectrumWorker:
     @pytest.mark.parametrize("with_spectra", [True, False])
     def test_failing_held_twta_is_named_and_thread_ends(self, reference_scenario, monkeypatch,
                                                         with_spectra):
-        # a held run amplifies each block on the transmit tap, on a worker
-        # when there is a pool
+        # a held run amplifies each block on the chain's thread, once the
+        # transmit tap has read them all
         def boom(*args, **kwargs):
             raise ValueError("synthetic")
 
